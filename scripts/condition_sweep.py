@@ -26,32 +26,21 @@ def controlled_matrix(rng, n, metric_condition):
     return q1 @ np.diag(singulars) @ q2.T
 
 
+# Printed column -> the Factorization.residuals entries it takes the worst of.
+COLUMNS = {
+    "orthonorm": ("phi_orthonormality", "lambda_orthonormality"),
+    "polar": ("polar_reconstruction",),
+    "svd": ("svd_reconstruction",),
+    "relations": ("relation_lambda_phi_u", "relation_phi_w_udagger"),
+}
+
+
 def worst_residuals(rng, n, metric_condition, trials):
-    worst = {"orthonormality": 0.0, "polar": 0.0, "svd": 0.0, "relations": 0.0}
+    worst = dict.fromkeys(COLUMNS, 0.0)
     for _ in range(trials):
-        v = controlled_matrix(rng, n, metric_condition)
-        phi = lo.symmetric_orthogonalize(v)
-        lam = lo.canonical_orthogonalize(v)
-        polar = lo.polar_decompose(v)
-        svd = lo.reduced_svd(v)
-        u = phi.source_eigen.eigenvectors
-        scale = 1.0 + lo.max_abs(v)
-        worst["orthonormality"] = max(
-            worst["orthonormality"],
-            lo.verify_orthonormal(phi.matrix).residual,
-            lo.verify_orthonormal(lam.matrix).residual,
-        )
-        worst["polar"] = max(
-            worst["polar"], lo.max_abs(lo.reconstruct_polar(polar) - v) / scale
-        )
-        worst["svd"] = max(
-            worst["svd"], lo.max_abs(lo.reconstruct_svd(svd) - v) / scale
-        )
-        worst["relations"] = max(
-            worst["relations"],
-            lo.max_abs(lam.matrix - phi.matrix @ u),
-            lo.max_abs(phi.matrix - lam.matrix @ u.conj().T),
-        )
+        residuals = lo.factorize(controlled_matrix(rng, n, metric_condition)).residuals()
+        for column, names in COLUMNS.items():
+            worst[column] = max(worst[column], *(residuals[name] for name in names))
     return worst
 
 
@@ -64,16 +53,11 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     print(f"dim {args.dim}, {args.trials} trials per condition level")
-    print(
-        f"{'cond(V†V)':>10}{'orthonorm':>12}{'polar':>12}{'svd':>12}{'relations':>12}"
-    )
+    print(f"{'cond(V†V)':>10}" + "".join(f"{column:>12}" for column in COLUMNS))
     for exponent in range(0, 11, 2):
         cond = 10.0**exponent
         worst = worst_residuals(rng, args.dim, cond, args.trials)
-        print(
-            f"{cond:>10.0e}{worst['orthonormality']:>12.2e}{worst['polar']:>12.2e}"
-            f"{worst['svd']:>12.2e}{worst['relations']:>12.2e}"
-        )
+        print(f"{cond:>10.0e}" + "".join(f"{value:>12.2e}" for value in worst.values()))
 
 
 if __name__ == "__main__":

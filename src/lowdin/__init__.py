@@ -3,14 +3,16 @@
 Symmetric and canonical orthogonalization of a full-column-rank set of
 vectors, with polar decomposition, reduced SVD, and raw-SSCP principal
 component analysis all derived from the same Hermitian
-eigendecomposition of the metric matrix, plus the analytic conversions
-between the bases.
+eigendecomposition of the metric matrix (``factorize``), plus the
+analytic conversions between the bases.
 """
 
 from .decompositions import (
+    Factorization,
     PolarFactors,
     SvdFactors,
     canonical_from_symmetric,
+    factorize,
     polar_decompose,
     reconstruct_polar,
     reconstruct_svd,
@@ -33,11 +35,9 @@ from .linalg import (
     ToleranceConfig,
     apply_phase_convention,
     as_matrix,
-    conjugate_transpose,
     gram_metric,
     hermitian_eigen,
     hermitian_power,
-    matmul,
     max_abs,
     require_hermitian,
     require_positive_definite,
@@ -65,6 +65,7 @@ from .ortho import (
 from .pca import (
     EquivalenceReport,
     SscpResult,
+    compare_spectra,
     gram_sscp_eigenvalue_check,
     principal_components,
     projection_square_sums,
@@ -78,6 +79,7 @@ __all__ = [
     "DimensionMismatch",
     "EmptyMatrix",
     "EquivalenceReport",
+    "Factorization",
     "HermitianEigen",
     "LinalgError",
     "MatrixFileError",
@@ -99,13 +101,13 @@ __all__ = [
     "as_matrix",
     "canonical_from_symmetric",
     "canonical_orthogonalize",
-    "conjugate_transpose",
+    "compare_spectra",
+    "factorize",
     "format_matrix",
     "gram_metric",
     "gram_sscp_eigenvalue_check",
     "hermitian_eigen",
     "hermitian_power",
-    "matmul",
     "max_abs",
     "orthogonalize_general",
     "parse_matrix_file",

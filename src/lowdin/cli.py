@@ -21,12 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .decompositions import polar_decompose, reconstruct_polar, reconstruct_svd, reduced_svd
+from .decompositions import factorize, symmetric_from_svd
 from .errors import LinalgError, SingularMetric
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig, max_abs
+from .linalg import DEFAULT_TOLERANCES, ToleranceConfig
 from .matrixio import MatrixFileError, parse_matrix_file, write_matrix_file
-from .ortho import canonical_orthogonalize, symmetric_orthogonalize, verify_orthonormal
-from .pca import gram_sscp_eigenvalue_check, principal_components, projection_square_sums
+from .pca import _require_tall, compare_spectra, principal_components
 
 COMMANDS = ("symmetric", "canonical", "polar", "svd", "pca", "verify", "relations")
 
@@ -118,151 +117,90 @@ class _CommandOutput:
     condition: float | None = None
 
 
-def _relative_reconstruction(product: np.ndarray, v: np.ndarray) -> float:
-    return max_abs(product - v) / (1.0 + max_abs(v))
-
-
-def _run_symmetric(v, cfg) -> _CommandOutput:
-    out = _CommandOutput()
-    basis = symmetric_orthogonalize(v, cfg)
-    out.residuals["orthonormality"] = verify_orthonormal(basis.matrix, cfg).residual
-    out.eigenvalues = list(basis.source_eigen.eigenvalues)
-    out.condition = basis.source_eigen.condition_estimate()
-    out.files["symmetric_Phi"] = basis.matrix
-    return out
-
-
-def _run_canonical(v, cfg) -> _CommandOutput:
-    out = _CommandOutput()
-    basis = canonical_orthogonalize(v, cfg)
-    out.residuals["orthonormality"] = verify_orthonormal(basis.matrix, cfg).residual
-    out.eigenvalues = list(basis.source_eigen.eigenvalues)
-    out.condition = basis.source_eigen.condition_estimate()
-    out.files["canonical_Lambda"] = basis.matrix
-    return out
-
-
-def _run_polar(v, cfg) -> _CommandOutput:
-    out = _CommandOutput()
-    factors = polar_decompose(v, cfg)
-    out.residuals["orthonormality"] = verify_orthonormal(
-        factors.orthonormal.matrix, cfg
-    ).residual
-    out.residuals["polar_reconstruction"] = _relative_reconstruction(
-        reconstruct_polar(factors), v
-    )
-    eigen = factors.orthonormal.source_eigen
-    out.eigenvalues = list(eigen.eigenvalues)
-    out.condition = eigen.condition_estimate()
-    out.files["polar_Phi"] = factors.orthonormal.matrix
-    out.files["polar_H"] = factors.positive
-    return out
-
-
-def _run_svd(v, cfg) -> _CommandOutput:
-    out = _CommandOutput()
-    factors = reduced_svd(v, cfg)
-    out.residuals["orthonormality"] = verify_orthonormal(factors.left, cfg).residual
-    out.residuals["svd_reconstruction"] = _relative_reconstruction(
-        reconstruct_svd(factors), v
-    )
-    sigma = factors.singular_values
-    out.singular_values = list(sigma)
-    smallest = float(sigma[-1])
-    out.condition = (float(sigma[0]) / smallest) ** 2 if smallest > 0.0 else math.inf
-    out.files["svd_W"] = factors.left
-    out.files["svd_sigma"] = sigma
-    out.files["svd_Udagger"] = factors.right.conj().T
-    return out
-
-
-def _run_pca(v, cfg) -> _CommandOutput:
-    out = _CommandOutput()
-    result = principal_components(v, cfg)
-    equivalence = gram_sscp_eigenvalue_check(v, cfg)
-    basis = canonical_orthogonalize(v, cfg)
-    d = basis.source_eigen.eigenvalues
-    sums = projection_square_sums(v, basis)
-    out.residuals["gram_sscp_gap"] = equivalence.max_relative_gap
-    out.residuals["projection_sum_gap"] = float(np.max(np.abs(sums - d) / d))
-    out.eigenvalues = list(result.component_scores)
-    out.condition = basis.source_eigen.condition_estimate()
-    out.files["pca_components"] = result.components
-    out.files["pca_scores"] = result.component_scores
-    return out
-
-
-def _run_relations(v, cfg) -> _CommandOutput:
-    out = _CommandOutput()
-    phi = symmetric_orthogonalize(v, cfg)
-    lam = canonical_orthogonalize(v, cfg)
-    eigen = phi.source_eigen
-    u = eigen.eigenvectors
-    svd = reduced_svd(v, cfg)
-    lam_from_phi = phi.matrix @ u
-    phi_from_lam = lam.matrix @ u.conj().T
-    phi_from_svd = svd.left @ svd.right.conj().T
-    out.residuals["orthonormality"] = max(
-        verify_orthonormal(phi.matrix, cfg).residual,
-        verify_orthonormal(lam.matrix, cfg).residual,
-    )
-    out.residuals["relation_lambda_phi_u"] = max_abs(lam.matrix - lam_from_phi)
-    out.residuals["relation_phi_w_udagger"] = max_abs(phi.matrix - phi_from_svd)
-    out.eigenvalues = list(eigen.eigenvalues)
-    out.singular_values = list(svd.singular_values)
-    out.condition = eigen.condition_estimate()
-    out.files["relations_Phi"] = phi.matrix
-    out.files["relations_Lambda"] = lam.matrix
-    out.files["relations_U"] = u
-    out.files["relations_Lambda_from_Phi"] = lam_from_phi
-    out.files["relations_Phi_from_Lambda"] = phi_from_lam
-    out.files["relations_Phi_from_svd"] = phi_from_svd
-    return out
-
-
-def _run_verify(v, cfg) -> _CommandOutput:
-    out = _CommandOutput()
-    phi = symmetric_orthogonalize(v, cfg)
-    lam = canonical_orthogonalize(v, cfg)
-    polar = polar_decompose(v, cfg)
-    svd = reduced_svd(v, cfg)
-    eigen = phi.source_eigen
-    u = eigen.eigenvectors
-    d = eigen.eigenvalues
-    sums = projection_square_sums(v, lam)
-    equivalence = gram_sscp_eigenvalue_check(v, cfg)
-    out.residuals["orthonormality"] = max(
-        verify_orthonormal(phi.matrix, cfg).residual,
-        verify_orthonormal(lam.matrix, cfg).residual,
-        verify_orthonormal(svd.left, cfg).residual,
-    )
-    out.residuals["polar_reconstruction"] = _relative_reconstruction(
-        reconstruct_polar(polar), v
-    )
-    out.residuals["svd_reconstruction"] = _relative_reconstruction(
-        reconstruct_svd(svd), v
-    )
-    out.residuals["relation_lambda_phi_u"] = max_abs(lam.matrix - phi.matrix @ u)
-    out.residuals["relation_phi_w_udagger"] = max_abs(
-        phi.matrix - svd.left @ svd.right.conj().T
-    )
-    out.residuals["projection_sum_gap"] = float(np.max(np.abs(sums - d) / d))
-    out.residuals["gram_sscp_gap"] = equivalence.max_relative_gap
-    out.eigenvalues = list(d)
-    out.singular_values = list(svd.singular_values)
-    out.condition = eigen.condition_estimate()
-    return out
-
-
-_RUNNERS = {
-    "symmetric": _run_symmetric,
-    "canonical": _run_canonical,
-    "polar": _run_polar,
-    "svd": _run_svd,
-    "pca": _run_pca,
-    "relations": _run_relations,
-    "verify": _run_verify,
+# Each command reports some of Factorization.residuals (the per-basis
+# orthonormality ones as their worst, "orthonormality") and writes the
+# file <command>_<view> for each of its views.
+_COMMANDS = {
+    "symmetric": (("phi_orthonormality",), ("Phi",)),
+    "canonical": (("lambda_orthonormality",), ("Lambda",)),
+    "polar": (("phi_orthonormality", "polar_reconstruction"), ("Phi", "H")),
+    "svd": (("lambda_orthonormality", "svd_reconstruction"), ("W", "sigma", "Udagger")),
+    "pca": (("projection_sum_gap",), ("components", "scores")),
+    "relations": (
+        (
+            "phi_orthonormality",
+            "lambda_orthonormality",
+            "relation_lambda_phi_u",
+            "relation_phi_w_udagger",
+        ),
+        ("Phi", "Lambda", "U", "Lambda_from_Phi", "Phi_from_Lambda", "Phi_from_svd"),
+    ),
+    "verify": ((), ()),  # naming no residual selects every one
 }
+
+# Views of the factorization f and, for pca, the SSCP components s.
+_VIEWS = {
+    "Phi": lambda f, s: f.phi.matrix,
+    "Lambda": lambda f, s: f.lam.matrix,
+    "U": lambda f, s: f.eigen.eigenvectors,
+    "H": lambda f, s: f.polar.positive,
+    "W": lambda f, s: f.svd.left,
+    "sigma": lambda f, s: f.svd.singular_values,
+    "Udagger": lambda f, s: f.svd.right.conj().T,
+    "Lambda_from_Phi": lambda f, s: f.phi.matrix @ f.eigen.eigenvectors,
+    "Phi_from_Lambda": lambda f, s: f.lam.matrix @ f.eigen.eigenvectors.conj().T,
+    "Phi_from_svd": lambda f, s: symmetric_from_svd(f.svd).matrix,
+    "components": lambda f, s: s.components,
+    "scores": lambda f, s: s.component_scores,
+}
+
+
+def _solve(command: str, v: np.ndarray, cfg: ToleranceConfig):
+    """The one metric factorization, plus the SSCP solve for pca and verify.
+
+    The order fixes which error a command reports: pca diagonalizes
+    S = V·V† first and verify M first, and both refuse a wide V before
+    their second solve.
+    """
+    if command == "pca":
+        s = principal_components(v, cfg)
+        _require_tall(*v.shape)
+        return factorize(v, cfg), s
+    f = factorize(v, cfg)
+    if command != "verify":
+        return f, None
+    _require_tall(*v.shape)
+    return f, principal_components(v, cfg)
+
+
+def _outputs(command: str, v: np.ndarray, cfg: ToleranceConfig) -> _CommandOutput:
+    names, views = _COMMANDS[command]
+    f, s = _solve(command, v, cfg)
+    values = f.residuals(*names)
+    bases = [r for name, r in values.items() if name.endswith("_orthonormality")]
+    out = _CommandOutput(
+        residuals={n: r for n, r in values.items() if not n.endswith("_orthonormality")},
+        files={f"{command}_{view}": _VIEWS[view](f, s) for view in views},
+        eigenvalues=list(f.eigen.eigenvalues),
+        condition=f.eigen.condition_estimate(),
+    )
+    if bases:
+        out.residuals["orthonormality"] = max(bases)
+    if s is not None:
+        out.residuals["gram_sscp_gap"] = compare_spectra(
+            f.eigen.eigenvalues, s.eigen.eigenvalues, cfg
+        ).max_relative_gap
+    if command == "pca":
+        out.eigenvalues = list(s.component_scores)
+    if command in ("svd", "relations", "verify"):
+        out.singular_values = list(f.svd.singular_values)
+    if command == "svd":
+        # The svd report gives σ alone, and its condition from σ², not d.
+        sigma = f.svd.singular_values
+        smallest = float(sigma[-1])
+        out.eigenvalues = []
+        out.condition = (float(sigma[0]) / smallest) ** 2 if smallest > 0.0 else math.inf
+    return out
 
 
 def _describe_error(exc: Exception) -> dict:
@@ -287,7 +225,7 @@ def run(config: RunConfig) -> int:
     error = None
     out = _CommandOutput()
     try:
-        out = _RUNNERS[config.command](matrix, cfg)
+        out = _outputs(config.command, matrix, cfg)
     except LinalgError as exc:
         error = _describe_error(exc)
         if isinstance(exc, SingularMetric):

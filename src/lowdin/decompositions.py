@@ -1,36 +1,40 @@
-"""Polar decomposition, reduced SVD, and the inter-basis conversions.
+"""One metric factorization and everything derived from it.
 
-Both factorizations fall out of the orthogonalized bases:
+``factorize`` diagonalizes M = V†V once and checks it; every other
+factor is a view of that one eigendecomposition M = U·diag(d)·U†:
 
-* polar: V = Φ·H with H = M^{1/2} Hermitian positive definite;
-* reduced SVD: V = W·diag(σ)·U† with W the canonical basis Λ,
-  σ = d^{1/2} descending, and U the metric's eigenvector matrix.
+* canonical basis Λ = V·U·d^{-1/2} and symmetric basis Φ = Λ·U†;
+* polar: V = Φ·H with H = M^{1/2} = U·diag(d^{1/2})·U†;
+* reduced SVD: V = W·diag(σ)·U† with W = Λ and σ = d^{1/2} descending.
 
 The conversions Λ = Φ·U, Φ = Λ·U†, and Φ = W·U† move between the bases
-using one shared eigendecomposition.
+using that shared eigendecomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import (
     DEFAULT_TOLERANCES,
+    HermitianEigen,
     ToleranceConfig,
+    _eigen_power,
     as_matrix,
-    gram_metric,
-    hermitian_power,
+    max_abs,
 )
 from .ortho import (
     Method,
     OrthonormalBasis,
     canonical_orthogonalize,
     require_unitary,
-    symmetric_orthogonalize,
+    verify_orthonormal,
 )
+from .pca import projection_square_sums
 
 
 @dataclass(frozen=True)
@@ -58,16 +62,97 @@ class SvdFactors:
     right: np.ndarray
 
 
+@dataclass(frozen=True)
+class Factorization:
+    """V with the one checked eigendecomposition of its metric.
+
+    ``lam`` is the canonical basis Λ with the (U, d) of M = V†V attached
+    as ``source_eigen``.  Φ, the polar factors and the reduced SVD are
+    views of it, computed on first use and cached; none of them
+    diagonalizes M again.  Build one with ``factorize``.
+    """
+
+    v: np.ndarray
+    lam: OrthonormalBasis
+
+    @property
+    def eigen(self) -> HermitianEigen:
+        return self.lam.source_eigen
+
+    @cached_property
+    def phi(self) -> OrthonormalBasis:
+        """Symmetric basis Φ = Λ·U† = V·M^{-1/2}."""
+        phi = self.lam.matrix @ self.eigen.eigenvectors.conj().T
+        return OrthonormalBasis(matrix=phi, method=Method.SYMMETRIC, source_eigen=self.eigen)
+
+    @cached_property
+    def polar(self) -> PolarFactors:
+        """V = Φ·H with H = U·diag(d^{1/2})·U†."""
+        return PolarFactors(orthonormal=self.phi, positive=_eigen_power(self.eigen, 0.5))
+
+    @cached_property
+    def svd(self) -> SvdFactors:
+        """V = Λ·diag(d^{1/2})·U†."""
+        sigma = np.sqrt(np.maximum(self.eigen.eigenvalues, 0.0))
+        u = self.eigen.eigenvectors
+        return SvdFactors(left=self.lam.matrix, singular_values=sigma, right=u)
+
+    def residuals(self, *names: str) -> dict:
+        """The named residuals, or all of them when none is named.
+
+        Names: phi_orthonormality, lambda_orthonormality,
+        polar_reconstruction, svd_reconstruction, relation_lambda_phi_u,
+        relation_phi_w_udagger, projection_sum_gap.  Orthonormality is
+        max|Z†Z - I| of Φ or Λ; reconstructions are relative,
+        max|product - V| / (1 + max|V|); the relations are max|Λ - Φ·U|
+        and max|Φ - W·U†|; ``projection_sum_gap`` is the largest
+        relative gap between d and the projection-square sums of V on Λ.
+        """
+        return {name: _RESIDUALS[name](self) for name in names or _RESIDUALS}
+
+
+def _relative_to_v(product: np.ndarray, f: Factorization) -> float:
+    return max_abs(product - f.v) / (1.0 + max_abs(f.v))
+
+
+def _projection_sum_gap(f: Factorization) -> float:
+    d = f.eigen.eigenvalues
+    return float(np.max(np.abs(projection_square_sums(f.v, f.lam) - d) / d))
+
+
+_RESIDUALS = {
+    "phi_orthonormality": lambda f: verify_orthonormal(f.phi.matrix).residual,
+    "lambda_orthonormality": lambda f: verify_orthonormal(f.lam.matrix).residual,
+    "polar_reconstruction": lambda f: _relative_to_v(reconstruct_polar(f.polar), f),
+    "svd_reconstruction": lambda f: _relative_to_v(reconstruct_svd(f.svd), f),
+    "relation_lambda_phi_u": lambda f: max_abs(
+        f.lam.matrix - f.phi.matrix @ f.eigen.eigenvectors
+    ),
+    "relation_phi_w_udagger": lambda f: max_abs(
+        f.phi.matrix - symmetric_from_svd(f.svd).matrix
+    ),
+    "projection_sum_gap": _projection_sum_gap,
+}
+
+
+def factorize(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
+    """Diagonalize and check the metric of a full-column-rank V once.
+
+    Raises what ``canonical_orthogonalize`` raises: SingularMetric with
+    diagnostics when M fails the rank cutoff, NoConvergence when the
+    eigensolver runs out of sweeps.
+    """
+    v = as_matrix(v)
+    return Factorization(v=v, lam=canonical_orthogonalize(v, cfg))
+
+
 def polar_decompose(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PolarFactors:
     """Factor a full-column-rank V into Φ·M^{1/2}.
 
     The orthonormal factor is exactly the symmetric orthogonalization of
     V; the positive factor is the Hermitian square root of the metric.
     """
-    v = as_matrix(v)
-    basis = symmetric_orthogonalize(v, cfg)
-    positive = hermitian_power(gram_metric(v), 0.5, cfg)
-    return PolarFactors(orthonormal=basis, positive=positive)
+    return factorize(v, cfg).polar
 
 
 def reduced_svd(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SvdFactors:
@@ -77,11 +162,7 @@ def reduced_svd(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SvdFactors:
     the square roots of the metric eigenvalues, and the right factor is
     the metric's eigenvector matrix, all from one eigendecomposition.
     """
-    v = as_matrix(v)
-    basis = canonical_orthogonalize(v, cfg)
-    eigen = basis.source_eigen
-    sigma = np.sqrt(np.maximum(eigen.eigenvalues, 0.0))
-    return SvdFactors(left=basis.matrix, singular_values=sigma, right=eigen.eigenvectors)
+    return factorize(v, cfg).svd
 
 
 def canonical_from_symmetric(phi: OrthonormalBasis, u) -> OrthonormalBasis:

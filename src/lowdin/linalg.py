@@ -1,9 +1,9 @@
 """Dense complex matrix core.
 
 Everything downstream is built from the handful of primitives here:
-products, the Gram metric M = V†V, a cyclic Jacobi eigensolver for
-Hermitian matrices, and Hermitian matrix powers M^p computed through
-that eigendecomposition.
+the Gram metric M = V†V, a cyclic Jacobi eigensolver for Hermitian
+matrices, and Hermitian matrix powers M^p computed through that
+eigendecomposition.
 
 Matrices are plain ``numpy`` arrays with ``complex128`` entries.  Real
 input is fine everywhere; it is promoted to complex and real output
@@ -112,22 +112,6 @@ def as_matrix(values) -> np.ndarray:
 def max_abs(a) -> float:
     """Largest entry modulus, the max-norm used by every residual here."""
     return float(np.max(np.abs(a)))
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def conjugate_transpose(a) -> np.ndarray:
-    """The † operator: entrywise conjugate of the transpose."""
-    return as_matrix(a).conj().T.copy()
 
 
 def gram_metric(v) -> np.ndarray:
@@ -330,6 +314,11 @@ def hermitian_power(
             )
     if non_integer or p < 0.0:
         require_positive_definite(eigen, cfg)
-    powered = np.power(d, p)
-    result = (eigen.eigenvectors * powered) @ eigen.eigenvectors.conj().T
+    return _eigen_power(eigen, p)
+
+
+def _eigen_power(eigen: HermitianEigen, p: float) -> np.ndarray:
+    """U·diag(d^p)·U† from a checked eigendecomposition, re-symmetrized."""
+    u = eigen.eigenvectors
+    result = (u * np.power(eigen.eigenvalues, p)) @ u.conj().T
     return (result + result.conj().T) / 2.0

@@ -86,25 +86,41 @@ def principal_components(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SscpRe
     )
 
 
+def _require_tall(n: int, m: int) -> None:
+    if n < m:
+        raise DimensionMismatch(
+            f"need at least as many rows as columns, got {n}x{m}"
+        )
+
+
 def gram_sscp_eigenvalue_check(
     v, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> EquivalenceReport:
     """Compare the spectra of the metric V†V and the SSCP V·V†.
 
-    Requires n >= m (vectors at least as long as they are many).  The m
-    metric eigenvalues are paired with the m largest SSCP eigenvalues;
-    the remaining n - m SSCP eigenvalues should sit at zero.
+    Requires n >= m (vectors at least as long as they are many).  Both
+    matrices are diagonalized here; ``compare_spectra`` does the pairing.
     """
     v = as_matrix(v)
-    n, m = v.shape
-    if n < m:
-        raise DimensionMismatch(
-            f"need at least as many rows as columns, got {n}x{m}"
-        )
+    _require_tall(*v.shape)
     gram_eigen = hermitian_eigen(gram_metric(v), cfg)
     sscp_eigen = hermitian_eigen(sscp_matrix(v), cfg)
-    g = gram_eigen.eigenvalues
-    s = sscp_eigen.eigenvalues
+    return compare_spectra(gram_eigen.eigenvalues, sscp_eigen.eigenvalues, cfg)
+
+
+def compare_spectra(
+    gram_eigenvalues, sscp_eigenvalues, cfg: ToleranceConfig = DEFAULT_TOLERANCES
+) -> EquivalenceReport:
+    """Pair the m metric eigenvalues with the m largest SSCP eigenvalues.
+
+    Both spectra are descending, as ``hermitian_eigen`` returns them, and
+    the SSCP one is at least as long.  The remaining n - m SSCP
+    eigenvalues should sit at zero.
+    """
+    g = np.asarray(gram_eigenvalues, dtype=float)
+    s = np.asarray(sscp_eigenvalues, dtype=float)
+    m = g.shape[0]
+    _require_tall(s.shape[0], m)
     paired = s[:m]
     with np.errstate(divide="ignore", invalid="ignore"):
         gaps = np.abs(paired - g) / np.abs(g)

@@ -161,6 +161,69 @@ class TestVerifyCommand:
         assert "SingularMetric" in capsys.readouterr().err
 
 
+class TestOneFactorization:
+    """Every command is a view of one metric eigendecomposition."""
+
+    SOLVES = {
+        "symmetric": 1,
+        "canonical": 1,
+        "polar": 1,
+        "svd": 1,
+        "pca": 2,  # M once, S = V·V† once
+        "verify": 2,
+        "relations": 1,
+    }
+
+    def test_solver_runs_per_command(self, tmp_path, monkeypatch):
+        import lowdin.linalg
+        import lowdin.ortho
+        import lowdin.pca
+
+        original = lowdin.linalg.hermitian_eigen
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (lowdin.linalg, lowdin.ortho, lowdin.pca):
+            monkeypatch.setattr(module, "hermitian_eigen", counting)
+        counts = {}
+        for command in self.SOLVES:
+            before = len(calls)
+            assert run_cli(command, FIXTURES / "rand_4x3.csv", tmp_path / command) == 0
+            counts[command] = len(calls) - before
+        assert counts == self.SOLVES
+
+    def test_shared_factors_are_byte_identical(self, tmp_path):
+        for command in ("symmetric", "canonical", "polar", "svd", "relations"):
+            assert run_cli(command, FIXTURES / "rand_4x3.csv", tmp_path) == 0
+
+        def data(name):
+            return (tmp_path / f"{name}.csv").read_bytes()
+
+        assert data("relations_Phi") == data("polar_Phi") == data("symmetric_Phi")
+        assert data("relations_Lambda") == data("canonical_Lambda") == data("svd_W")
+
+    def test_verify_residuals_equal_the_owning_commands(self, tmp_path):
+        owners = {
+            "orthonormality": "relations",
+            "polar_reconstruction": "polar",
+            "svd_reconstruction": "svd",
+            "relation_lambda_phi_u": "relations",
+            "relation_phi_w_udagger": "relations",
+            "projection_sum_gap": "pca",
+            "gram_sscp_gap": "pca",
+        }
+        residuals = {}
+        for command in {"verify", *owners.values()}:
+            assert run_cli(command, FIXTURES / "rand_4x3.csv", tmp_path / command) == 0
+            residuals[command] = load_report(tmp_path / command)["residuals"]
+        assert set(residuals["verify"]) == set(owners)
+        for name, owner in owners.items():
+            assert residuals["verify"][name] == residuals[owner][name], name
+
+
 class TestErrorsAndExitCodes:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = run_cli("symmetric", tmp_path / "nope.csv", tmp_path)

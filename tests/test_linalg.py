@@ -22,45 +22,6 @@ GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_LO = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-class TestMatmul:
-    def test_identity_times_identity(self):
-        assert np.array_equal(lo.matmul(I2, I2), I2)
-
-    def test_identity_on_right(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(lo.matmul(a, I2), a)
-
-    def test_hand_multiplied_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        assert np.array_equal(lo.matmul(a, b), np.array([[17.0], [39.0]]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            lo.matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            lo.matmul(np.array([[np.nan, 0.0], [0.0, 1.0]]), I2)
-
-
-class TestConjugateTranspose:
-    def test_identity(self):
-        assert np.array_equal(lo.conjugate_transpose(I2), I2)
-
-    def test_real_nilpotent(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert np.array_equal(lo.conjugate_transpose(a), a.T)
-
-    def test_conjugates_imaginary_entries(self):
-        a = np.array([[1j, 0.0], [0.0, 0.0]])
-        expected = np.array([[-1j, 0.0], [0.0, 0.0]])
-        assert np.array_equal(lo.conjugate_transpose(a), expected)
-
-    def test_swaps_shape(self):
-        assert lo.conjugate_transpose(np.ones((2, 3))).shape == (3, 2)
-
-
 class TestGramMetric:
     def test_orthonormal_input(self):
         assert np.array_equal(lo.gram_metric(I2), I2)

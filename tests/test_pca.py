@@ -104,6 +104,8 @@ class TestGramSscpCheck:
     def test_rejects_wide_input(self):
         with pytest.raises(DimensionMismatch):
             lo.gram_sscp_eigenvalue_check(np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            lo.compare_spectra([3.0, 2.0, 1.0], [3.0, 2.0])
 
     def test_full_rank_leftovers_are_counted(self, rng):
         v = random_full_rank(rng, 7, 3)

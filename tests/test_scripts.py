@@ -1,0 +1,38 @@
+"""The experiment scripts run against the library and print their tables."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script, args, header",
+    [
+        (
+            "residual_study.py",
+            ["--trials", "3", "--max-dim", "3"],
+            "3 real draws, n <= 3, cond(V†V) <= 1e+06",
+        ),
+        (
+            "condition_sweep.py",
+            ["--dim", "3", "--trials", "1"],
+            "dim 3, 1 trials per condition level",
+        ),
+    ],
+)
+def test_script_runs(script, args, header):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == header
