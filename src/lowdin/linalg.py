@@ -1,9 +1,18 @@
 """Dense complex matrix core.
 
 Everything downstream is built from the handful of primitives here:
-the Gram metric M = V†V, a cyclic Jacobi eigensolver for Hermitian
-matrices, and Hermitian matrix powers M^p computed through that
+the Gram metric M = V†V, a Jacobi eigensolver for Hermitian matrices,
+and Hermitian matrix powers M^p computed through that
 eigendecomposition.
+
+The eigensolver sweeps in round-robin order (Brent & Luk, SIAM J. Sci.
+Stat. Comput. 6(1), 1985): each sweep is n - 1 steps (n for odd n),
+and each step rotates n/2 disjoint index pairs together with a few
+whole-array numpy operations.  The input is first scaled by an exact
+power of two, so entries up to the overflow threshold are diagonalized,
+and the eigenvectors of 2^k·M are those of M bit for bit while the
+entries of 2^k·M stay normal numbers.  Pivots below the normal range
+get no rotation and are set to zero.
 
 Matrices are plain ``numpy`` arrays with ``complex128`` entries.  Real
 input is fine everywhere; it is promoted to complex and real output
@@ -45,7 +54,7 @@ class ToleranceConfig:
     rank_tol             relative eigenvalue cutoff below which a metric
                          counts as singular
     eigen_convergence_tol  relative off-diagonal norm at which the Jacobi
-                         sweep stops
+                         sweeps stop, after one more polish sweep
     max_sweeps           hard limit on Jacobi sweeps before giving up
     """
 
@@ -79,11 +88,13 @@ class HermitianEigen:
 
     ``eigenvalues`` is real and descending; ``eigenvectors`` is unitary
     with column j paired to eigenvalue j and phase-fixed by the package
-    convention.
+    convention.  ``sweeps`` is the number of Jacobi sweeps the solver
+    ran, the polish sweep included.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    sweeps: int = 0
 
     @property
     def dim(self) -> int:
@@ -127,6 +138,12 @@ def gram_metric(v) -> np.ndarray:
 
 def require_hermitian(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Validate Hermiticity and return an exactly symmetrized copy."""
+    a = _check_hermitian(m, cfg)
+    return (a + a.conj().T) / 2.0
+
+
+def _check_hermitian(m, cfg: ToleranceConfig) -> np.ndarray:
+    """The square matrix of ``m`` as given, once it passes the Hermiticity check."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"Hermitian matrix must be square, got {a.shape}")
@@ -136,7 +153,7 @@ def require_hermitian(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarra
         raise NotHermitian(
             f"max|M - M†| = {deviation:.3e} exceeds {bound:.3e}"
         )
-    return (a + a.conj().T) / 2.0
+    return a
 
 
 def apply_phase_convention(u) -> np.ndarray:
@@ -160,59 +177,119 @@ def apply_phase_convention(u) -> np.ndarray:
     return out
 
 
+_TINY = np.finfo(np.float64).tiny  # smallest normal float
+
+
 def _off_diagonal_norm(a: np.ndarray) -> float:
     off = a.copy()
     np.fill_diagonal(off, 0.0)
     return float(np.linalg.norm(off))
 
 
-def _rotate(a: np.ndarray, u: np.ndarray, p: int, q: int) -> None:
-    """One Jacobi rotation zeroing the (p, q) entry of Hermitian ``a``.
+def _schedule(n: int) -> np.ndarray:
+    """Round-robin (circle method) order of one Jacobi sweep on n indices.
 
-    The rotation is the complex plane rotation R with
-    R[p,p]=c, R[p,q]=s, R[q,p]=-s·e^{-iφ}, R[q,q]=c·e^{-iφ} where
-    a[p,q]=r·e^{iφ}; ``a`` becomes R†aR and the accumulated basis ``u``
-    becomes uR.
+    Odd n gets a dummy index n, so with ``size`` = n rounded up to even a
+    sweep has size - 1 steps.  Returns an int array of shape
+    (size - 1, size/2, 2): step k is size/2 disjoint pairs (p, q), p < q,
+    and over a sweep every unordered pair of ``range(size)`` occurs
+    exactly once.  Index 0 stays put while the others move one place
+    round a ring per step.
     """
-    apq = a[p, q]
-    r = abs(apq)
-    if r == 0.0:
-        return
-    phase = apq / r
-    app = a[p, p].real
-    aqq = a[q, q].real
-    tau = (aqq - app) / (2.0 * r)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
+    size = n + n % 2
+    ring = size - 1
+    players = np.zeros((ring, size), dtype=np.intp)
+    players[:, 1:] = 1 + (np.arange(ring) - np.arange(ring)[:, None]) % ring
+    left, right = players[:, : size // 2], players[:, ::-1][:, : size // 2]
+    return np.stack((np.minimum(left, right), np.maximum(left, right)), axis=2)
+
+
+def _layouts(n: int) -> tuple:
+    """Index tables that run the schedule of ``_schedule(n)`` in place.
+
+    During a step the matrix is stored with its pair i at positions
+    (2i, 2i + 1), so each pair's rows form one 2 x size block.  Returns
+    ``(last, position, steps, blocks)``:
+
+    * ``last[j]`` is the index stored at position j after a sweep's last
+      step, which is also the layout each sweep starts from, and
+      ``position`` is its inverse;
+    * ``steps[k]`` holds the positions, in the layout of step k - 1, of
+      the indices of step k in its own layout order, and the flat
+      offsets of their entries a[p,q], a[p,p] and a[q,q];
+    * ``blocks`` holds the flat offsets of the p and q diagonal entries
+      and of the pivots (2i, 2i + 1) and (2i + 1, 2i) in a step's layout.
+    """
+    size = n + n % 2
+    orders = _schedule(n).reshape(size - 1, size)
+    step = np.arange(size - 1)[:, None]
+    positions = np.empty_like(orders)
+    positions[step, orders] = np.arange(size)
+    gathers = positions[step - 1, orders]  # step -1 is the previous sweep's last
+    gp, gq = gathers[:, 0::2], gathers[:, 1::2]
+    entries = np.concatenate((gp * size + gq, gp * (size + 1), gq * (size + 1)), axis=1)
+    diagonal = np.arange(0, size * size, size + 1)
+    pivots = np.concatenate((diagonal[0::2] + 1, diagonal[0::2] + size))
+    blocks = (diagonal[0::2], diagonal[1::2], pivots)
+    return orders[-1].copy(), positions[-1].copy(), tuple(zip(gathers, entries)), blocks
+
+
+def _jacobi_step(aw: np.ndarray, step: tuple, blocks: tuple) -> np.ndarray:
+    """Rotate every pair of one round-robin step at once.
+
+    ``aw`` stacks the working matrix A and W = U†, the conjugate
+    transpose of the accumulated basis; ``step`` and ``blocks`` come from
+    ``_layouts``.  Each pair (p, q) gets the complex plane rotation R with
+    R[p,p]=c, R[p,q]=s, R[q,p]=-s·e^{-iφ}, R[q,q]=c·e^{-iφ}, where
+    a[p,q]=r·e^{iφ}.  W becomes R†W, and A becomes R†AR, computed as
+    R†(R†A)† because A is Hermitian.  The pairs are disjoint, so their
+    rotations commute, and each 2x2 block of R†AR is written in closed
+    form.
+    """
+    gather, entries = step
+    size = gather.shape[0]
+    half = size // 2
+    entries = aw.take(entries)
+    apq = entries[:half]
+    app = entries[half : 2 * half].real
+    aqq = entries[2 * half :].real
+    r = np.abs(apq)
+    # A pivot that is zero or subnormal gets the identity rotation (and is
+    # zeroed below): a subnormal r is too coarse for apq/r to be a unit
+    # number, or even finite.
+    dead = r < _TINY
+    r[dead] = 0.0
+    phase = np.where(dead, 1.0, apq) / np.where(dead, 1.0, r)
+    # t = tan of the rotation angle: the root of t² + 2τt - 1 = 0, with
+    # τ = (a[q,q] - a[p,p]) / 2r, that is at most 1 in modulus.
+    gap = aqq - app
+    r2 = r + r
+    t = np.copysign(r2, gap) / (np.abs(gap) + np.hypot(gap, r2) + dead)
+    c = 1.0 / np.hypot(1.0, t)
     s = t * c
-    conj_phase = phase.conjugate()
+    adjoint = np.array([[c, -s * phase], [s, c * phase]]).transpose(2, 0, 1)  # R† per pair
 
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - (s * conj_phase) * col_q
-    a[:, q] = s * col_p + (c * conj_phase) * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - (s * phase) * row_q
-    a[q, :] = s * row_p + (c * phase) * row_q
-    # The transformed 2x2 block is known in closed form; writing it
-    # directly keeps the matrix exactly Hermitian with a zeroed pivot.
-    a[p, p] = app - t * r
-    a[q, q] = aqq + t * r
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-    ucol_p = u[:, p].copy()
-    ucol_q = u[:, q].copy()
-    u[:, p] = c * ucol_p - (s * conj_phase) * ucol_q
-    u[:, q] = s * ucol_p + (c * conj_phase) * ucol_q
+    aw = np.matmul(adjoint, aw[:, gather].reshape(2, half, 2, size)).reshape(2, size, size)
+    a = aw[0]
+    a[:] = np.matmul(adjoint, a.conj().T[gather].reshape(half, 2, size)).reshape(size, size)
+    # The transformed 2x2 blocks are known in closed form; writing them
+    # directly keeps the diagonal real and each pivot exactly zero.
+    diagonal_p, diagonal_q, pivots = blocks
+    flat = a.reshape(-1)
+    shift = t * r
+    flat[diagonal_p] = app - shift
+    flat[diagonal_q] = aqq + shift
+    flat[pivots] = 0.0
+    return aw
 
 
 def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEigen:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize a Hermitian matrix by round-robin Jacobi rotations.
+
+    Each sweep visits every off-diagonal pair once, in the round-robin
+    order of Brent & Luk: n - 1 steps (n for odd n) of n/2 disjoint
+    rotations applied together.  After the off-diagonal norm first meets
+    the target, one more sweep polishes the result.
 
     Parameters
     ----------
@@ -224,8 +301,8 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     Returns
     -------
     HermitianEigen
-        Descending eigenvalues and the phase-fixed unitary eigenvector
-        matrix.
+        Descending eigenvalues, the phase-fixed unitary eigenvector
+        matrix and the number of sweeps run.
 
     Raises
     ------
@@ -235,32 +312,50 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
         If the relative off-diagonal norm is still above
         ``eigen_convergence_tol`` after ``max_sweeps`` sweeps.
     """
-    a = require_hermitian(m, cfg)
+    a = _check_hermitian(m, cfg)
     n = a.shape[0]
-    u = np.eye(n, dtype=np.complex128)
-    scale = float(np.linalg.norm(a))
-    if n > 1 and scale > 0.0:
-        target = cfg.eigen_convergence_tol * scale
-        for _ in range(cfg.max_sweeps):
-            if _off_diagonal_norm(a) <= target:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    _rotate(a, u, p, q)
-        else:
-            off = _off_diagonal_norm(a)
-            if off > target:
-                raise NoConvergence(
-                    f"off-diagonal norm {off:.3e} above target {target:.3e} "
-                    f"after {cfg.max_sweeps} sweeps",
-                    sweeps=cfg.max_sweeps,
-                    off_norm=off,
-                )
-    diag = np.real(np.diagonal(a)).copy()
+    # Work on 2^-e·M, whose largest real or imaginary part is in
+    # [1/2, 1), so neither the symmetrization nor any norm below can
+    # overflow; a power of two changes no entry that stays normal.
+    parts = np.ascontiguousarray(a).view(np.float64)
+    exponent = math.frexp(max_abs(parts))[1]
+    a = np.ldexp(parts, -exponent).view(np.complex128)
+    a = (a + a.conj().T) / 2.0
+    size = n + n % 2
+    last, position, steps, blocks = _layouts(n)
+    # A (padded with a zero dummy row and column for odd n) and W = I,
+    # both stored in the layout a sweep starts from.
+    aw = np.zeros((2, size, size), dtype=np.complex128)
+    aw[0, :n, :n] = a
+    aw[0] = aw[0][last][:, last]
+    aw[1] = np.eye(size)[last]
+    target = cfg.eigen_convergence_tol * float(np.linalg.norm(a))
+    sweeps = 0
+    off = _off_diagonal_norm(aw[0])
+    while off > target:
+        if sweeps == cfg.max_sweeps:
+            raise NoConvergence(
+                f"off-diagonal norm {np.ldexp(off, exponent):.3e} above target "
+                f"{np.ldexp(target, exponent):.3e} after {sweeps} sweeps",
+                sweeps=sweeps,
+                off_norm=float(np.ldexp(off, exponent)),
+            )
+        for step in steps:
+            aw = _jacobi_step(aw, step, blocks)
+        sweeps += 1
+        off = _off_diagonal_norm(aw[0])
+    # One polish sweep after the target is met takes the quadratically
+    # shrinking remainder to about zero, unless the sweeps are used up.
+    if off > 0.0 and sweeps < cfg.max_sweeps:
+        for step in steps:
+            aw = _jacobi_step(aw, step, blocks)
+        sweeps += 1
+    position = position[:n]  # of each index in the final layout; drops the dummy
+    diag = np.real(np.diagonal(aw[0]))[position]
     order = np.argsort(-diag, kind="stable")
-    eigenvalues = diag[order]
-    eigenvectors = apply_phase_convention(u[:, order])
-    return HermitianEigen(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    eigenvalues = np.ldexp(diag[order], exponent)
+    eigenvectors = apply_phase_convention(aw[1][position[order], :n].conj().T)
+    return HermitianEigen(eigenvalues=eigenvalues, eigenvectors=eigenvectors, sweeps=sweeps)
 
 
 def require_positive_definite(

@@ -10,7 +10,9 @@ the metric's eigenstructure.
 Both are computed from one shared eigendecomposition of M, with Φ
 assembled as (V·U·d^{-1/2})·U†.  That expression equals V·M^{-1/2}
 exactly and keeps the analytic identities Λ = Φ·U and Φ = Λ·U† tight to
-a few ulps regardless of how ill-conditioned the metric is.
+a few ulps regardless of how ill-conditioned the metric is.  The factor
+d_j^{-1/2} is applied as 1/‖V·u_j‖, its value in exact arithmetic, so
+every column of Λ is a unit vector to rounding.
 """
 
 from __future__ import annotations
@@ -99,9 +101,17 @@ def _metric_eigen(v: np.ndarray, cfg: ToleranceConfig) -> HermitianEigen:
 
 
 def _canonical_matrix(v: np.ndarray, eigen: HermitianEigen) -> np.ndarray:
-    # Columns arrive ordered by descending eigenvalue because the
-    # eigendecomposition is.
-    return (v @ eigen.eigenvectors) * eigen.eigenvalues**-0.5
+    """Λ = V·U·d^{-1/2}, with column j of V·U scaled by 1/‖V·u_j‖.
+
+    ‖V·u_j‖² = u_j†·M·u_j = d_j in exact arithmetic (the projection
+    square sums of V on Λ are the metric eigenvalues), so this is the
+    same Λ; dividing by the computed norm makes every column a unit
+    vector to rounding, which the rounding in d_j alone would not.
+    Columns arrive ordered by descending eigenvalue because the
+    eigendecomposition is.
+    """
+    w = v @ eigen.eigenvectors
+    return w / np.linalg.norm(w, axis=0)
 
 
 def _symmetric_matrix(v: np.ndarray, eigen: HermitianEigen) -> np.ndarray:

@@ -13,13 +13,24 @@ from lowdin.errors import (
     NotHermitian,
     SingularMetric,
 )
+from lowdin.linalg import _schedule
+from lowdin.ortho import UNITARY_TOL
 
-from conftest import random_matrix
+from conftest import random_matrix, random_unitary
 from oracles import hermitian_2x2_power
 
 I2 = np.eye(2)
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_LO = (3.0 - math.sqrt(5.0)) / 2.0
+# The matrix of TestHermitianEigen.test_no_convergence_with_one_sweep.
+NO_CONVERGENCE_4X4 = np.array(
+    [
+        [4.0, 1.0, 1.0, 1.0],
+        [1.0, 3.0, 1.0, 1.0],
+        [1.0, 1.0, 2.0, 1.0],
+        [1.0, 1.0, 1.0, 1.0],
+    ]
+)
 
 
 class TestGramMetric:
@@ -116,10 +127,138 @@ class TestHermitianEigen:
         assert excinfo.value.sweeps == 1
         assert excinfo.value.off_norm > 0.0
 
+    def test_polish_sweep_is_counted(self):
+        m = NO_CONVERGENCE_4X4
+        needed = 1
+        while True:
+            try:
+                lo.hermitian_eigen(m, lo.ToleranceConfig(max_sweeps=needed))
+                break
+            except NoConvergence:
+                needed += 1
+        # Met on the last allowed sweep: no polish.  With sweeps to spare,
+        # exactly one more sweep runs after the target is met.
+        assert lo.hermitian_eigen(m, lo.ToleranceConfig(max_sweeps=needed)).sweeps == needed
+        assert lo.hermitian_eigen(m).sweeps == needed + 1
+
     def test_accepts_tiny_asymmetry_and_symmetrizes(self):
         m = np.array([[1.0, 1.0 + 1e-13], [1.0, 2.0]])
         eigen = lo.hermitian_eigen(m)
         assert eigen.eigenvalues == pytest.approx([GOLDEN_HI, GOLDEN_LO], abs=1e-12)
+
+
+class TestRoundRobinSchedule:
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_each_pair_once_per_sweep_in_disjoint_steps(self, n):
+        steps = _schedule(n).tolist()
+        size = n + n % 2
+        assert len(steps) == size - 1
+        seen = []
+        for step in steps:
+            indices = [i for pair in step for i in pair]
+            assert sorted(indices) == list(range(size))
+            seen.extend(tuple(pair) for pair in step if pair[1] < n)  # n is odd n's dummy
+        expected = [(p, q) for p in range(n) for q in range(p + 1, n)]
+        assert sorted(seen) == expected
+
+
+def _hermitian_cases(rng, n, complex_):
+    a = random_matrix(rng, n, n, complex_)
+    q = random_unitary(rng, n, complex_)
+    repeated = np.resize([2.0, -1.0, 0.5], n)
+    v = random_matrix(rng, n, max(1, n // 2), complex_)
+    return {
+        "random": (a + a.conj().T) / 2.0,
+        "repeated": (q * repeated) @ q.conj().T,
+        "diagonal": np.diag(rng.uniform(-1.0, 1.0, n)),
+        "rank_deficient_sscp": lo.sscp_matrix(v),
+    }
+
+
+class TestAgainstLapack:
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 33, 64])
+    def test_matches_eigh(self, rng, n, complex_):
+        for name, h in _hermitian_cases(rng, n, complex_).items():
+            eigen = lo.hermitian_eigen(h)
+            d, u = eigen.eigenvalues, eigen.eigenvectors
+            reference = np.linalg.eigh(h)[0][::-1]
+            scale = np.max(np.abs(reference))
+            assert lo.max_abs(d - reference) <= 1e-13 * scale, name
+            assert lo.max_abs(u.conj().T @ u - np.eye(n)) <= UNITARY_TOL * n, name
+
+    def test_repeated_calls_are_bitwise_equal(self, rng):
+        for n in (5, 8, 17):
+            for h in _hermitian_cases(rng, n, complex_=True).values():
+                first, second = lo.hermitian_eigen(h), lo.hermitian_eigen(h)
+                assert np.array_equal(first.eigenvalues, second.eigenvalues)
+                assert np.array_equal(first.eigenvectors, second.eigenvectors)
+                assert first.sweeps == second.sweeps
+
+
+class TestPowerOfTwoScaling:
+    def test_huge_entries_are_rotated(self):
+        # Before pre-scaling the norm overflowed and the unrotated
+        # diagonal [3, 1] came back.
+        eigen = lo.hermitian_eigen(1e160 * np.array([[1.0, 1.0], [1.0, 3.0]]))
+        expected = 1e160 * np.array([2.0 + math.sqrt(2.0), 2.0 - math.sqrt(2.0)])
+        assert eigen.eigenvalues == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("k", [-900, -500, -1, 1, 300, 900])
+    def test_eigenvectors_are_bitwise_scale_invariant(self, rng, k):
+        a = random_matrix(rng, 6, 6, complex_=True)
+        m = (a + a.conj().T) / 2.0
+        base, scaled = lo.hermitian_eigen(m), lo.hermitian_eigen(np.ldexp(1.0, k) * m)
+        assert np.array_equal(scaled.eigenvectors, base.eigenvectors)
+        assert np.array_equal(scaled.eigenvalues, np.ldexp(base.eigenvalues, k))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[1.0, 1e-310], [1e-310, 1.0]],
+            [[0.5, 5e-324 * (1 + 1j)], [5e-324 * (1 - 1j), 0.75]],
+            [[1e300, 1e-10], [1e-10, 2e300]],
+            # Normal off-diagonal entries keep the sweeps going, so the
+            # subnormal pivot (0, 1) is reached; apq/|apq| was NaN there.
+            [[1.0, 1e-310, 1e-3], [1e-310, 1.0, 0.0], [1e-3, 0.0, 2.0]],
+            [[0.5, 5e-324 * (1 + 1j), 1e-3], [5e-324 * (1 - 1j), 0.75, 0.0], [1e-3, 0.0, 0.25]],
+        ],
+    )
+    def test_subnormal_pivots_give_unitary_eigenvectors(self, entries):
+        m = np.array(entries)
+        n = m.shape[0]
+        eigen = lo.hermitian_eigen(m)
+        u = eigen.eigenvectors
+        assert np.all(np.isfinite(u))
+        assert lo.max_abs(u.conj().T @ u - np.eye(n)) <= UNITARY_TOL * n
+        reference = np.linalg.eigvalsh(m)[::-1]
+        assert lo.max_abs(eigen.eigenvalues - reference) <= 1e-14 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[1e308, 0.0], [0.0, 1.0]],
+            [[0.0, 1e308], [1e308, 0.0]],
+            [[1e308, 5e307j], [-5e307j, 1e307]],
+        ],
+    )
+    def test_entries_near_overflow(self, entries):
+        # (M + M†)/2 overflows here unless M is scaled down first.
+        m = np.array(entries)
+        eigen = lo.hermitian_eigen(m)
+        reference = np.linalg.eigvalsh(m / 1024.0)[::-1] * 1024.0
+        assert np.all(np.isfinite(eigen.eigenvalues))
+        assert lo.max_abs(eigen.eigenvalues - reference) <= 1e-14 * np.max(np.abs(reference))
+        u = eigen.eigenvectors
+        assert lo.max_abs(u.conj().T @ u - I2) <= UNITARY_TOL * 2
+
+    def test_no_convergence_reports_caller_units(self):
+        cfg = lo.ToleranceConfig(max_sweeps=1)
+        with pytest.raises(NoConvergence) as base:
+            lo.hermitian_eigen(NO_CONVERGENCE_4X4, cfg)
+        with pytest.raises(NoConvergence) as scaled:
+            lo.hermitian_eigen(np.ldexp(1.0, 400) * NO_CONVERGENCE_4X4, cfg)
+        assert scaled.value.off_norm == np.ldexp(base.value.off_norm, 400)
 
 
 class TestHermitianPower:

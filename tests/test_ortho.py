@@ -131,6 +131,32 @@ class TestCanonical:
         assert basis.source_eigen.eigenvalues.shape == (3,)
 
 
+    def test_columns_are_unit_vectors_when_ill_conditioned(self, rng):
+        # Column j is V·u_j divided by its own norm, so even at
+        # cond(V†V) = 1e10, where Λ†Λ - I is far from rounding off the
+        # diagonal, the diagonal of Λ†Λ is 1 to a few ulps.
+        q1, q2 = random_unitary(rng, 8, complex_=True), random_unitary(rng, 6, complex_=True)
+        v = (q1[:, :6] * np.geomspace(1.0, 1e-5, 6)) @ q2
+        lam = lo.canonical_orthogonalize(v).matrix
+        gram = lam.conj().T @ lam
+        assert lo.max_abs(np.diagonal(gram) - 1.0) <= 8 * np.finfo(float).eps
+
+
+class TestPowerOfTwoScaling:
+    def test_subnormal_metric_entries(self):
+        # V†V has off-diagonal entries 1e-310, below the normal range.
+        v = np.array([[1.0, 0.0], [0.0, 1.0], [1e-155, 1e-155]])
+        phi = lo.symmetric_orthogonalize(v).matrix
+        assert np.all(np.isfinite(phi))
+        assert lo.max_abs(phi - v) <= 1e-15
+
+    @pytest.mark.parametrize("k", [-500, -300, -1, 1, 300, 500])
+    def test_symmetric_basis_is_bitwise_scale_invariant(self, rng, k):
+        v = random_full_rank(rng, 5, 3, complex_=True)
+        phi = lo.symmetric_orthogonalize(v).matrix
+        assert np.array_equal(lo.symmetric_orthogonalize(np.ldexp(1.0, k) * v).matrix, phi)
+
+
 class TestGeneral:
     def test_identity_both(self):
         basis = lo.orthogonalize_general(np.eye(2), np.eye(2))
