@@ -37,8 +37,10 @@ COLUMNS = {
 
 def worst_residuals(rng, n, metric_condition, trials):
     worst = dict.fromkeys(COLUMNS, 0.0)
+    wanted = [name for names in COLUMNS.values() for name in names]
     for _ in range(trials):
-        residuals = lo.factorize(controlled_matrix(rng, n, metric_condition)).residuals()
+        v = controlled_matrix(rng, n, metric_condition)
+        residuals = lo.factorize(v).residuals(*wanted)
         for column, names in COLUMNS.items():
             worst[column] = max(worst[column], *(residuals[name] for name in names))
     return worst

@@ -29,13 +29,6 @@ def draw(rng, max_dim, complex_, cond_limit):
             return v
 
 
-def residuals_for(v):
-    factorization = lo.factorize(v)
-    sscp = lo.principal_components(v).eigen.eigenvalues
-    spectra = lo.compare_spectra(factorization.eigen.eigenvalues, sscp)
-    return {**factorization.residuals(), "gram_sscp_gap": spectra.max_relative_gap}
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=200)
@@ -49,7 +42,7 @@ def main():
     table = defaultdict(list)
     for _ in range(args.trials):
         v = draw(rng, args.max_dim, args.complex_, args.cond_limit)
-        for name, value in residuals_for(v).items():
+        for name, value in lo.factorize(v).residuals().items():
             table[name].append(value)
 
     kind = "complex" if args.complex_ else "real"

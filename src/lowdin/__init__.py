@@ -39,7 +39,6 @@ from .linalg import (
     hermitian_eigen,
     hermitian_power,
     max_abs,
-    require_hermitian,
     require_positive_definite,
 )
 from .matrixio import (
@@ -118,7 +117,6 @@ __all__ = [
     "reconstruct_polar",
     "reconstruct_svd",
     "reduced_svd",
-    "require_hermitian",
     "require_positive_definite",
     "require_unitary",
     "sscp_matrix",

@@ -5,8 +5,9 @@ decompositions or checks, writes the factor matrices as
 ``<command>_<factor>.<ext>`` files plus a ``report.json``, and exits 0
 only if every residual clears its tolerance.  Exit status 2 flags an
 input or usage problem, 3 a numerical failure (singular metric, no
-convergence), and 1 a run whose residuals missed the configured
-tolerances.
+convergence, overflow), and 1 a run whose residuals missed the
+configured tolerances.  Every run that gets past argument parsing
+writes ``report.json``, with ``error`` filled in when it failed.
 """
 
 from __future__ import annotations
@@ -16,18 +17,15 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .decompositions import factorize, symmetric_from_svd
-from .errors import LinalgError, SingularMetric
+from .decompositions import factorize
+from .errors import LinalgError
 from .linalg import DEFAULT_TOLERANCES, ToleranceConfig
 from .matrixio import MatrixFileError, parse_matrix_file, write_matrix_file
-from .pca import _require_tall, compare_spectra, principal_components
-
-COMMANDS = ("symmetric", "canonical", "polar", "svd", "pca", "verify", "relations")
 
 # Pass/fail bounds for residuals that have no ToleranceConfig field: the
 # analytic relations are exact identities up to a few ulps, the spectral
@@ -35,6 +33,99 @@ COMMANDS = ("symmetric", "canonical", "polar", "svd", "pca", "verify", "relation
 RELATION_TOL = 1e-12
 PROJECTION_SUM_TOL = 1e-9
 GRAM_SSCP_TOL = 1e-9
+
+
+_METRIC_SPECTRUM = (("eigenvalues", "d"), ("condition_estimate", "condition"))
+_WITH_SIGMA = _METRIC_SPECTRUM + (("singular_values", "sigma"),)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One CLI command, as a view of ``factorize``'s ``Factorization``.
+
+    ``residuals`` names entries of ``Factorization.residuals`` (none
+    names every one); the per-basis orthonormality ones are reported as
+    their worst, ``orthonormality``.  Each of ``views`` is written as
+    ``<command>_<view>``, and ``spectrum`` maps report fields to views.
+    """
+
+    help: str
+    residuals: tuple = ()
+    views: tuple = ()
+    spectrum: tuple = _METRIC_SPECTRUM
+
+
+COMMANDS = {
+    "symmetric": Command(
+        "symmetric orthogonalization Phi = V M^(-1/2)", ("phi_orthonormality",), ("Phi",)
+    ),
+    "canonical": Command(
+        "canonical orthogonalization Lambda = V U d^(-1/2)",
+        ("lambda_orthonormality",),
+        ("Lambda",),
+    ),
+    "polar": Command(
+        "polar decomposition V = Phi M^(1/2)",
+        ("phi_orthonormality", "polar_reconstruction"),
+        ("Phi", "H"),
+    ),
+    "svd": Command(
+        "reduced singular value decomposition V = W diag(sigma) U†",
+        ("lambda_orthonormality", "svd_reconstruction"),
+        ("W", "sigma", "Udagger"),
+        (("singular_values", "sigma"), ("condition_estimate", "sigma_condition")),
+    ),
+    "pca": Command(
+        "principal components of the SSCP matrix V V†",
+        ("projection_sum_gap", "gram_sscp_gap"),
+        ("components", "scores"),
+        (("eigenvalues", "scores"), ("condition_estimate", "condition")),
+    ),
+    "verify": Command(
+        "run every factorization and report all residuals", spectrum=_WITH_SIGMA
+    ),
+    "relations": Command(
+        "emit Phi by three routes and check the inter-basis identities",
+        (
+            "phi_orthonormality",
+            "lambda_orthonormality",
+            "relation_lambda_phi_u",
+            "relation_phi_w_udagger",
+        ),
+        ("Phi", "Lambda", "U", "Lambda_from_Phi", "Phi_from_Lambda", "Phi_from_svd"),
+        _WITH_SIGMA,
+    ),
+}
+
+
+# Views of a Factorization f; none computes more than a transpose.
+_VIEWS = {
+    "Phi": lambda f: f.phi.matrix,
+    "Lambda": lambda f: f.lam.matrix,
+    "U": lambda f: f.eigen.eigenvectors,
+    "H": lambda f: f.polar.positive,
+    "W": lambda f: f.svd.left,
+    "sigma": lambda f: f.svd.singular_values,
+    "Udagger": lambda f: f.svd.right.conj().T,
+    "Lambda_from_Phi": lambda f: f.lambda_from_phi,
+    "Phi_from_Lambda": lambda f: f.phi_from_lambda,
+    "Phi_from_svd": lambda f: f.phi_from_svd,
+    "components": lambda f: f.sscp.components,
+    "scores": lambda f: f.sscp.component_scores,
+    "d": lambda f: f.eigen.eigenvalues,
+    "condition": lambda f: f.eigen.condition_estimate(),
+    "sigma_condition": lambda f: f.svd.condition_estimate(),
+}
+
+# Exit status per exception: an unreadable or malformed input file is 2;
+# a numerical failure is 3, including V†V or V·V† overflowing float64.
+_EXIT_CODES = {
+    MatrixFileError: 2,
+    OSError: 2,
+    UnicodeError: 2,
+    LinalgError: 3,
+    OverflowError: 3,
+}
 
 
 @dataclass
@@ -57,36 +148,6 @@ class RunConfig:
             raise ValueError(f"unknown format {self.format!r}")
 
 
-@dataclass
-class VerificationReport:
-    """Machine-readable outcome written to ``report.json``."""
-
-    command: str
-    rows: int
-    cols: int
-    residuals: dict
-    eigenvalues: list
-    singular_values: list
-    condition_estimate: float | None
-    passed: bool
-    elapsed_ms: float
-    error: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "rows": self.rows,
-            "cols": self.cols,
-            "residuals": {k: _json_number(v) for k, v in sorted(self.residuals.items())},
-            "eigenvalues": [_json_number(v) for v in self.eigenvalues],
-            "singular_values": [_json_number(v) for v in self.singular_values],
-            "condition_estimate": _json_number(self.condition_estimate),
-            "pass": self.passed,
-            "elapsed_ms": self.elapsed_ms,
-            "error": self.error,
-        }
-
-
 def _json_number(value):
     if value is None:
         return None
@@ -94,6 +155,11 @@ def _json_number(value):
     if math.isfinite(value):
         return value
     return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
+
+
+def _json(value):
+    """A report value: a number, or a list of numbers for an array."""
+    return [_json_number(x) for x in value] if np.ndim(value) else _json_number(value)
 
 
 def _tolerance_for(name: str, cfg: ToleranceConfig) -> float:
@@ -108,101 +174,6 @@ def _tolerance_for(name: str, cfg: ToleranceConfig) -> float:
     }[name]
 
 
-@dataclass
-class _CommandOutput:
-    residuals: dict = field(default_factory=dict)
-    files: dict = field(default_factory=dict)
-    eigenvalues: list = field(default_factory=list)
-    singular_values: list = field(default_factory=list)
-    condition: float | None = None
-
-
-# Each command reports some of Factorization.residuals (the per-basis
-# orthonormality ones as their worst, "orthonormality") and writes the
-# file <command>_<view> for each of its views.
-_COMMANDS = {
-    "symmetric": (("phi_orthonormality",), ("Phi",)),
-    "canonical": (("lambda_orthonormality",), ("Lambda",)),
-    "polar": (("phi_orthonormality", "polar_reconstruction"), ("Phi", "H")),
-    "svd": (("lambda_orthonormality", "svd_reconstruction"), ("W", "sigma", "Udagger")),
-    "pca": (("projection_sum_gap",), ("components", "scores")),
-    "relations": (
-        (
-            "phi_orthonormality",
-            "lambda_orthonormality",
-            "relation_lambda_phi_u",
-            "relation_phi_w_udagger",
-        ),
-        ("Phi", "Lambda", "U", "Lambda_from_Phi", "Phi_from_Lambda", "Phi_from_svd"),
-    ),
-    "verify": ((), ()),  # naming no residual selects every one
-}
-
-# Views of the factorization f and, for pca, the SSCP components s.
-_VIEWS = {
-    "Phi": lambda f, s: f.phi.matrix,
-    "Lambda": lambda f, s: f.lam.matrix,
-    "U": lambda f, s: f.eigen.eigenvectors,
-    "H": lambda f, s: f.polar.positive,
-    "W": lambda f, s: f.svd.left,
-    "sigma": lambda f, s: f.svd.singular_values,
-    "Udagger": lambda f, s: f.svd.right.conj().T,
-    "Lambda_from_Phi": lambda f, s: f.phi.matrix @ f.eigen.eigenvectors,
-    "Phi_from_Lambda": lambda f, s: f.lam.matrix @ f.eigen.eigenvectors.conj().T,
-    "Phi_from_svd": lambda f, s: symmetric_from_svd(f.svd).matrix,
-    "components": lambda f, s: s.components,
-    "scores": lambda f, s: s.component_scores,
-}
-
-
-def _solve(command: str, v: np.ndarray, cfg: ToleranceConfig):
-    """The one metric factorization, plus the SSCP solve for pca and verify.
-
-    The order fixes which error a command reports: pca diagonalizes
-    S = V·V† first and verify M first, and both refuse a wide V before
-    their second solve.
-    """
-    if command == "pca":
-        s = principal_components(v, cfg)
-        _require_tall(*v.shape)
-        return factorize(v, cfg), s
-    f = factorize(v, cfg)
-    if command != "verify":
-        return f, None
-    _require_tall(*v.shape)
-    return f, principal_components(v, cfg)
-
-
-def _outputs(command: str, v: np.ndarray, cfg: ToleranceConfig) -> _CommandOutput:
-    names, views = _COMMANDS[command]
-    f, s = _solve(command, v, cfg)
-    values = f.residuals(*names)
-    bases = [r for name, r in values.items() if name.endswith("_orthonormality")]
-    out = _CommandOutput(
-        residuals={n: r for n, r in values.items() if not n.endswith("_orthonormality")},
-        files={f"{command}_{view}": _VIEWS[view](f, s) for view in views},
-        eigenvalues=list(f.eigen.eigenvalues),
-        condition=f.eigen.condition_estimate(),
-    )
-    if bases:
-        out.residuals["orthonormality"] = max(bases)
-    if s is not None:
-        out.residuals["gram_sscp_gap"] = compare_spectra(
-            f.eigen.eigenvalues, s.eigen.eigenvalues, cfg
-        ).max_relative_gap
-    if command == "pca":
-        out.eigenvalues = list(s.component_scores)
-    if command in ("svd", "relations", "verify"):
-        out.singular_values = list(f.svd.singular_values)
-    if command == "svd":
-        # The svd report gives σ alone, and its condition from σ², not d.
-        sigma = f.svd.singular_values
-        smallest = float(sigma[-1])
-        out.eigenvalues = []
-        out.condition = (float(sigma[0]) / smallest) ** 2 if smallest > 0.0 else math.inf
-    return out
-
-
 def _describe_error(exc: Exception) -> dict:
     info = {"type": type(exc).__name__, "message": str(exc)}
     for attr in ("eigenvalue_index", "eigenvalue", "condition", "sweeps", "off_norm"):
@@ -215,57 +186,56 @@ def _describe_error(exc: Exception) -> dict:
 def run(config: RunConfig) -> int:
     """Execute one command and write its factor files and report."""
     started = time.perf_counter()
-    try:
-        matrix = parse_matrix_file(config.input_path, config.format)
-    except (MatrixFileError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    command = COMMANDS[config.command]
     cfg = config.tolerances
-    error = None
-    out = _CommandOutput()
+    report = {
+        "command": config.command,
+        "rows": None,
+        "cols": None,
+        "residuals": {},
+        "eigenvalues": [],
+        "singular_values": [],
+        "condition_estimate": None,
+        "error": None,
+    }
+    files = {}
+    code = 0
     try:
-        out = _outputs(config.command, matrix, cfg)
-    except LinalgError as exc:
-        error = _describe_error(exc)
-        if isinstance(exc, SingularMetric):
-            out.condition = exc.condition
-
-    passed = error is None and all(
-        residual <= _tolerance_for(name, cfg)
-        for name, residual in out.residuals.items()
-    )
+        v = parse_matrix_file(config.input_path, config.format)
+        report["rows"], report["cols"] = v.shape
+        f = factorize(v, cfg)
+        values = f.residuals(*command.residuals)
+        files = {f"{config.command}_{view}": _VIEWS[view](f) for view in command.views}
+        report.update({name: _json(_VIEWS[view](f)) for name, view in command.spectrum})
+    except tuple(_EXIT_CODES) as exc:
+        code = next(c for kind, c in _EXIT_CODES.items() if isinstance(exc, kind))
+        report["error"] = _describe_error(exc)
+        report["condition_estimate"] = _json_number(getattr(exc, "condition", None))
+    else:
+        bases = [r for name, r in values.items() if name.endswith("_orthonormality")]
+        residuals = {n: r for n, r in values.items() if not n.endswith("_orthonormality")}
+        if bases:
+            residuals["orthonormality"] = max(bases)
+        report["residuals"] = {n: _json_number(r) for n, r in residuals.items()}
+        if not all(r <= _tolerance_for(n, cfg) for n, r in residuals.items()):
+            code = 1
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    extension = config.format
-    for name, values in out.files.items():
+    for name, matrix in files.items():
         write_matrix_file(
-            config.output_dir / f"{name}.{extension}",
-            values,
+            config.output_dir / f"{name}.{config.format}",
+            matrix,
             fmt=config.format,
             precision=config.output_precision,
         )
-    report = VerificationReport(
-        command=config.command,
-        rows=matrix.shape[0],
-        cols=matrix.shape[1],
-        residuals=out.residuals,
-        eigenvalues=out.eigenvalues,
-        singular_values=out.singular_values,
-        condition_estimate=out.condition,
-        passed=passed,
-        elapsed_ms=round((time.perf_counter() - started) * 1000.0, 3),
-        error=error,
+    report["pass"] = code == 0
+    report["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
+    (config.output_dir / "report.json").write_text(
+        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    report_path = config.output_dir / "report.json"
-    report_path.write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    if error is not None:
-        print(f"error: {error['type']}: {error['message']}", file=sys.stderr)
-        return 3
-    return 0 if passed else 1
+    if report["error"] is not None:
+        print(f"error: {report['error']['type']}: {report['error']['message']}", file=sys.stderr)
+    return code
 
 
 def _precision_arg(text: str) -> int:
@@ -281,17 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Orthogonalize a matrix and verify the derived factorizations.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "symmetric": "symmetric orthogonalization Phi = V M^(-1/2)",
-        "canonical": "canonical orthogonalization Lambda = V U d^(-1/2)",
-        "polar": "polar decomposition V = Phi M^(1/2)",
-        "svd": "reduced singular value decomposition V = W diag(sigma) U†",
-        "pca": "principal components of the SSCP matrix V V†",
-        "verify": "run every factorization and report all residuals",
-        "relations": "emit Phi by three routes and check the inter-basis identities",
-    }
-    for name in COMMANDS:
-        sub = subparsers.add_parser(name, help=descriptions[name])
+    for name, command in COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help)
         sub.add_argument("--input", required=True, help="matrix file to read")
         sub.add_argument(
             "--output-dir", default=".", help="directory for factor files and report.json"

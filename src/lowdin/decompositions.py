@@ -8,11 +8,13 @@ factor is a view of that one eigendecomposition M = U·diag(d)·U†:
 * reduced SVD: V = W·diag(σ)·U† with W = Λ and σ = d^{1/2} descending.
 
 The conversions Λ = Φ·U, Φ = Λ·U†, and Φ = W·U† move between the bases
-using that shared eigendecomposition.
+using that shared eigendecomposition.  The SSCP principal components of
+S = V·V† are the one other solve; their spectrum cross-checks d.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,7 +36,7 @@ from .ortho import (
     require_unitary,
     verify_orthonormal,
 )
-from .pca import projection_square_sums
+from .pca import SscpResult, compare_spectra, principal_components, projection_square_sums
 
 
 @dataclass(frozen=True)
@@ -61,29 +63,53 @@ class SvdFactors:
     singular_values: np.ndarray
     right: np.ndarray
 
+    def condition_estimate(self) -> float:
+        """(σ_max/σ_min)², the metric's condition from σ; ``inf`` if σ_min is 0."""
+        smallest = float(self.singular_values[-1])
+        return (float(self.singular_values[0]) / smallest) ** 2 if smallest > 0.0 else math.inf
+
 
 @dataclass(frozen=True)
 class Factorization:
     """V with the one checked eigendecomposition of its metric.
 
     ``lam`` is the canonical basis Λ with the (U, d) of M = V†V attached
-    as ``source_eigen``.  Φ, the polar factors and the reduced SVD are
-    views of it, computed on first use and cached; none of them
-    diagonalizes M again.  Build one with ``factorize``.
+    as ``source_eigen``.  Φ, the polar factors, the reduced SVD and the
+    relation products are views of it, computed on first use and cached;
+    none of them diagonalizes M again.  ``sscp`` diagonalizes S = V·V†
+    on first use, for the spectrum cross-check.  Build one with
+    ``factorize``.
     """
 
     v: np.ndarray
     lam: OrthonormalBasis
+    cfg: ToleranceConfig = DEFAULT_TOLERANCES
 
     @property
     def eigen(self) -> HermitianEigen:
         return self.lam.source_eigen
 
     @cached_property
+    def phi_from_lambda(self) -> np.ndarray:
+        """Λ·U†, which is how Φ is built."""
+        return self.lam.matrix @ self.eigen.eigenvectors.conj().T
+
+    @cached_property
     def phi(self) -> OrthonormalBasis:
         """Symmetric basis Φ = Λ·U† = V·M^{-1/2}."""
-        phi = self.lam.matrix @ self.eigen.eigenvectors.conj().T
-        return OrthonormalBasis(matrix=phi, method=Method.SYMMETRIC, source_eigen=self.eigen)
+        return OrthonormalBasis(
+            matrix=self.phi_from_lambda, method=Method.SYMMETRIC, source_eigen=self.eigen
+        )
+
+    @cached_property
+    def lambda_from_phi(self) -> np.ndarray:
+        """Φ·U, which should give back Λ."""
+        return self.phi.matrix @ self.eigen.eigenvectors
+
+    @cached_property
+    def phi_from_svd(self) -> np.ndarray:
+        """W·U†, which should give back Φ."""
+        return symmetric_from_svd(self.svd).matrix
 
     @cached_property
     def polar(self) -> PolarFactors:
@@ -97,16 +123,24 @@ class Factorization:
         u = self.eigen.eigenvectors
         return SvdFactors(left=self.lam.matrix, singular_values=sigma, right=u)
 
+    @cached_property
+    def sscp(self) -> SscpResult:
+        """Principal components of S = V·V†, from its own solve."""
+        return principal_components(self.v, self.cfg)
+
     def residuals(self, *names: str) -> dict:
         """The named residuals, or all of them when none is named.
 
         Names: phi_orthonormality, lambda_orthonormality,
         polar_reconstruction, svd_reconstruction, relation_lambda_phi_u,
-        relation_phi_w_udagger, projection_sum_gap.  Orthonormality is
-        max|Z†Z - I| of Φ or Λ; reconstructions are relative,
-        max|product - V| / (1 + max|V|); the relations are max|Λ - Φ·U|
-        and max|Φ - W·U†|; ``projection_sum_gap`` is the largest
-        relative gap between d and the projection-square sums of V on Λ.
+        relation_phi_w_udagger, projection_sum_gap, gram_sscp_gap.
+        Orthonormality is max|Z†Z - I| of Φ or Λ; reconstructions are
+        relative, max|product - V| / (1 + max|V|); the relations are
+        max|Λ - Φ·U| and max|Φ - W·U†|; ``projection_sum_gap`` is the
+        largest relative gap between d and the projection-square sums of
+        V on Λ, and ``gram_sscp_gap`` the one between d and the m largest
+        eigenvalues of S (``compare_spectra``; DimensionMismatch for a
+        wide V).
         """
         return {name: _RESIDUALS[name](self) for name in names or _RESIDUALS}
 
@@ -120,18 +154,19 @@ def _projection_sum_gap(f: Factorization) -> float:
     return float(np.max(np.abs(projection_square_sums(f.v, f.lam) - d) / d))
 
 
+def _gram_sscp_gap(f: Factorization) -> float:
+    return compare_spectra(f.eigen.eigenvalues, f.sscp.eigen.eigenvalues, f.cfg).max_relative_gap
+
+
 _RESIDUALS = {
     "phi_orthonormality": lambda f: verify_orthonormal(f.phi.matrix).residual,
     "lambda_orthonormality": lambda f: verify_orthonormal(f.lam.matrix).residual,
     "polar_reconstruction": lambda f: _relative_to_v(reconstruct_polar(f.polar), f),
     "svd_reconstruction": lambda f: _relative_to_v(reconstruct_svd(f.svd), f),
-    "relation_lambda_phi_u": lambda f: max_abs(
-        f.lam.matrix - f.phi.matrix @ f.eigen.eigenvectors
-    ),
-    "relation_phi_w_udagger": lambda f: max_abs(
-        f.phi.matrix - symmetric_from_svd(f.svd).matrix
-    ),
+    "relation_lambda_phi_u": lambda f: max_abs(f.lam.matrix - f.lambda_from_phi),
+    "relation_phi_w_udagger": lambda f: max_abs(f.phi.matrix - f.phi_from_svd),
     "projection_sum_gap": _projection_sum_gap,
+    "gram_sscp_gap": _gram_sscp_gap,
 }
 
 
@@ -143,7 +178,7 @@ def factorize(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
     eigensolver runs out of sweeps.
     """
     v = as_matrix(v)
-    return Factorization(v=v, lam=canonical_orthogonalize(v, cfg))
+    return Factorization(v=v, lam=canonical_orthogonalize(v, cfg), cfg=cfg)
 
 
 def polar_decompose(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PolarFactors:

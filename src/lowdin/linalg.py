@@ -129,26 +129,34 @@ def gram_metric(v) -> np.ndarray:
     """Metric (Gram) matrix M = V†V of the columns of V.
 
     The product is re-symmetrized, so the result is Hermitian to the
-    last bit and positive semidefinite up to rounding.
+    last bit and positive semidefinite up to rounding.  Raises
+    OverflowError if an entry leaves the float64 range.
     """
     v = as_matrix(v)
-    m = v.conj().T @ v
-    return (m + m.conj().T) / 2.0
+    return _hermitian_product(v.conj().T, v, "V†V")
 
 
-def require_hermitian(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Validate Hermiticity and return an exactly symmetrized copy."""
-    a = _check_hermitian(m, cfg)
-    return (a + a.conj().T) / 2.0
+def _hermitian_product(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
+    """The re-symmetrized product a·b = (a·b)†, checked for overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = a @ b
+        p = (p + p.conj().T) / 2.0
+    if not np.all(np.isfinite(p)):
+        raise OverflowError(f"{name} overflows float64 (max|V| = {max_abs(b):.3e})")
+    return p
 
 
 def _check_hermitian(m, cfg: ToleranceConfig) -> np.ndarray:
-    """The square matrix of ``m`` as given, once it passes the Hermiticity check."""
+    """The square matrix of ``m`` as given, once it passes the Hermiticity check.
+
+    The bound, ``hermiticity_tol``·max|M|, scales with M, so the verdict
+    on 2^k·M is the verdict on M.
+    """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"Hermitian matrix must be square, got {a.shape}")
     deviation = max_abs(a - a.conj().T)
-    bound = cfg.hermiticity_tol * (1.0 + max_abs(a))
+    bound = cfg.hermiticity_tol * max_abs(a)
     if deviation > bound:
         raise NotHermitian(
             f"max|M - M†| = {deviation:.3e} exceeds {bound:.3e}"

@@ -3,7 +3,8 @@
 One matrix row per line, comma (csv) or tab (tsv) delimited.  Blank
 lines and lines starting with ``#`` are skipped.  Each token is a real
 decimal or a complex literal ``a+bi`` / ``a-bi`` with no spaces and an
-``i`` suffix, e.g. ``1.5``, ``-2e-3``, ``0+1i``, ``3.25-0.5i``.
+``i`` suffix, e.g. ``1.5``, ``-2e-3``, ``0+1i``, ``3.25-0.5i``.  A token
+whose value overflows float64, such as ``1e999``, is a parse error.
 
 At the default precision of 17 significant digits values are written in
 shortest-round-trip form, so ``parse(write(A)) == A`` exactly.
@@ -11,6 +12,7 @@ shortest-round-trip form, so ``parse(write(A)) == A`` exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -27,7 +29,7 @@ class MatrixFileError(Exception):
 
 
 class ParseError(MatrixFileError):
-    """A token does not match the number grammar."""
+    """A token does not match the number grammar or is not finite."""
 
     def __init__(self, line, column, token):
         super().__init__(f"line {line}, column {column}: bad token {token!r}")
@@ -60,12 +62,15 @@ def delimiter_for(fmt: str) -> str:
 
 
 def parse_token(token: str) -> complex:
+    """The value of one token; ValueError if it is malformed or not finite."""
     match = _TOKEN_RE.match(token)
     if match is None:
         raise ValueError(f"bad numeric token {token!r}")
     real = float(match.group("re"))
     imag_text = match.group("im")
     imag = float(imag_text) if imag_text is not None else 0.0
+    if not (math.isfinite(real) and math.isfinite(imag)):
+        raise ValueError(f"numeric token {token!r} overflows float64")
     return complex(real, imag)
 
 

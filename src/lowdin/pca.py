@@ -19,6 +19,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     HermitianEigen,
     ToleranceConfig,
+    _hermitian_product,
     as_matrix,
     gram_metric,
     hermitian_eigen,
@@ -62,10 +63,10 @@ def sscp_matrix(v) -> np.ndarray:
 
     Diagonal entries are the sums of squares of each coordinate across
     the input vectors, off-diagonal entries the sums of cross products.
+    Raises OverflowError if an entry leaves the float64 range.
     """
     v = as_matrix(v)
-    s = v @ v.conj().T
-    return (s + s.conj().T) / 2.0
+    return _hermitian_product(v, v.conj().T, "V·V†")
 
 
 def principal_components(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SscpResult:
@@ -86,23 +87,16 @@ def principal_components(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SscpRe
     )
 
 
-def _require_tall(n: int, m: int) -> None:
-    if n < m:
-        raise DimensionMismatch(
-            f"need at least as many rows as columns, got {n}x{m}"
-        )
-
-
 def gram_sscp_eigenvalue_check(
     v, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> EquivalenceReport:
     """Compare the spectra of the metric V†V and the SSCP V·V†.
 
     Requires n >= m (vectors at least as long as they are many).  Both
-    matrices are diagonalized here; ``compare_spectra`` does the pairing.
+    matrices are diagonalized here; ``compare_spectra`` does the pairing
+    and raises DimensionMismatch for n < m.
     """
     v = as_matrix(v)
-    _require_tall(*v.shape)
     gram_eigen = hermitian_eigen(gram_metric(v), cfg)
     sscp_eigen = hermitian_eigen(sscp_matrix(v), cfg)
     return compare_spectra(gram_eigen.eigenvalues, sscp_eigen.eigenvalues, cfg)
@@ -120,7 +114,8 @@ def compare_spectra(
     g = np.asarray(gram_eigenvalues, dtype=float)
     s = np.asarray(sscp_eigenvalues, dtype=float)
     m = g.shape[0]
-    _require_tall(s.shape[0], m)
+    if s.shape[0] < m:
+        raise DimensionMismatch(f"need at least as many rows as columns, got {s.shape[0]}x{m}")
     paired = s[:m]
     with np.errstate(divide="ignore", invalid="ignore"):
         gaps = np.abs(paired - g) / np.abs(g)

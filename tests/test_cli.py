@@ -285,6 +285,36 @@ class TestErrorsAndExitCodes:
         assert load_report(tmp_path)["error"]["type"] == "SingularMetric"
 
 
+# name -> (file text or None for a missing file, command, exit code, error type)
+HOSTILE = {
+    "missing_file": (None, "symmetric", 2, "FileNotFoundError"),
+    "bad_token": ("1,2\n3,x\n", "svd", 2, "ParseError"),
+    "ragged_row": ("1,2\n3\n", "polar", 2, "RaggedRows"),
+    "overflow_token": ("1e999,0\n0,1\n", "verify", 2, "ParseError"),
+    "huge_identity": ("1e200,0\n0,1e200\n", "relations", 3, "OverflowError"),
+    "sscp_overflow": ("9e153,9e153\n1e150,-1e150\n", "pca", 3, "OverflowError"),
+    "rank_deficient": ("1,2\n2,4\n", "canonical", 3, "SingularMetric"),
+    "wide_pca": ("1,2,3\n4,5,6\n", "pca", 3, "SingularMetric"),
+    "wide_verify": ("1,2,3\n4,5,6\n", "verify", 3, "SingularMetric"),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE)
+def test_every_failure_exits_cleanly_with_a_report(tmp_path, capsys, case):
+    text, command, expected, error = HOSTILE[case]
+    source = tmp_path / "in.csv"
+    if text is not None:
+        source.write_text(text)
+    code = run_cli(command, source, tmp_path / "out")  # no exception escapes main
+    assert code == expected
+    report = load_report(tmp_path / "out")
+    assert report["error"]["type"] == error
+    assert report["pass"] is False
+    parsed = expected == 3
+    assert (report["rows"] is not None, report["cols"] is not None) == (parsed, parsed)
+    assert error in capsys.readouterr().err
+
+
 class TestOutputOptions:
     def test_tsv_output(self, tmp_path):
         code = run_cli(

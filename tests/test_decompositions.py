@@ -106,6 +106,36 @@ class TestReducedSvd:
             lo.reduced_svd(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
+class TestFactorizationResiduals:
+    NAMES = {
+        "phi_orthonormality",
+        "lambda_orthonormality",
+        "polar_reconstruction",
+        "svd_reconstruction",
+        "relation_lambda_phi_u",
+        "relation_phi_w_udagger",
+        "projection_sum_gap",
+        "gram_sscp_gap",
+    }
+
+    def test_every_residual_by_default(self, rng):
+        residuals = lo.factorize(random_full_rank(rng, 5, 3, complex_=True)).residuals()
+        assert set(residuals) == self.NAMES
+        assert all(value <= 1e-10 for value in residuals.values())
+
+    def test_gram_sscp_gap_is_the_pca_check(self, rng):
+        for n, m in ((3, 3), (6, 2), (5, 4)):
+            v = random_full_rank(rng, n, m, complex_=True)
+            gap = lo.factorize(v).residuals("gram_sscp_gap")["gram_sscp_gap"]
+            assert gap == lo.gram_sscp_eigenvalue_check(v).max_relative_gap
+
+    def test_keeps_its_cfg_and_caches_the_sscp_solve(self):
+        cfg = lo.ToleranceConfig(rank_tol=1e-6)
+        f = lo.factorize(SHEAR, cfg)
+        assert f.cfg is cfg
+        assert f.sscp is f.sscp
+
+
 class TestConversions:
     def test_canonical_from_symmetric_identity(self):
         phi = lo.symmetric_orthogonalize(np.eye(2))

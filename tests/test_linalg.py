@@ -55,6 +55,12 @@ class TestGramMetric:
             d = lo.hermitian_eigen(lo.gram_metric(v)).eigenvalues
             assert d[-1] >= -lo.DEFAULT_TOLERANCES.rank_tol * d[0]
 
+    def test_overflow_is_an_error(self):
+        with pytest.raises(OverflowError):
+            lo.gram_metric(1e200 * I2)
+        with pytest.raises(OverflowError):
+            lo.sscp_matrix(1e200 * I2)
+
 
 class TestHermitianEigen:
     def test_already_diagonal(self):
@@ -107,6 +113,12 @@ class TestHermitianEigen:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             lo.hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e20])
+    def test_rejects_non_hermitian_at_any_scale(self, scale):
+        # The bound is relative to max|M|, so the verdict does not depend on scale.
+        with pytest.raises(NotHermitian):
+            lo.hermitian_eigen(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):

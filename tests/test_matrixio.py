@@ -60,6 +60,13 @@ class TestParse:
         assert excinfo.value.column == 2
         assert excinfo.value.token == "oops"
 
+    @pytest.mark.parametrize("token", ["1e999", "-1e999", "1+1e999i", "0-2e400i"])
+    def test_rejects_non_finite_values(self, token):
+        with pytest.raises(ParseError) as excinfo:
+            parse_matrix_text(f"1,0\n0,{token}\n")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 2)
+        assert excinfo.value.token == token
+
     def test_rejects_bare_i(self):
         with pytest.raises(ParseError):
             parse_matrix_text("1i,0\n")
