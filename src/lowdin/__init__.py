@@ -39,7 +39,6 @@ from .linalg import (
     hermitian_eigen,
     hermitian_power,
     max_abs,
-    require_positive_definite,
 )
 from .matrixio import (
     EmptyMatrix,
@@ -117,7 +116,6 @@ __all__ = [
     "reconstruct_polar",
     "reconstruct_svd",
     "reduced_svd",
-    "require_positive_definite",
     "require_unitary",
     "sscp_matrix",
     "symmetric_from_canonical",

@@ -9,7 +9,8 @@ factor is a view of that one eigendecomposition M = U·diag(d)·U†:
 
 The conversions Λ = Φ·U, Φ = Λ·U†, and Φ = W·U† move between the bases
 using that shared eigendecomposition.  The SSCP principal components of
-S = V·V† are the one other solve; their spectrum cross-checks d.
+S = V·V† are the one other solve, on the min(n, m)-square matrix R_k·R_k†
+from a QR of V (``principal_components``); their spectrum cross-checks d.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class Factorization:
     as ``source_eigen``.  Φ, the polar factors, the reduced SVD and the
     relation products are views of it, computed on first use and cached;
     none of them diagonalizes M again.  ``sscp`` diagonalizes S = V·V†
-    on first use, for the spectrum cross-check.  Build one with
+    on first use, through the QR-reduced solve of
+    ``principal_components``, for the spectrum cross-check.  Build one with
     ``factorize``.
     """
 

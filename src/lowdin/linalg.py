@@ -366,7 +366,7 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     return HermitianEigen(eigenvalues=eigenvalues, eigenvectors=eigenvectors, sweeps=sweeps)
 
 
-def require_positive_definite(
+def _require_positive_definite(
     eigen: HermitianEigen, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> None:
     """Raise SingularMetric unless all eigenvalues clear the rank cutoff.
@@ -416,7 +416,7 @@ def hermitian_power(
                 eigenvalue=float(d[index]),
             )
     if non_integer or p < 0.0:
-        require_positive_definite(eigen, cfg)
+        _require_positive_definite(eigen, cfg)
     return _eigen_power(eigen, p)
 
 

@@ -27,11 +27,11 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     HermitianEigen,
     ToleranceConfig,
+    _require_positive_definite,
     as_matrix,
     gram_metric,
     hermitian_eigen,
     max_abs,
-    require_positive_definite,
 )
 
 # Unitarity residual bound per matrix dimension, matching the eigenvector
@@ -96,7 +96,7 @@ def require_unitary(b) -> np.ndarray:
 
 def _metric_eigen(v: np.ndarray, cfg: ToleranceConfig) -> HermitianEigen:
     eigen = hermitian_eigen(gram_metric(v), cfg)
-    require_positive_definite(eigen, cfg)
+    _require_positive_definite(eigen, cfg)
     return eigen
 
 

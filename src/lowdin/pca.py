@@ -6,6 +6,14 @@ makes its eigenvectors coincide with the canonical orthonormal basis.
 Nonzero eigenvalues of S equal those of the metric M = V†V, and the
 projection-square sums of V's columns onto the canonical basis recover
 exactly those eigenvalues.
+
+S has rank at most k = min(n, m), so ``principal_components`` never
+diagonalizes the n x n matrix itself: ``numpy.linalg.qr`` (LAPACK)
+factors V = Q·R, and the Jacobi solver ``hermitian_eigen`` diagonalizes
+the k x k matrix T = R_k·R_k†.  The QR is a preconditioner (Drmač &
+Veselić, SIMAX 29, 2008); the eigendecomposition is still the
+hand-rolled Jacobi one.  T differs from M = R†R, so the spectrum
+comparison pairs two separate solves.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .linalg import (
     HermitianEigen,
     ToleranceConfig,
     _hermitian_product,
+    apply_phase_convention,
     as_matrix,
     gram_metric,
     hermitian_eigen,
@@ -72,13 +81,35 @@ def sscp_matrix(v) -> np.ndarray:
 def principal_components(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SscpResult:
     """Eigenvectors of the SSCP matrix, descending, phase-fixed.
 
+    S = V·V† has rank at most k = min(n, m), so it is diagonalized
+    through V = Q·R (``numpy.linalg.qr``, complete): S = Q·diag(T, 0)·Q†
+    with T = R_k·R_k† for the first k rows R_k of R.  Only the k x k
+    matrix T goes to the Jacobi solver; its eigenvectors Y give those of
+    S as Q·blockdiag(Y, I), and its eigenvalues are followed by n - k
+    exact zeros.  The QR is a preconditioner only; the eigendecomposition
+    is ``hermitian_eigen``'s, and ``sweeps`` counts its sweeps on T.
+
     For square nonsingular V these columns equal the canonical
     orthonormal basis once both carry the shared phase convention.
     """
     v = as_matrix(v)
     sscp = sscp_matrix(v)
-    eigen = hermitian_eigen(sscp, cfg)
-    retained = min(v.shape)
+    n, m = v.shape
+    retained = min(n, m)
+    q, r = np.linalg.qr(v, mode="complete")
+    top = r[:retained]
+    reduced = hermitian_eigen(_hermitian_product(top, top.conj().T, "R·R†"), cfg)
+    values = np.concatenate((reduced.eigenvalues, np.zeros(n - retained)))
+    # A rank-deficient T can end on a tiny negative eigenvalue, which
+    # belongs after the padded zeros.
+    order = np.argsort(-values, kind="stable")
+    vectors = q.copy()
+    vectors[:, :retained] = q[:, :retained] @ reduced.eigenvectors
+    eigen = HermitianEigen(
+        eigenvalues=values[order],
+        eigenvectors=apply_phase_convention(vectors[:, order]),
+        sweeps=reduced.sweeps,
+    )
     return SscpResult(
         sscp=sscp,
         eigen=eigen,
@@ -92,13 +123,14 @@ def gram_sscp_eigenvalue_check(
 ) -> EquivalenceReport:
     """Compare the spectra of the metric V†V and the SSCP V·V†.
 
-    Requires n >= m (vectors at least as long as they are many).  Both
-    matrices are diagonalized here; ``compare_spectra`` does the pairing
-    and raises DimensionMismatch for n < m.
+    Requires n >= m (vectors at least as long as they are many).  M is
+    diagonalized here and S through ``principal_components``;
+    ``compare_spectra`` does the pairing and raises DimensionMismatch
+    for n < m.
     """
     v = as_matrix(v)
     gram_eigen = hermitian_eigen(gram_metric(v), cfg)
-    sscp_eigen = hermitian_eigen(sscp_matrix(v), cfg)
+    sscp_eigen = principal_components(v, cfg).eigen
     return compare_spectra(gram_eigen.eigenvalues, sscp_eigen.eigenvalues, cfg)
 
 

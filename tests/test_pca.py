@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import lowdin as lo
 from lowdin.errors import DimensionMismatch
 
-from conftest import random_full_rank
+from conftest import random_full_rank, random_matrix
 from test_ortho import conditioned_matrices
 
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
@@ -76,6 +76,68 @@ class TestPrincipalComponents:
             aligned = lo.apply_phase_convention(lam.matrix)
             assert lo.max_abs(result.components - aligned) <= 1e-8
             assert np.max(np.abs(result.component_scores - d) / d) <= 1e-9
+
+
+SSCP_SHAPES = [(64, 16), (40, 4), (7, 7), (4, 9), (16, 40)]
+
+
+class TestReducedSscpSolve:
+    """S = V·V† is diagonalized through V = Q·R, on a min(n, m)-square matrix."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n,m", SSCP_SHAPES)
+    def test_nonzero_spectrum_matches_lapack(self, rng, n, m, complex_):
+        v = random_full_rank(rng, n, m, complex_=complex_)
+        k = min(n, m)
+        d = lo.principal_components(v).eigen.eigenvalues[:k]
+        reference = np.linalg.eigvalsh(lo.sscp_matrix(v))[::-1][:k]
+        assert np.max(np.abs(d - reference) / reference) <= 1e-12
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n,m", SSCP_SHAPES)
+    def test_trailing_eigenvalues_are_exact_zeros(self, rng, n, m, complex_):
+        d = lo.principal_components(random_full_rank(rng, n, m, complex_=complex_)).eigen.eigenvalues
+        assert d.shape == (n,)
+        assert np.all(d[min(n, m):] == 0.0)
+        assert np.all(np.diff(d) <= 0.0)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n,m,rank", [(10, 5, 2), (6, 6, 3), (3, 8, 1)])
+    def test_rank_deficient_spectrum_stays_descending(self, rng, n, m, rank, complex_):
+        v = random_matrix(rng, n, rank, complex_) @ random_matrix(rng, rank, m, complex_)
+        d = lo.principal_components(v).eigen.eigenvalues
+        reference = np.linalg.eigvalsh(lo.sscp_matrix(v))[::-1]
+        assert np.all(np.diff(d) <= 0.0)
+        assert np.count_nonzero(d == 0.0) >= n - min(n, m)
+        assert np.max(np.abs(d[:rank] - reference[:rank]) / reference[:rank]) <= 1e-12
+        assert np.max(np.abs(d[rank:])) <= 1e-13 * d[0]
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n,m", SSCP_SHAPES)
+    def test_eigenvectors_are_unitary(self, rng, n, m, complex_):
+        u = lo.principal_components(random_matrix(rng, n, m, complex_)).eigen.eigenvectors
+        assert u.shape == (n, n)
+        assert lo.max_abs(u.conj().T @ u - np.eye(n)) <= 1e-12 * n
+
+    @pytest.mark.parametrize("n,m", SSCP_SHAPES)
+    def test_keeps_the_sscp_matrix_bitwise(self, rng, n, m):
+        v = random_matrix(rng, n, m, complex_=True)
+        assert np.array_equal(lo.principal_components(v).sscp, lo.sscp_matrix(v))
+
+    @pytest.mark.parametrize("n,m", SSCP_SHAPES)
+    def test_one_solve_of_min_dimension(self, rng, n, m, monkeypatch):
+        import lowdin.pca
+
+        original = lowdin.pca.hermitian_eigen
+        shapes = []
+
+        def recording(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(lowdin.pca, "hermitian_eigen", recording)
+        lo.principal_components(random_matrix(rng, n, m, complex_=True))
+        assert shapes == [(min(n, m), min(n, m))]
 
 
 class TestGramSscpCheck:
