@@ -23,7 +23,6 @@ from .decompositions import (
 from .errors import (
     DimensionMismatch,
     LinalgError,
-    NegativeEigenvalue,
     NoConvergence,
     NotHermitian,
     NotUnitary,
@@ -37,7 +36,6 @@ from .linalg import (
     as_matrix,
     gram_metric,
     hermitian_eigen,
-    hermitian_power,
     max_abs,
 )
 from .matrixio import (
@@ -55,20 +53,11 @@ from .ortho import (
     OrthonormalBasis,
     OrthonormalityReport,
     canonical_orthogonalize,
-    orthogonalize_general,
     require_unitary,
     symmetric_orthogonalize,
     verify_orthonormal,
 )
-from .pca import (
-    EquivalenceReport,
-    SscpResult,
-    compare_spectra,
-    gram_sscp_eigenvalue_check,
-    principal_components,
-    projection_square_sums,
-    sscp_matrix,
-)
+from .pca import SscpResult, principal_components, projection_square_sums
 
 __version__ = "0.1.0"
 
@@ -76,13 +65,11 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "DimensionMismatch",
     "EmptyMatrix",
-    "EquivalenceReport",
     "Factorization",
     "HermitianEigen",
     "LinalgError",
     "MatrixFileError",
     "Method",
-    "NegativeEigenvalue",
     "NoConvergence",
     "NotHermitian",
     "NotUnitary",
@@ -99,15 +86,11 @@ __all__ = [
     "as_matrix",
     "canonical_from_symmetric",
     "canonical_orthogonalize",
-    "compare_spectra",
     "factorize",
     "format_matrix",
     "gram_metric",
-    "gram_sscp_eigenvalue_check",
     "hermitian_eigen",
-    "hermitian_power",
     "max_abs",
-    "orthogonalize_general",
     "parse_matrix_file",
     "parse_matrix_text",
     "polar_decompose",
@@ -117,7 +100,6 @@ __all__ = [
     "reconstruct_svd",
     "reduced_svd",
     "require_unitary",
-    "sscp_matrix",
     "symmetric_from_canonical",
     "symmetric_from_svd",
     "symmetric_orthogonalize",

@@ -118,7 +118,7 @@ _VIEWS = {
 }
 
 # Exit status per exception: an unreadable or malformed input file is 2;
-# a numerical failure is 3, including V†V or V·V† overflowing float64.
+# a numerical failure is 3, including V†V or R_k·R_k† overflowing float64.
 _EXIT_CODES = {
     MatrixFileError: 2,
     OSError: 2,

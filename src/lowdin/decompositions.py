@@ -37,7 +37,7 @@ from .ortho import (
     require_unitary,
     verify_orthonormal,
 )
-from .pca import SscpResult, compare_spectra, principal_components, projection_square_sums
+from .pca import SscpResult, principal_components, projection_square_sums
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,7 @@ class Factorization:
         max|Λ - Φ·U| and max|Φ - W·U†|; ``projection_sum_gap`` is the
         largest relative gap between d and the projection-square sums of
         V on Λ, and ``gram_sscp_gap`` the one between d and the m largest
-        eigenvalues of S (``compare_spectra``; DimensionMismatch for a
-        wide V).
+        eigenvalues of S (DimensionMismatch for a wide V).
         """
         return {name: _RESIDUALS[name](self) for name in names or _RESIDUALS}
 
@@ -157,7 +156,19 @@ def _projection_sum_gap(f: Factorization) -> float:
 
 
 def _gram_sscp_gap(f: Factorization) -> float:
-    return compare_spectra(f.eigen.eigenvalues, f.sscp.eigen.eigenvalues, f.cfg).max_relative_gap
+    """Largest relative gap between d and the m leading eigenvalues of S.
+
+    Both spectra are descending; where d_j is 0 the gap is absolute.
+    """
+    g, s = f.eigen.eigenvalues, f.sscp.eigen.eigenvalues
+    m = g.shape[0]
+    if s.shape[0] < m:
+        raise DimensionMismatch(f"need at least as many rows as columns, got {s.shape[0]}x{m}")
+    paired = s[:m]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gaps = np.abs(paired - g) / np.abs(g)
+    gaps = np.where(g == 0.0, np.abs(paired - g), gaps)
+    return float(np.max(gaps))
 
 
 _RESIDUALS = {

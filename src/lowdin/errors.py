@@ -43,12 +43,3 @@ class SingularMetric(LinalgError):
         self.eigenvalue_index = eigenvalue_index
         self.eigenvalue = eigenvalue
         self.condition = condition
-
-
-class NegativeEigenvalue(LinalgError):
-    """A non-integer matrix power was requested for an indefinite matrix."""
-
-    def __init__(self, message, eigenvalue_index, eigenvalue):
-        super().__init__(message)
-        self.eigenvalue_index = eigenvalue_index
-        self.eigenvalue = eigenvalue

@@ -1,9 +1,8 @@
 """Dense complex matrix core.
 
 Everything downstream is built from the handful of primitives here:
-the Gram metric M = V†V, a Jacobi eigensolver for Hermitian matrices,
-and Hermitian matrix powers M^p computed through that
-eigendecomposition.
+the Gram metric M = V†V and a Jacobi eigensolver for Hermitian
+matrices, whose eigendecomposition gives the powers M^p.
 
 The eigensolver sweeps in round-robin order (Brent & Luk, SIAM J. Sci.
 Stat. Comput. 6(1), 1985): each sweep is n - 1 steps (n for odd n),
@@ -34,13 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NegativeEigenvalue,
-    NoConvergence,
-    NotHermitian,
-    SingularMetric,
-)
+from .errors import DimensionMismatch, NoConvergence, NotHermitian, SingularMetric
 
 
 @dataclass(frozen=True)
@@ -95,10 +88,6 @@ class HermitianEigen:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     sweeps: int = 0
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
     def condition_estimate(self) -> float:
         """Ratio largest/smallest eigenvalue, ``inf`` if not positive."""
@@ -388,36 +377,6 @@ def _require_positive_definite(
             eigenvalue=float(d[index]),
             condition=eigen.condition_estimate(),
         )
-
-
-def hermitian_power(
-    m, p: float, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> np.ndarray:
-    """Hermitian matrix power M^p = U·diag(d^p)·U†.
-
-    ``p = -1/2`` is the orthogonalization kernel, ``p = 1/2`` the
-    positive polar factor.  Non-integer or negative powers require a
-    positive definite matrix (within ``rank_tol``); indefinite input
-    under a non-integer power raises NegativeEigenvalue, near-singular
-    input raises SingularMetric with diagnostics.
-    """
-    eigen = hermitian_eigen(m, cfg)
-    d = eigen.eigenvalues
-    p = float(p)
-    non_integer = p != math.floor(p)
-    if non_integer:
-        negatives = np.nonzero(d < -cfg.rank_tol * float(d[0]))[0]
-        if negatives.size:
-            index = int(negatives[0])
-            raise NegativeEigenvalue(
-                f"eigenvalue {index} = {float(d[index]):.6e} is negative; "
-                f"power {p} is not defined for indefinite matrices",
-                eigenvalue_index=index,
-                eigenvalue=float(d[index]),
-            )
-    if non_integer or p < 0.0:
-        _require_positive_definite(eigen, cfg)
-    return _eigen_power(eigen, p)
 
 
 def _eigen_power(eigen: HermitianEigen, p: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Symmetric, canonical, and general orthogonalization.
+"""Symmetric and canonical orthogonalization.
 
 Given a full-column-rank V (columns are the vectors), every orthonormal
 basis of its column space has the form Z = V·M^{-1/2}·B for a unitary B,
@@ -44,7 +44,6 @@ class Method(enum.Enum):
 
     SYMMETRIC = "symmetric"
     CANONICAL = "canonical"
-    GENERAL = "general"
 
 
 @dataclass(frozen=True)
@@ -157,23 +156,3 @@ def canonical_orthogonalize(
     eigen = _metric_eigen(v, cfg)
     lam = _canonical_matrix(v, eigen)
     return OrthonormalBasis(matrix=lam, method=Method.CANONICAL, source_eigen=eigen)
-
-
-def orthogonalize_general(
-    v, b, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> OrthonormalBasis:
-    """General orthogonalization Z = V·M^{-1/2}·B for unitary B.
-
-    ``b = I`` reproduces the symmetric basis bit for bit; ``b`` equal to
-    the metric's eigenvector matrix reproduces the canonical basis.
-    """
-    v = as_matrix(v)
-    b = require_unitary(b)
-    if b.shape[0] != v.shape[1]:
-        raise DimensionMismatch(
-            f"B must be {v.shape[1]}x{v.shape[1]} for a matrix with "
-            f"{v.shape[1]} columns, got {b.shape}"
-        )
-    eigen = _metric_eigen(v, cfg)
-    z = _symmetric_matrix(v, eigen) @ b
-    return OrthonormalBasis(matrix=z, method=Method.GENERAL, source_eigen=eigen)

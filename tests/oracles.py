@@ -4,7 +4,9 @@ Eigenvalues of small integer Hermitian matrices are computed from their
 exact integer characteristic polynomials: rational roots are found by
 exhaustive divisor search and exact deflation, the remainder is solved
 by the quadratic formula or the trigonometric cubic formula with a few
-Newton polish steps.  Nothing here touches the Jacobi path under test.
+Newton polish steps.  Matrix-power references use LAPACK
+(``numpy.linalg.eigh``).  Nothing here touches the Jacobi path under
+test.
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ def hermitian_2x2_power(a: float, b: float, c: float, p: float) -> np.ndarray:
         vector /= math.hypot(vector[0], vector[1])
         result += lam**p * np.outer(vector, vector)
     return result
+
+
+def lapack_inverse_sqrt_route(v) -> np.ndarray:
+    """V·M^(-1/2) for M = V†V, with M^(-1/2) built from ``numpy.linalg.eigh``."""
+    v = np.asarray(v, dtype=np.complex128)
+    d, u = np.linalg.eigh(v.conj().T @ v)
+    return v @ ((u / np.sqrt(d)) @ u.conj().T)
 
 
 def characteristic_coefficients_3x3(matrix):

@@ -141,9 +141,8 @@ def test_criterion_6_pca_equivalences(factored):
     with criterion(6, "PCA equivalences"):
         # (a) spectra of V V† and V†V agree, with n - m near-zero leftovers
         for v, _, lam, _, _ in factored:
-            report = lo.gram_sscp_eigenvalue_check(v)
-            assert report.max_relative_gap <= 1e-8
-            assert report.extra_zero_count == v.shape[0] - v.shape[1]
+            assert lo.factorize(v).residuals("gram_sscp_gap")["gram_sscp_gap"] <= 1e-8
+            assert np.all(lo.principal_components(v).eigen.eigenvalues[v.shape[1]:] == 0.0)
         # (c) projection-square sums onto the canonical basis recover d
         for v, _, lam, _, _ in factored:
             d = lam.source_eigen.eigenvalues

@@ -4,13 +4,16 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lowdin as lo
-from lowdin.cli import RunConfig, main, run
+from lowdin.cli import COMMANDS, RunConfig, main, run
 from lowdin.matrixio import parse_matrix_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -313,6 +316,27 @@ def test_every_failure_exits_cleanly_with_a_report(tmp_path, capsys, case):
     parsed = expected == 3
     assert (report["rows"] is not None, report["cols"] is not None) == (parsed, parsed)
     assert error in capsys.readouterr().err
+
+
+TOKEN_SOUP = st.lists(
+    st.sampled_from(list("0123456789+-.eEi,\t\n#") + ["nan", "inf"]), max_size=60
+).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=TOKEN_SOUP, command=st.sampled_from(sorted(COMMANDS)), fmt=st.sampled_from(["csv", "tsv"])
+)
+def test_token_soup_never_escapes_main(text, command, fmt):
+    # A fresh directory per example: hypothesis cannot reuse tmp_path.
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "in.txt"
+        source.write_text(text, encoding="utf-8")
+        code = main([command, "--input", str(source), "--output-dir", tmp, "--format", fmt])
+        report = load_report(tmp)
+    assert code in (0, 1, 2, 3)
+    assert report["pass"] is (code == 0)
+    assert (report["error"] is None) == (code in (0, 1))
 
 
 class TestOutputOptions:

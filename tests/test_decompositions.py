@@ -47,7 +47,10 @@ class TestPolar:
     def test_positive_factor_is_the_metric_square_root(self, rng):
         v = random_full_rank(rng, 5, 3)
         factors = lo.polar_decompose(v)
-        expected = lo.hermitian_power(lo.gram_metric(v), 0.5)
+        eigen = lo.factorize(v).eigen
+        u = eigen.eigenvectors
+        expected = (u * np.sqrt(eigen.eigenvalues)) @ u.conj().T
+        expected = (expected + expected.conj().T) / 2.0
         assert np.array_equal(factors.positive, expected)
 
     def test_positive_factor_is_positive_definite(self, rng):
@@ -124,10 +127,13 @@ class TestFactorizationResiduals:
         assert all(value <= 1e-10 for value in residuals.values())
 
     def test_gram_sscp_gap_is_the_pca_check(self, rng):
+        # The gap pairs the metric spectrum with principal_components' one.
         for n, m in ((3, 3), (6, 2), (5, 4)):
             v = random_full_rank(rng, n, m, complex_=True)
             gap = lo.factorize(v).residuals("gram_sscp_gap")["gram_sscp_gap"]
-            assert gap == lo.gram_sscp_eigenvalue_check(v).max_relative_gap
+            d = lo.hermitian_eigen(lo.gram_metric(v)).eigenvalues
+            scores = lo.principal_components(v).eigen.eigenvalues[:m]
+            assert gap == float(np.max(np.abs(scores - d) / np.abs(d)))
 
     def test_keeps_its_cfg_and_caches_the_sscp_solve(self):
         cfg = lo.ToleranceConfig(rank_tol=1e-6)

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 import lowdin as lo
-from lowdin.errors import (
-    DimensionMismatch,
-    NegativeEigenvalue,
-    NoConvergence,
-    NotHermitian,
-    SingularMetric,
-)
+from lowdin.errors import DimensionMismatch, NoConvergence, NotHermitian, SingularMetric
 from lowdin.linalg import _schedule
 from lowdin.ortho import UNITARY_TOL
 
@@ -59,7 +53,7 @@ class TestGramMetric:
         with pytest.raises(OverflowError):
             lo.gram_metric(1e200 * I2)
         with pytest.raises(OverflowError):
-            lo.sscp_matrix(1e200 * I2)
+            lo.principal_components(1e200 * I2)
 
 
 class TestHermitianEigen:
@@ -183,7 +177,7 @@ def _hermitian_cases(rng, n, complex_):
         "random": (a + a.conj().T) / 2.0,
         "repeated": (q * repeated) @ q.conj().T,
         "diagonal": np.diag(rng.uniform(-1.0, 1.0, n)),
-        "rank_deficient_sscp": lo.sscp_matrix(v),
+        "rank_deficient_sscp": v @ v.conj().T,
     }
 
 
@@ -273,63 +267,56 @@ class TestPowerOfTwoScaling:
         assert scaled.value.off_norm == np.ldexp(base.value.off_norm, 400)
 
 
+# V†V = [[2, 1], [1, 2]], whose powers have a closed form.
+TALL_2X2_METRIC = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+
+
 class TestHermitianPower:
+    """M^(1/2) is the polar factor H; M^(-1/2) is the kernel of Φ = V·M^(-1/2)."""
+
     def test_identity_inverse_sqrt(self):
-        assert np.allclose(lo.hermitian_power(I2, -0.5), I2, atol=1e-15)
+        f = lo.factorize(I2)
+        assert np.allclose(f.phi.matrix, I2, atol=1e-15)
+        assert np.allclose(f.polar.positive, I2, atol=1e-15)
 
     def test_diagonal_inverse_sqrt(self):
-        result = lo.hermitian_power(np.diag([4.0, 9.0]), -0.5)
-        assert np.allclose(result, np.diag([0.5, 1.0 / 3.0]), atol=1e-15)
+        # M = diag(4, 9), so M^(-1/2) = diag(1/2, 1/3).
+        v = np.diag([2.0, 3.0])
+        phi = lo.factorize(v).phi.matrix
+        assert np.allclose(phi, v @ np.diag([0.5, 1.0 / 3.0]), atol=1e-15)
 
     def test_inverse_sqrt_against_closed_form(self):
-        m = np.array([[2.0, 1.0], [1.0, 2.0]])
-        expected = hermitian_2x2_power(2.0, 2.0, 1.0, -0.5)
-        result = lo.hermitian_power(m, -0.5)
-        assert lo.max_abs(result - expected) <= 1e-12
-        # squaring the result and multiplying by M recovers the identity
-        assert lo.max_abs(result @ result @ m - I2) <= 1e-8
+        v = TALL_2X2_METRIC
+        f = lo.factorize(v)
+        kernel = hermitian_2x2_power(2.0, 2.0, 1.0, -0.5)
+        assert lo.max_abs(f.phi.matrix - v @ kernel) <= 1e-12
+        assert lo.max_abs(f.polar.positive - hermitian_2x2_power(2.0, 2.0, 1.0, 0.5)) <= 1e-12
+        # Φ†Φ = M^(-1/2)·M·M^(-1/2) recovers the identity
+        assert lo.verify_orthonormal(f.phi.matrix).residual <= 1e-8
 
     def test_sqrt_squares_back(self, rng):
         v = random_matrix(rng, 5, 5)
         m = lo.gram_metric(v)
-        root = lo.hermitian_power(m, 0.5)
+        root = lo.factorize(v).polar.positive
         cfg = lo.DEFAULT_TOLERANCES
         assert lo.max_abs(root @ root - m) <= cfg.reconstruction_tol * lo.max_abs(m)
 
     def test_inverse_sqrt_identity_for_moderate_condition(self, rng):
         for _ in range(10):
             v = random_matrix(rng, 4, 4)
-            m = lo.gram_metric(v)
-            d = lo.hermitian_eigen(m).eigenvalues
+            d = lo.hermitian_eigen(lo.gram_metric(v)).eigenvalues
             if d[0] / d[-1] > 1e6:
                 continue
-            w = lo.hermitian_power(m, -0.5)
-            assert lo.max_abs(w @ w @ m - np.eye(4)) <= 1e-8
-
-    def test_integer_power_of_indefinite_matrix(self):
-        m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(lo.hermitian_power(m, 2.0), I2, atol=1e-14)
-
-    def test_zeroth_power(self):
-        assert np.allclose(lo.hermitian_power(np.diag([3.0, 7.0]), 0.0), I2, atol=0)
+            phi = lo.factorize(v).phi.matrix
+            assert lo.max_abs(phi.conj().T @ phi - np.eye(4)) <= 1e-8
 
     def test_singular_metric_diagnostics(self):
         with pytest.raises(SingularMetric) as excinfo:
-            lo.hermitian_power(np.diag([1.0, 1e-15]), -0.5)
+            lo.factorize(np.diag([1.0, math.sqrt(1e-15)]))
         err = excinfo.value
         assert err.eigenvalue_index == 1
         assert err.eigenvalue == pytest.approx(1e-15)
         assert err.condition == pytest.approx(1e15, rel=1e-6)
-
-    def test_negative_eigenvalue_for_non_integer_power(self):
-        with pytest.raises(NegativeEigenvalue) as excinfo:
-            lo.hermitian_power(np.diag([1.0, -1.0]), 0.5)
-        assert excinfo.value.eigenvalue_index == 1
-        assert excinfo.value.eigenvalue == pytest.approx(-1.0)
-
-    def test_negative_power_requires_positive_definite(self):
-        with pytest.raises(SingularMetric):
-            lo.hermitian_power(np.diag([1.0, -1.0]), -1.0)
 
 
 class TestPhaseConvention:

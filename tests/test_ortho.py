@@ -1,4 +1,4 @@
-"""Symmetric, canonical, and general orthogonalization."""
+"""Symmetric and canonical orthogonalization."""
 
 import math
 
@@ -12,7 +12,7 @@ from lowdin.errors import DimensionMismatch, NotUnitary, SingularMetric
 from lowdin.ortho import Method
 
 from conftest import random_full_rank, random_unitary
-from oracles import hermitian_2x2_power
+from oracles import hermitian_2x2_power, lapack_inverse_sqrt_route
 
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_LO = (3.0 - math.sqrt(5.0)) / 2.0
@@ -77,7 +77,7 @@ class TestSymmetric:
 
     def test_matches_direct_inverse_sqrt_route(self, rng):
         v = random_full_rank(rng, 6, 4)
-        direct = v @ lo.hermitian_power(lo.gram_metric(v), -0.5)
+        direct = lapack_inverse_sqrt_route(v)
         basis = lo.symmetric_orthogonalize(v)
         assert lo.max_abs(basis.matrix - direct) <= 1e-12
 
@@ -157,44 +157,6 @@ class TestPowerOfTwoScaling:
         assert np.array_equal(lo.symmetric_orthogonalize(np.ldexp(1.0, k) * v).matrix, phi)
 
 
-class TestGeneral:
-    def test_identity_both(self):
-        basis = lo.orthogonalize_general(np.eye(2), np.eye(2))
-        assert np.array_equal(basis.matrix, np.eye(2))
-        assert basis.method is Method.GENERAL
-
-    def test_unit_metric_returns_b(self):
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        basis = lo.orthogonalize_general(np.eye(2), swap)
-        assert np.allclose(basis.matrix, swap, atol=0)
-
-    def test_identity_b_reduces_to_symmetric_exactly(self, rng):
-        v = random_full_rank(rng, 5, 4)
-        general = lo.orthogonalize_general(v, np.eye(4))
-        symmetric = lo.symmetric_orthogonalize(v)
-        assert lo.max_abs(general.matrix - symmetric.matrix) == 0.0
-
-    def test_eigenvector_b_reduces_to_canonical(self, rng):
-        v = random_full_rank(rng, 5, 4)
-        symmetric = lo.symmetric_orthogonalize(v)
-        u = symmetric.source_eigen.eigenvectors
-        general = lo.orthogonalize_general(v, u)
-        canonical = lo.canonical_orthogonalize(v)
-        assert lo.max_abs(general.matrix - canonical.matrix) <= 1e-12
-
-    def test_shear_with_identity_b(self):
-        basis = lo.orthogonalize_general(SHEAR, np.eye(2))
-        assert lo.verify_orthonormal(basis.matrix).residual <= 1e-10
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitary):
-            lo.orthogonalize_general(np.eye(2), SHEAR)
-
-    def test_rejects_wrong_size_b(self):
-        with pytest.raises(DimensionMismatch):
-            lo.orthogonalize_general(np.ones((3, 2)) + np.eye(3, 2), np.eye(3))
-
-
 class TestRequireUnitary:
     def test_accepts_rotation(self):
         theta = 0.3
@@ -206,6 +168,10 @@ class TestRequireUnitary:
     def test_rejects_rectangular(self):
         with pytest.raises(DimensionMismatch):
             lo.require_unitary(np.ones((3, 2)))
+
+    def test_rejects_non_unitary(self):
+        with pytest.raises(NotUnitary):
+            lo.require_unitary(SHEAR)
 
 
 def test_orthonormality_on_uniform_entry_ensemble(rng):

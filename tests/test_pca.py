@@ -1,5 +1,6 @@
 """SSCP principal components and their canonical-basis equivalences."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import lowdin as lo
 from lowdin.errors import DimensionMismatch
 
 from conftest import random_full_rank, random_matrix
+from oracles import hermitian_2x2_eigenvalues
 from test_ortho import conditioned_matrices
 
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
@@ -18,20 +20,31 @@ SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
 
 
 class TestSscpMatrix:
+    """The spectrum of S = V·V†, checked against S written out by hand."""
+
     def test_identity(self):
-        assert np.array_equal(lo.sscp_matrix(np.eye(2)), np.eye(2))
+        eigen = lo.principal_components(np.eye(2)).eigen
+        assert np.array_equal(eigen.eigenvalues, [1.0, 1.0])
 
     def test_hand_computed(self):
+        # S = [[5, 11], [11, 25]]
         v = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(lo.sscp_matrix(v), np.array([[5.0, 11.0], [11.0, 25.0]]))
+        scores = lo.principal_components(v).component_scores
+        assert scores == pytest.approx(hermitian_2x2_eigenvalues(5.0, 25.0, 11.0), rel=1e-14)
 
     def test_single_column(self):
-        v = np.array([[1.0], [1.0]])
-        assert np.array_equal(lo.sscp_matrix(v), np.ones((2, 2)))
+        # S = [[1, 1], [1, 1]], spectrum (2, 0)
+        result = lo.principal_components(np.array([[1.0], [1.0]]))
+        assert result.component_scores == pytest.approx([2.0], rel=1e-15)
+        assert result.eigen.eigenvalues[1] == 0.0
+        s = 1.0 / math.sqrt(2.0)
+        assert np.allclose(result.components, [[s], [s]], atol=1e-15)
 
     def test_diagonal_holds_sums_of_squares(self, rng):
         v = rng.uniform(-1.0, 1.0, (4, 6))
-        s = lo.sscp_matrix(v)
+        eigen = lo.principal_components(v).eigen
+        u = eigen.eigenvectors
+        s = (u * eigen.eigenvalues) @ u.conj().T
         for i in range(4):
             assert s[i, i].real == pytest.approx(np.sum(v[i, :] ** 2))
         for i in range(4):
@@ -90,7 +103,7 @@ class TestReducedSscpSolve:
         v = random_full_rank(rng, n, m, complex_=complex_)
         k = min(n, m)
         d = lo.principal_components(v).eigen.eigenvalues[:k]
-        reference = np.linalg.eigvalsh(lo.sscp_matrix(v))[::-1][:k]
+        reference = np.linalg.eigvalsh(v @ v.conj().T)[::-1][:k]
         assert np.max(np.abs(d - reference) / reference) <= 1e-12
 
     @pytest.mark.parametrize("complex_", [False, True])
@@ -106,7 +119,7 @@ class TestReducedSscpSolve:
     def test_rank_deficient_spectrum_stays_descending(self, rng, n, m, rank, complex_):
         v = random_matrix(rng, n, rank, complex_) @ random_matrix(rng, rank, m, complex_)
         d = lo.principal_components(v).eigen.eigenvalues
-        reference = np.linalg.eigvalsh(lo.sscp_matrix(v))[::-1]
+        reference = np.linalg.eigvalsh(v @ v.conj().T)[::-1]
         assert np.all(np.diff(d) <= 0.0)
         assert np.count_nonzero(d == 0.0) >= n - min(n, m)
         assert np.max(np.abs(d[:rank] - reference[:rank]) / reference[:rank]) <= 1e-12
@@ -119,10 +132,12 @@ class TestReducedSscpSolve:
         assert u.shape == (n, n)
         assert lo.max_abs(u.conj().T @ u - np.eye(n)) <= 1e-12 * n
 
-    @pytest.mark.parametrize("n,m", SSCP_SHAPES)
-    def test_keeps_the_sscp_matrix_bitwise(self, rng, n, m):
-        v = random_matrix(rng, n, m, complex_=True)
-        assert np.array_equal(lo.principal_components(v).sscp, lo.sscp_matrix(v))
+    def test_n_by_n_product_is_never_formed(self):
+        # S = V·V† = diag(2x², 2y²) for x = 7e153, y = 3.5e153: re-symmetrizing S
+        # overflows, but V†V and R·R† stay in range.
+        v = np.array([[7e153, 7e153], [3.5e153, -3.5e153]])
+        scores = lo.principal_components(v).component_scores
+        assert scores == pytest.approx([2 * 7e153**2, 2 * 3.5e153**2], rel=1e-14)
 
     @pytest.mark.parametrize("n,m", SSCP_SHAPES)
     def test_one_solve_of_min_dimension(self, rng, n, m, monkeypatch):
@@ -140,40 +155,44 @@ class TestReducedSscpSolve:
         assert shapes == [(min(n, m), min(n, m))]
 
 
+def gram_sscp_gap(v):
+    return lo.factorize(v).residuals("gram_sscp_gap")["gram_sscp_gap"]
+
+
 class TestGramSscpCheck:
+    """``gram_sscp_gap``: the metric spectrum against the SSCP one."""
+
     def test_identity(self):
-        report = lo.gram_sscp_eigenvalue_check(np.eye(2))
-        assert report.gram_eigenvalues == pytest.approx([1.0, 1.0])
-        assert report.sscp_eigenvalues == pytest.approx([1.0, 1.0])
-        assert report.max_relative_gap == 0.0
-        assert report.extra_zero_count == 0
+        assert gram_sscp_gap(np.eye(2)) == 0.0
+        assert np.array_equal(lo.principal_components(np.eye(2)).eigen.eigenvalues, [1.0, 1.0])
 
     def test_single_column_has_one_extra_zero(self):
         # V†V = [2]; VV† = [[1,1],[1,1]] with spectrum (2, 0)
-        report = lo.gram_sscp_eigenvalue_check(np.array([[1.0], [1.0]]))
-        assert report.gram_eigenvalues == pytest.approx([2.0])
-        assert report.sscp_eigenvalues == pytest.approx([2.0, 0.0], abs=1e-14)
-        assert report.max_relative_gap <= 1e-14
-        assert report.extra_zero_count == 1
+        v = np.array([[1.0], [1.0]])
+        assert lo.factorize(v).eigen.eigenvalues == pytest.approx([2.0])
+        assert lo.principal_components(v).eigen.eigenvalues == pytest.approx([2.0, 0.0], abs=1e-14)
+        assert gram_sscp_gap(v) <= 1e-14
 
     def test_shear_spectra_agree(self):
         # trace 3 and determinant 1 for both products
-        report = lo.gram_sscp_eigenvalue_check(SHEAR)
-        assert report.gram_eigenvalues == pytest.approx([GOLDEN_HI, GOLDEN_LO], abs=1e-13)
-        assert report.sscp_eigenvalues == pytest.approx([GOLDEN_HI, GOLDEN_LO], abs=1e-13)
-        assert report.max_relative_gap <= 1e-13
+        gram = lo.factorize(SHEAR).eigen.eigenvalues
+        sscp = lo.principal_components(SHEAR).eigen.eigenvalues
+        assert gram == pytest.approx([GOLDEN_HI, GOLDEN_LO], abs=1e-13)
+        assert sscp == pytest.approx([GOLDEN_HI, GOLDEN_LO], abs=1e-13)
+        assert gram_sscp_gap(SHEAR) <= 1e-13
 
-    def test_rejects_wide_input(self):
+    def test_rejects_wide_input(self, rng):
+        # The rank cutoff rejects a wide V before this check can, so pair a
+        # 3-column metric factorization with a 2-row V.
+        f = lo.factorize(random_full_rank(rng, 4, 3))
+        wide = dataclasses.replace(f, v=np.ones((2, 3)))
         with pytest.raises(DimensionMismatch):
-            lo.gram_sscp_eigenvalue_check(np.ones((2, 3)))
-        with pytest.raises(DimensionMismatch):
-            lo.compare_spectra([3.0, 2.0, 1.0], [3.0, 2.0])
+            wide.residuals("gram_sscp_gap")
 
     def test_full_rank_leftovers_are_counted(self, rng):
         v = random_full_rank(rng, 7, 3)
-        report = lo.gram_sscp_eigenvalue_check(v)
-        assert report.extra_zero_count == 4
-        assert report.max_relative_gap <= 1e-9
+        assert np.array_equal(lo.principal_components(v).eigen.eigenvalues[3:], np.zeros(4))
+        assert gram_sscp_gap(v) <= 1e-9
 
 
 class TestProjectionSquareSums:
@@ -225,6 +244,5 @@ def test_trace_is_conserved_across_democratic_bases(v):
 @settings(max_examples=30, deadline=None)
 @given(v=conditioned_matrices(complex_=True))
 def test_nonzero_spectra_agree(v):
-    report = lo.gram_sscp_eigenvalue_check(v)
-    assert report.max_relative_gap <= 1e-9
-    assert report.extra_zero_count == v.shape[0] - v.shape[1]
+    assert gram_sscp_gap(v) <= 1e-9
+    assert np.all(lo.principal_components(v).eigen.eigenvalues[v.shape[1]:] == 0.0)
