@@ -1,7 +1,9 @@
 """One metric factorization and everything derived from it.
 
 ``factorize`` diagonalizes M = V†V once and checks it; every other
-factor is a view of that one eigendecomposition M = U·diag(d)·U†:
+factor is a view of that one eigendecomposition M = U·diag(d)·U†.  The
+solve never forms M: it runs on T = R·R† from a QR of 2^-e·V†, a unitary
+similarity of 2^-2e·M (``ortho._metric_eigen``).
 
 * canonical basis Λ = V·U·d^{-1/2} and symmetric basis Φ = Λ·U†;
 * polar: V = Φ·H with H = M^{1/2} = U·diag(d^{1/2})·U†;

@@ -1,8 +1,12 @@
 """Dense complex matrix core.
 
-Everything downstream is built from the handful of primitives here:
-the Gram metric M = V†V and a Jacobi eigensolver for Hermitian
-matrices, whose eigendecomposition gives the powers M^p.
+Everything downstream is built from the handful of primitives here: a
+Jacobi eigensolver for Hermitian matrices, whose eigendecomposition
+gives the powers M^p, the overflow-checked Hermitian product a·a† that
+forms the matrices it diagonalizes, and the Gram metric M = V†V itself.
+The factor path never forms V†V (``ortho`` diagonalizes the QR-reduced
+R·R† instead); ``gram_metric`` stays as the direct definition, for
+comparison.
 
 The eigensolver sweeps in round-robin order (Brent & Luk, SIAM J. Sci.
 Stat. Comput. 6(1), 1985): each sweep is n - 1 steps (n for odd n),
@@ -74,6 +78,8 @@ class ToleranceConfig:
 
 DEFAULT_TOLERANCES = ToleranceConfig()
 
+_EPS = np.finfo(np.float64).eps
+
 
 @dataclass(frozen=True)
 class HermitianEigen:
@@ -90,11 +96,17 @@ class HermitianEigen:
     sweeps: int = 0
 
     def condition_estimate(self) -> float:
-        """Ratio largest/smallest eigenvalue, ``inf`` if not positive."""
-        smallest = float(self.eigenvalues[-1])
-        if smallest <= 0.0:
+        """Ratio largest/smallest eigenvalue, ``inf`` if singular to rounding.
+
+        The matrix counts as singular when d_min <= len(d)·ε·d_max, the
+        rounding floor of the solver, so an exactly singular input reads
+        ``inf`` whether its smallest computed eigenvalue came out as 0,
+        negative or a tiny positive number.
+        """
+        largest, smallest = float(self.eigenvalues[0]), float(self.eigenvalues[-1])
+        if smallest <= len(self.eigenvalues) * _EPS * largest:
             return math.inf
-        return float(self.eigenvalues[0]) / smallest
+        return largest / smallest
 
 
 def as_matrix(values) -> np.ndarray:
@@ -119,20 +131,38 @@ def gram_metric(v) -> np.ndarray:
 
     The product is re-symmetrized, so the result is Hermitian to the
     last bit and positive semidefinite up to rounding.  Raises
-    OverflowError if an entry leaves the float64 range.
+    OverflowError if an entry leaves the float64 range.  ``factorize``
+    does not call it: its solve runs on the QR-reduced R·R†, which is
+    unitarily similar to 2^-2e·M.
     """
     v = as_matrix(v)
-    return _hermitian_product(v.conj().T, v, "V†V")
+    return _hermitian_product(v.conj().T, "V†V", "V")
 
 
-def _hermitian_product(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
-    """The re-symmetrized product a·b = (a·b)†, checked for overflow."""
+def _hermitian_product(a: np.ndarray, name: str, operand: str) -> np.ndarray:
+    """The re-symmetrized product a·a†, checked for overflow.
+
+    ``name`` labels the product and ``operand`` the matrix ``a`` (or its
+    adjoint) in the OverflowError message, which quotes max|a|.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        p = a @ b
+        p = a @ a.conj().T
         p = (p + p.conj().T) / 2.0
     if not np.all(np.isfinite(p)):
-        raise OverflowError(f"{name} overflows float64 (max|V| = {max_abs(b):.3e})")
+        raise OverflowError(f"{name} overflows float64 (max|{operand}| = {max_abs(a):.3e})")
     return p
+
+
+def _scaled_to_unit(a: np.ndarray) -> tuple:
+    """(2^-e·a, e), with e the ``frexp`` exponent of a's largest real or imaginary part.
+
+    The largest part of the result lies in [1/2, 1).  Scaling by a power
+    of two changes no entry that stays normal, so 2^k·a gives the same
+    scaled matrix bit for bit.
+    """
+    parts = np.ascontiguousarray(a).view(np.float64)
+    exponent = math.frexp(max_abs(parts))[1]
+    return np.ldexp(parts, -exponent).view(np.complex128), exponent
 
 
 def _check_hermitian(m, cfg: ToleranceConfig) -> np.ndarray:
@@ -161,16 +191,21 @@ def apply_phase_convention(u) -> np.ndarray:
     computations comparable entrywise.
     """
     out = np.array(u, dtype=np.complex128, copy=True)
-    for j in range(out.shape[1]):
-        column = out[:, j]
-        k = int(np.argmax(np.abs(column)))
-        pivot = column[k]
-        modulus = abs(pivot)
-        if modulus > 0.0:
-            out[:, j] = column * (pivot.conjugate() / modulus)
-            # The pivot itself is |pivot| by construction; write it
-            # directly so the convention holds exactly, not to rounding.
-            out[k, j] = modulus
+    columns = np.arange(out.shape[1])
+    rows = np.argmax(np.abs(out), axis=0)
+    pivots = out[rows, columns]
+    moduli = np.hypot(pivots.real, pivots.imag)  # abs() of each pivot, bit for bit
+    live = moduli > 0.0
+    # Each factor is the numpy-scalar division conj(pivot)/|pivot|; an
+    # array-wide division need not round the same way.
+    factors = np.array(
+        [p.conjugate() / m if m > 0.0 else 1.0 for p, m in zip(pivots, moduli)],
+        dtype=np.complex128,
+    )
+    np.multiply(out, factors, out=out, where=live)
+    # Each pivot is |pivot| by construction; write it directly so the
+    # convention holds exactly, not to rounding.
+    out[rows[live], columns[live]] = moduli[live]
     return out
 
 
@@ -311,12 +346,9 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     """
     a = _check_hermitian(m, cfg)
     n = a.shape[0]
-    # Work on 2^-e·M, whose largest real or imaginary part is in
-    # [1/2, 1), so neither the symmetrization nor any norm below can
-    # overflow; a power of two changes no entry that stays normal.
-    parts = np.ascontiguousarray(a).view(np.float64)
-    exponent = math.frexp(max_abs(parts))[1]
-    a = np.ldexp(parts, -exponent).view(np.complex128)
+    # Work on 2^-e·M, so neither the symmetrization nor any norm below
+    # can overflow.
+    a, exponent = _scaled_to_unit(a)
     a = (a + a.conj().T) / 2.0
     size = n + n % 2
     last, position, steps, blocks = _layouts(n)

@@ -71,7 +71,7 @@ def principal_components(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SscpRe
     retained = min(n, m)
     q, r = np.linalg.qr(v, mode="complete")
     top = r[:retained]
-    reduced = hermitian_eigen(_hermitian_product(top, top.conj().T, "R·R†"), cfg)
+    reduced = hermitian_eigen(_hermitian_product(top, "R·R†", "R"), cfg)
     values = np.concatenate((reduced.eigenvalues, np.zeros(n - retained)))
     # A rank-deficient T can end on a tiny negative eigenvalue, which
     # belongs after the padded zeros.

@@ -43,6 +43,25 @@ def hermitian_2x2_power(a: float, b: float, c: float, p: float) -> np.ndarray:
     return result
 
 
+def phase_convention_by_columns(u) -> np.ndarray:
+    """The package phase convention, one column at a time.
+
+    The largest-modulus entry (lowest row on ties) of each nonzero
+    column is made real and non-negative by the factor conj(pivot)/|pivot|
+    and then written as |pivot|; zero columns are left alone.
+    """
+    out = np.array(u, dtype=np.complex128, copy=True)
+    for j in range(out.shape[1]):
+        column = out[:, j]
+        k = int(np.argmax(np.abs(column)))
+        pivot = column[k]
+        modulus = abs(pivot)
+        if modulus > 0.0:
+            out[:, j] = column * (pivot.conjugate() / modulus)
+            out[k, j] = modulus
+    return out
+
+
 def lapack_inverse_sqrt_route(v) -> np.ndarray:
     """V·M^(-1/2) for M = V†V, with M^(-1/2) built from ``numpy.linalg.eigh``."""
     v = np.asarray(v, dtype=np.complex128)

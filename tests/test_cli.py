@@ -60,6 +60,17 @@ class TestSymmetricCommand:
         assert report["eigenvalues"] == pytest.approx([GOLDEN_HI, GOLDEN_LO])
         assert report["condition_estimate"] == pytest.approx(GOLDEN_HI / GOLDEN_LO)
 
+    @pytest.mark.parametrize("text", ["1e154,0\n0,1e154\n", "9e153,9e153\n1e150,-1e150\n"])
+    def test_input_whose_gram_matrix_overflows(self, tmp_path, text):
+        # V†V is never formed, so only d must fit in float64.  For the second
+        # input R·R† would overflow if V were not scaled by 2^-e first.
+        source = tmp_path / "in.csv"
+        source.write_text(text)
+        assert run_cli("symmetric", source, tmp_path / "out") == 0
+        report = load_report(tmp_path / "out")
+        assert report["pass"] is True and report["error"] is None
+        assert report["residuals"]["orthonormality"] <= lo.DEFAULT_TOLERANCES.orthonormality_tol
+
 
 class TestCanonicalCommand:
     def test_writes_lambda(self, tmp_path):

@@ -130,8 +130,9 @@ class TestFactorizationResiduals:
         # The gap pairs the metric spectrum with principal_components' one.
         for n, m in ((3, 3), (6, 2), (5, 4)):
             v = random_full_rank(rng, n, m, complex_=True)
-            gap = lo.factorize(v).residuals("gram_sscp_gap")["gram_sscp_gap"]
-            d = lo.hermitian_eigen(lo.gram_metric(v)).eigenvalues
+            f = lo.factorize(v)
+            gap = f.residuals("gram_sscp_gap")["gram_sscp_gap"]
+            d = f.eigen.eigenvalues
             scores = lo.principal_components(v).eigen.eigenvalues[:m]
             assert gap == float(np.max(np.abs(scores - d) / np.abs(d)))
 

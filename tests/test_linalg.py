@@ -11,7 +11,7 @@ from lowdin.linalg import _schedule
 from lowdin.ortho import UNITARY_TOL
 
 from conftest import random_matrix, random_unitary
-from oracles import hermitian_2x2_power
+from oracles import hermitian_2x2_power, phase_convention_by_columns
 
 I2 = np.eye(2)
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
@@ -334,6 +334,75 @@ class TestPhaseConvention:
     def test_leaves_zero_columns_alone(self):
         u = np.zeros((2, 1), dtype=complex)
         assert np.array_equal(lo.apply_phase_convention(u), u)
+
+    def test_matches_the_column_loop_bitwise(self, rng):
+        for trial in range(400):
+            n, m = rng.integers(1, 18, 2)
+            u = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+            if trial % 4 == 1:
+                u = np.round(2.0 * u)  # ties in modulus, signed zeros
+            elif trial % 4 == 2:
+                u[:, rng.integers(0, m, 2)] = 0.0  # zero columns
+            elif trial % 4 == 3:
+                u = u * np.ldexp(1.0, int(rng.integers(-1000, 1000)))
+            fixed = lo.apply_phase_convention(u)
+            assert fixed.tobytes() == phase_convention_by_columns(u).tobytes()
+
+
+def exactly_singular_inputs():
+    """Integer V, n <= 6, whose columns are exactly dependent.
+
+    Per shape and draw: the last column an integer multiple of the first,
+    the last column the sum of the others, and a rank-1 outer product;
+    odd draws are complex.
+    """
+    rng = np.random.default_rng(356)
+    for n in range(2, 7):
+        for m in range(2, n + 1):
+            for draw in range(8):
+                phase = 1j if draw % 2 else 1.0
+                a = rng.integers(-4, 5, (n, m)) + phase * rng.integers(-4, 5, (n, m))
+                multiple = a.copy()
+                multiple[:, -1] = rng.choice([-3, -2, 2, 3]) * a[:, 0]
+                summed = a.copy()
+                summed[:, -1] = a[:, :-1].sum(axis=1)
+                rank_one = phase * np.outer(rng.integers(1, 5, n), rng.integers(-4, 5, m))
+                yield from (multiple, summed, rank_one)
+
+
+class TestConditionEstimate:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize(
+        "eigenvalues, expected",
+        [
+            ([4.0, 2.0], 2.0),
+            ([1.0, 1e-15], 1e15),
+            ([1.0, 4.4e-16], math.inf),  # at the rounding floor 2·ε·d_max
+            ([1.0, 3.9e-32], math.inf),
+            ([1.0, 0.0], math.inf),
+            ([1.0, -1e-17], math.inf),
+            ([0.0, 0.0], math.inf),
+        ],
+    )
+    def test_inf_within_rounding_of_zero(self, eigenvalues, expected):
+        eigen = lo.HermitianEigen(eigenvalues=np.array(eigenvalues), eigenvectors=np.eye(2))
+        assert eigen.condition_estimate() == pytest.approx(expected)
+
+    def test_rounding_floor_scales_with_the_dimension(self):
+        d = np.array([1.0, 1.0, 1.0, 3.0 * self.EPS])
+        eigen = lo.HermitianEigen(eigenvalues=d, eigenvectors=np.eye(4))
+        assert eigen.condition_estimate() == math.inf
+        eigen = lo.HermitianEigen(eigenvalues=d[[0, 3]], eigenvectors=np.eye(2))
+        assert eigen.condition_estimate() == pytest.approx(1.0 / (3.0 * self.EPS))
+
+    def test_every_exactly_singular_metric_reads_inf(self):
+        cases = list(exactly_singular_inputs())
+        assert len(cases) == 360
+        for v in cases:
+            with pytest.raises(SingularMetric) as excinfo:
+                lo.factorize(v)
+            assert excinfo.value.condition == math.inf, v
 
 
 class TestToleranceConfig:

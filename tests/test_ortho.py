@@ -1,6 +1,9 @@
 """Symmetric and canonical orthogonalization."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lowdin as lo
+from lowdin.cli import main
 from lowdin.errors import DimensionMismatch, NotUnitary, SingularMetric
 from lowdin.ortho import Method
 
@@ -155,6 +159,57 @@ class TestPowerOfTwoScaling:
         v = random_full_rank(rng, 5, 3, complex_=True)
         phi = lo.symmetric_orthogonalize(v).matrix
         assert np.array_equal(lo.symmetric_orthogonalize(np.ldexp(1.0, k) * v).matrix, phi)
+
+
+def _condition_sweep_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "condition_sweep.py"
+    spec = importlib.util.spec_from_file_location("condition_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestMetricSolve:
+    """M = V†V is diagonalized as R·R† from a QR of 2^-e·V†, never formed."""
+
+    def test_factors_never_call_gram_metric(self, rng, tmp_path, monkeypatch):
+        def refuse(v):
+            raise AssertionError("gram_metric is not on the factor path")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "lowdin" and hasattr(module, "gram_metric"):
+                monkeypatch.setattr(module, "gram_metric", refuse)
+        v = random_full_rank(rng, 5, 3, complex_=True)
+        cfg = lo.DEFAULT_TOLERANCES
+        residuals = lo.factorize(v).residuals()
+        assert max(residuals.values()) <= cfg.reconstruction_tol
+        assert lo.verify_orthonormal(lo.symmetric_orthogonalize(v).matrix).passed
+        assert lo.verify_orthonormal(lo.polar_decompose(v).orthonormal.matrix).passed
+        svd = lo.reduced_svd(v)
+        assert lo.max_abs(lo.reconstruct_svd(svd) - v) <= cfg.reconstruction_tol
+        source = tmp_path / "v.csv"
+        source.write_text("2,1\n1,3\n0,1\n")
+        assert main(["relations", "--input", str(source), "--output-dir", str(tmp_path)]) == 0
+
+    def test_sweep_count_on_an_ill_conditioned_64x64(self):
+        # cond(M) = 1e10: the solve on R·R† takes 10 sweeps, the Gram route 16.
+        v = _condition_sweep_script().controlled_matrix(np.random.default_rng(0), 64, 1e10)
+        assert lo.factorize(v).eigen.sweeps == 10
+        assert lo.hermitian_eigen(lo.gram_metric(v)).sweeps == 16
+
+    def test_orthonormal_at_metric_condition_1e10(self):
+        # The ensemble of ``condition_sweep.py --dim 8 --trials 10``; its last
+        # level is cond(M) = 1e10, where the Gram route reached 6e-8.
+        script = _condition_sweep_script()
+        rng = np.random.default_rng(0)
+        for exponent in range(0, 11, 2):
+            worst = script.worst_residuals(rng, 8, 10.0**exponent, 10)
+            assert worst["orthonorm"] <= lo.DEFAULT_TOLERANCES.orthonormality_tol
+
+    def test_eigenvalue_overflow_is_reported_against_v(self):
+        # V is representable but d = 1e400 is not.
+        with pytest.raises(OverflowError, match=r"^V†V overflows float64 \(max\|V\| = 1\.000e\+200\)$"):
+            lo.factorize(1e200 * np.eye(2))
 
 
 class TestRequireUnitary:

@@ -139,6 +139,15 @@ class TestReducedSscpSolve:
         scores = lo.principal_components(v).component_scores
         assert scores == pytest.approx([2 * 7e153**2, 2 * 3.5e153**2], rel=1e-14)
 
+    def test_overflow_message_quotes_the_operand_it_measures(self):
+        # test_cli's "sscp_overflow" input: R·R† overflows, and the message
+        # quotes max|R| under R's name (R's first entry is ‖v_0‖, not max|V|).
+        v = np.array([[9e153, 9e153], [1e150, -1e150]])
+        r = np.linalg.qr(v)[1]
+        with pytest.raises(OverflowError) as excinfo:
+            lo.principal_components(v)
+        assert str(excinfo.value) == f"R·R† overflows float64 (max|R| = {lo.max_abs(r):.3e})"
+
     @pytest.mark.parametrize("n,m", SSCP_SHAPES)
     def test_one_solve_of_min_dimension(self, rng, n, m, monkeypatch):
         import lowdin.pca
