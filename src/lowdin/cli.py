@@ -13,6 +13,7 @@ writes ``report.json``, with ``error`` filled in when it failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -245,6 +246,7 @@ def _precision_arg(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lowdin",

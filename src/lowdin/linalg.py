@@ -17,9 +17,12 @@ and the eigenvectors of 2^k·M are those of M bit for bit while the
 entries of 2^k·M stay normal numbers.  Pivots below the normal range
 get no rotation and are set to zero.
 
-Matrices are plain ``numpy`` arrays with ``complex128`` entries.  Real
-input is fine everywhere; it is promoted to complex and real output
-stays real to rounding.  All functions are pure and never mutate their
+Matrices are plain ``numpy`` arrays; ``as_matrix`` gives them
+``complex128`` entries, and eigenvectors are returned as ``complex128``.
+Inside the eigensolver the work array follows the data: a matrix whose
+imaginary parts are all zero is rotated in ``float64``, any other in
+``complex128``, by the same step code, whose rotations use real
+arithmetic only.  All functions are pure and never mutate their
 arguments, so values can be shared freely between threads.
 
 Conventions, fixed once and used by every module:
@@ -266,7 +269,7 @@ def _layouts(n: int) -> tuple:
     return orders[-1].copy(), positions[-1].copy(), tuple(zip(gathers, entries)), blocks
 
 
-def _jacobi_step(aw: np.ndarray, step: tuple, blocks: tuple) -> np.ndarray:
+def _jacobi_step(aw: np.ndarray, step: tuple, blocks: tuple) -> None:
     """Rotate every pair of one round-robin step at once.
 
     ``aw`` stacks the working matrix A and W = U†, the conjugate
@@ -277,6 +280,13 @@ def _jacobi_step(aw: np.ndarray, step: tuple, blocks: tuple) -> np.ndarray:
     R†(R†A)† because A is Hermitian.  The pairs are disjoint, so their
     rotations commute, and each 2x2 block of R†AR is written in closed
     form.
+
+    R† = G·diag(1, e^{iφ}) with G = [[c, -s], [s, c]] real, so each
+    product multiplies the q rows by e^{iφ} and then applies the stacked
+    G with one real ``matmul`` on the float64 view, where a complex row
+    of length n is a real row of length 2n.  A real aw keeps its dtype:
+    its phases are ±1 and its float64 view is itself.  ``aw`` must be
+    C-contiguous; it is updated in place.
     """
     gather, entries = step
     size = gather.shape[0]
@@ -299,11 +309,31 @@ def _jacobi_step(aw: np.ndarray, step: tuple, blocks: tuple) -> np.ndarray:
     t = np.copysign(r2, gap) / (np.abs(gap) + np.hypot(gap, r2) + dead)
     c = 1.0 / np.hypot(1.0, t)
     s = t * c
-    adjoint = np.array([[c, -s * phase], [s, c * phase]]).transpose(2, 0, 1)  # R† per pair
+    g = np.empty((half, 2, 2))
+    g[:, 0, 0] = c
+    g[:, 0, 1] = -s
+    g[:, 1, 0] = s
+    g[:, 1, 1] = c
+    phase = phase[:, None]
 
-    aw = np.matmul(adjoint, aw[:, gather].reshape(2, half, 2, size)).reshape(2, size, size)
+    # ``take`` copies, so each product can write straight into aw.
+    rows = aw.take(gather, axis=1)
+    rows[:, 1::2] *= phase
+    np.matmul(
+        g,
+        rows.view(np.float64).reshape(2, half, 2, -1),
+        out=aw.view(np.float64).reshape(2, half, 2, -1),
+    )
     a = aw[0]
-    a[:] = np.matmul(adjoint, a.conj().T[gather].reshape(half, 2, size)).reshape(size, size)
+    # The rows of (R†A)† are the conjugated columns of R†A.
+    rows = a.T.take(gather, axis=0)
+    np.conjugate(rows, out=rows)
+    rows[1::2] *= phase
+    np.matmul(
+        g,
+        rows.view(np.float64).reshape(half, 2, -1),
+        out=a.view(np.float64).reshape(half, 2, -1),
+    )
     # The transformed 2x2 blocks are known in closed form; writing them
     # directly keeps the diagonal real and each pivot exactly zero.
     diagonal_p, diagonal_q, pivots = blocks
@@ -312,7 +342,6 @@ def _jacobi_step(aw: np.ndarray, step: tuple, blocks: tuple) -> np.ndarray:
     flat[diagonal_p] = app - shift
     flat[diagonal_q] = aqq + shift
     flat[pivots] = 0.0
-    return aw
 
 
 def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEigen:
@@ -350,11 +379,13 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     # can overflow.
     a, exponent = _scaled_to_unit(a)
     a = (a + a.conj().T) / 2.0
+    if not np.any(a.imag):
+        a = a.real
     size = n + n % 2
     last, position, steps, blocks = _layouts(n)
     # A (padded with a zero dummy row and column for odd n) and W = I,
-    # both stored in the layout a sweep starts from.
-    aw = np.zeros((2, size, size), dtype=np.complex128)
+    # both stored in the layout a sweep starts from, in A's own dtype.
+    aw = np.zeros((2, size, size), dtype=a.dtype)
     aw[0, :n, :n] = a
     aw[0] = aw[0][last][:, last]
     aw[1] = np.eye(size)[last]
@@ -370,14 +401,14 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
                 off_norm=float(np.ldexp(off, exponent)),
             )
         for step in steps:
-            aw = _jacobi_step(aw, step, blocks)
+            _jacobi_step(aw, step, blocks)
         sweeps += 1
         off = _off_diagonal_norm(aw[0])
     # One polish sweep after the target is met takes the quadratically
     # shrinking remainder to about zero, unless the sweeps are used up.
     if off > 0.0 and sweeps < cfg.max_sweeps:
         for step in steps:
-            aw = _jacobi_step(aw, step, blocks)
+            _jacobi_step(aw, step, blocks)
         sweeps += 1
     position = position[:n]  # of each index in the final layout; drops the dummy
     diag = np.real(np.diagonal(aw[0]))[position]

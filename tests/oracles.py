@@ -69,6 +69,34 @@ def lapack_inverse_sqrt_route(v) -> np.ndarray:
     return v @ ((u / np.sqrt(d)) @ u.conj().T)
 
 
+def jacobi_rotations(a, w, pairs):
+    """R†·A·R and R†·W for the plane rotations of disjoint index pairs.
+
+    Each pair (p, q) with a[p,q] = r·e^{iφ} gets R[p,p] = c, R[p,q] = s,
+    R[q,p] = -s·e^{-iφ}, R[q,q] = c·e^{-iφ}, where t = s/c is the root
+    of smaller modulus of t² + 2ζt - 1 = 0, ζ = (a[q,q] - a[p,p])/2r
+    (t ≥ 0 when ζ = 0).  A zero pivot gets the identity.  R is built one
+    pair at a time as a full matrix, and the products are plain complex
+    matrix products.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    rotation = np.eye(a.shape[0], dtype=np.complex128)
+    for p, q in pairs:
+        apq = complex(a[p, q])
+        r = abs(apq)
+        if r == 0.0:
+            continue
+        phase = apq / r
+        zeta = (a[q, q].real - a[p, p].real) / (2.0 * r)
+        t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+        c = 1.0 / math.sqrt(1.0 + t * t)
+        s = t * c
+        rotation[p, p], rotation[p, q] = c, s
+        rotation[q, p], rotation[q, q] = -s * phase.conjugate(), c * phase.conjugate()
+    adjoint = rotation.conj().T
+    return adjoint @ a @ rotation, adjoint @ np.asarray(w, dtype=np.complex128)
+
+
 def characteristic_coefficients_3x3(matrix):
     """Exact (c2, c1, c0) with det(xI - M) = x^3 - c2 x^2 + c1 x - c0.
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lowdin as lo
-from lowdin.cli import COMMANDS, RunConfig, main, run
+from lowdin.cli import COMMANDS, RunConfig, _build_parser, main, run
 from lowdin.matrixio import parse_matrix_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -403,6 +403,24 @@ class TestRunConfigValidation:
     def test_rejects_bad_format(self):
         with pytest.raises(ValueError):
             RunConfig(command="svd", input_path=Path("x.csv"), format="xlsx")
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_options_of_one_run_do_not_leak_into_the_next(self, tmp_path):
+        def report(name, *extra):
+            run_cli("verify", FIXTURES / "rand_4x3.csv", tmp_path / name, *extra)
+            data = load_report(tmp_path / name)
+            del data["elapsed_ms"]
+            return data
+
+        before = report("before")
+        assert report("capped", "--max-sweeps", "2")["error"]["type"] == "NoConvergence"
+        after = report("after")
+        assert after == before
+        assert after["pass"] is True
 
 
 class TestDeterminism:

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import lowdin as lo
+import lowdin.linalg
 from lowdin.errors import DimensionMismatch, NoConvergence, NotHermitian, SingularMetric
-from lowdin.linalg import _schedule
+from lowdin.linalg import _jacobi_step, _layouts, _schedule
 from lowdin.ortho import UNITARY_TOL
 
-from conftest import random_matrix, random_unitary
-from oracles import hermitian_2x2_power, phase_convention_by_columns
+from conftest import random_full_rank, random_matrix, random_unitary
+from oracles import hermitian_2x2_power, jacobi_rotations, phase_convention_by_columns
 
 I2 = np.eye(2)
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
@@ -200,6 +201,81 @@ class TestAgainstLapack:
                 assert np.array_equal(first.eigenvalues, second.eigenvalues)
                 assert np.array_equal(first.eigenvectors, second.eigenvectors)
                 assert first.sweeps == second.sweeps
+
+
+class TestKernelDtype:
+    """The Jacobi work array keeps the dtype of the (symmetrized) input."""
+
+    @staticmethod
+    def spy_on_steps(monkeypatch):
+        seen = []
+        step = lowdin.linalg._jacobi_step
+
+        def spy(aw, *args):
+            seen.append(aw.dtype)
+            step(aw, *args)
+
+        monkeypatch.setattr(lowdin.linalg, "_jacobi_step", spy)
+        return seen
+
+    def test_real_input_stays_float64(self, rng, monkeypatch):
+        seen = self.spy_on_steps(monkeypatch)
+        a = random_matrix(rng, 9, 9)
+        assert lo.hermitian_eigen((a + a.T) / 2.0).eigenvectors.dtype == np.complex128
+        lo.factorize(random_full_rank(rng, 8, 5)).residuals()  # metric and SSCP solves
+        assert seen and set(seen) == {np.dtype(np.float64)}
+
+    def test_one_imaginary_pair_runs_complex(self, rng, monkeypatch):
+        n = 9
+        a = random_matrix(rng, n, n)
+        h = (a + a.T) / 2.0 + 0j
+        h[2, 6] += 0.25j
+        h[6, 2] -= 0.25j
+        seen = self.spy_on_steps(monkeypatch)
+        eigen = lo.hermitian_eigen(h)
+        assert seen and set(seen) == {np.dtype(np.complex128)}
+        reference = np.linalg.eigh(h)[0][::-1]
+        scale = np.max(np.abs(reference))
+        assert lo.max_abs(eigen.eigenvalues - reference) <= 1e-13 * n * scale
+        u = eigen.eigenvectors
+        assert lo.max_abs((u * eigen.eigenvalues) @ u.conj().T - h) <= 1e-13 * n * scale
+
+    def test_real_and_complex_typed_input_are_bitwise_equal(self, rng):
+        a = random_matrix(rng, 11, 11)
+        h = (a + a.T) / 2.0
+        v = random_full_rank(rng, 8, 5)
+        real, typed = lo.factorize(v), lo.factorize(v.astype(complex))
+        pairs = [
+            (lo.hermitian_eigen(h), lo.hermitian_eigen(h.astype(complex))),
+            (real.eigen, typed.eigen),
+        ]
+        for first, second in pairs:
+            assert np.array_equal(first.eigenvalues, second.eigenvalues)
+            assert np.array_equal(first.eigenvectors, second.eigenvectors)
+            assert first.sweeps == second.sweeps
+        assert np.array_equal(real.phi.matrix, typed.phi.matrix)
+
+
+class TestJacobiStep:
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 8, 13, 19])
+    def test_step_matches_per_pair_rotations(self, rng, n, complex_):
+        size = n + n % 2
+        schedule = _schedule(n)
+        orders = schedule.reshape(size - 1, size)
+        steps, blocks = _layouts(n)[2:]
+        eps = np.finfo(float).eps
+        for k in range(size - 1):
+            x = random_matrix(rng, n, n, complex_)
+            a = np.zeros((size, size), dtype=x.dtype)
+            a[:n, :n] = (x + x.conj().T) / 2.0
+            w = random_unitary(rng, size, complex_)
+            before, after = orders[k - 1], orders[k]  # step -1 is the sweep's last
+            aw = np.stack((a[before][:, before], w[before]))
+            _jacobi_step(aw, steps[k], blocks)
+            a_ref, w_ref = jacobi_rotations(a, w, schedule[k])
+            assert lo.max_abs(aw[0] - a_ref[after][:, after]) <= 8 * eps * lo.max_abs(a)
+            assert lo.max_abs(aw[1] - w_ref[after]) <= 8 * eps * lo.max_abs(w)
 
 
 class TestPowerOfTwoScaling:
