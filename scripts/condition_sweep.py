@@ -3,7 +3,8 @@
 
 Builds square matrices with a prescribed singular value spread, so
 cond(V†V) is controlled exactly, and tracks the key residuals as the
-conditioning worsens.  Shows where the default tolerances stop being
+conditioning worsens, with the most Jacobi sweeps a metric solve took
+at each level.  Shows where the default tolerances stop being
 comfortable (the rank cutoff rejects inputs with cond around 1/rank_tol).
 
 Usage:
@@ -35,15 +36,22 @@ COLUMNS = {
 }
 
 
-def worst_residuals(rng, n, metric_condition, trials):
+def worst_level(rng, n, metric_condition, trials):
+    """Worst value of each residual column, and the most Jacobi sweeps of a metric solve."""
     worst = dict.fromkeys(COLUMNS, 0.0)
+    sweeps = 0
     wanted = [name for names in COLUMNS.values() for name in names]
     for _ in range(trials):
-        v = controlled_matrix(rng, n, metric_condition)
-        residuals = lo.factorize(v).residuals(*wanted)
+        f = lo.factorize(controlled_matrix(rng, n, metric_condition))
+        residuals = f.residuals(*wanted)
         for column, names in COLUMNS.items():
             worst[column] = max(worst[column], *(residuals[name] for name in names))
-    return worst
+        sweeps = max(sweeps, f.eigen.sweeps)
+    return worst, sweeps
+
+
+def worst_residuals(rng, n, metric_condition, trials):
+    return worst_level(rng, n, metric_condition, trials)[0]
 
 
 def main():
@@ -55,11 +63,12 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     print(f"dim {args.dim}, {args.trials} trials per condition level")
-    print(f"{'cond(V†V)':>10}" + "".join(f"{column:>12}" for column in COLUMNS))
+    print(f"{'cond(V†V)':>10}" + "".join(f"{column:>12}" for column in COLUMNS) + f"{'sweeps':>8}")
     for exponent in range(0, 11, 2):
         cond = 10.0**exponent
-        worst = worst_residuals(rng, args.dim, cond, args.trials)
-        print(f"{cond:>10.0e}" + "".join(f"{value:>12.2e}" for value in worst.values()))
+        worst, sweeps = worst_level(rng, args.dim, cond, args.trials)
+        values = "".join(f"{value:>12.2e}" for value in worst.values())
+        print(f"{cond:>10.0e}{values}{sweeps:>8}")
 
 
 if __name__ == "__main__":

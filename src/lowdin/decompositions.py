@@ -2,8 +2,8 @@
 
 ``factorize`` diagonalizes M = V†V once and checks it; every other
 factor is a view of that one eigendecomposition M = U·diag(d)·U†.  The
-solve never forms M: it runs on T = R·R† from a QR of 2^-e·V†, a unitary
-similarity of 2^-2e·M (``ortho._metric_eigen``).
+solve never forms M: it runs on T = L†·L after QR/LQ rounds on
+2^-e·V, a unitary similarity of 2^-2e·M (``ortho._metric_eigen``).
 
 * canonical basis Λ = V·U·d^{-1/2} and symmetric basis Φ = Λ·U†;
 * polar: V = Φ·H with H = M^{1/2} = U·diag(d^{1/2})·U†;
@@ -12,7 +12,8 @@ similarity of 2^-2e·M (``ortho._metric_eigen``).
 The conversions Λ = Φ·U, Φ = Λ·U†, and Φ = W·U† move between the bases
 using that shared eigendecomposition.  The SSCP principal components of
 S = V·V† are the one other solve, on the min(n, m)-square matrix R_k·R_k†
-from a QR of V (``principal_components``); their spectrum cross-checks d.
+from a QR of 2^-e·V (``principal_components``); their spectrum
+cross-checks d.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Everything downstream is built from the handful of primitives here: a
 Jacobi eigensolver for Hermitian matrices, whose eigendecomposition
 gives the powers M^p, the overflow-checked Hermitian product a·a† that
 forms the matrices it diagonalizes, and the Gram metric M = V†V itself.
-The factor path never forms V†V (``ortho`` diagonalizes the QR-reduced
-R·R† instead); ``gram_metric`` stays as the direct definition, for
-comparison.
+The factor path never forms V†V (``ortho`` diagonalizes L†·L after
+QR/LQ rounds on V instead); ``gram_metric`` stays as the direct
+definition, for comparison.
 
 The eigensolver sweeps in round-robin order (Brent & Luk, SIAM J. Sci.
 Stat. Comput. 6(1), 1985): each sweep is n - 1 steps (n for odd n),
@@ -22,8 +22,10 @@ Matrices are plain ``numpy`` arrays; ``as_matrix`` gives them
 Inside the eigensolver the work array follows the data: a matrix whose
 imaginary parts are all zero is rotated in ``float64``, any other in
 ``complex128``, by the same step code, whose rotations use real
-arithmetic only.  All functions are pure and never mutate their
-arguments, so values can be shared freely between threads.
+arithmetic only (``_real_valued`` is the rule, and the QRs that
+precondition the metric and SSCP solves follow it too).  All functions
+are pure and never mutate their arguments, so values can be shared
+freely between threads.
 
 Conventions, fixed once and used by every module:
 
@@ -135,8 +137,8 @@ def gram_metric(v) -> np.ndarray:
     The product is re-symmetrized, so the result is Hermitian to the
     last bit and positive semidefinite up to rounding.  Raises
     OverflowError if an entry leaves the float64 range.  ``factorize``
-    does not call it: its solve runs on the QR-reduced R·R†, which is
-    unitarily similar to 2^-2e·M.
+    does not call it: its solve runs on L†·L from QR/LQ rounds on 2^-e·V,
+    which is unitarily similar to 2^-2e·M.
     """
     v = as_matrix(v)
     return _hermitian_product(v.conj().T, "V†V", "V")
@@ -166,6 +168,27 @@ def _scaled_to_unit(a: np.ndarray) -> tuple:
     parts = np.ascontiguousarray(a).view(np.float64)
     exponent = math.frexp(max_abs(parts))[1]
     return np.ldexp(parts, -exponent).view(np.complex128), exponent
+
+
+def _scaled_back(d: np.ndarray, exponent: int, product: str, v: np.ndarray) -> np.ndarray:
+    """2^2e·d: eigenvalues of the ``product`` of V from those of 2^-e·V's.
+
+    Raises OverflowError, quoting max|V|, if one leaves the float64 range.
+    """
+    with np.errstate(over="ignore"):
+        d = np.ldexp(d, 2 * exponent)
+    if not np.all(np.isfinite(d)):
+        raise OverflowError(f"{product} overflows float64 (max|V| = {max_abs(v):.3e})")
+    return d
+
+
+def _real_valued(a: np.ndarray) -> np.ndarray:
+    """``a.real`` when no imaginary part of ``a`` is nonzero, else ``a`` itself.
+
+    Dropping imaginary parts that are all zero changes no value, and
+    float64 arithmetic costs a fraction of complex128's.
+    """
+    return a if np.any(a.imag) else a.real
 
 
 def _check_hermitian(m, cfg: ToleranceConfig) -> np.ndarray:
@@ -285,8 +308,10 @@ def _jacobi_step(aw: np.ndarray, step: tuple, blocks: tuple) -> None:
     product multiplies the q rows by e^{iφ} and then applies the stacked
     G with one real ``matmul`` on the float64 view, where a complex row
     of length n is a real row of length 2n.  A real aw keeps its dtype:
-    its phases are ±1 and its float64 view is itself.  ``aw`` must be
-    C-contiguous; it is updated in place.
+    its float64 view is itself, and its phases are ±1, so they are
+    folded into G's second column instead (a sign flip is exact, so the
+    result is bitwise the same).  ``aw`` must be C-contiguous; it is
+    updated in place.
     """
     gather, entries = step
     size = gather.shape[0]
@@ -309,16 +334,22 @@ def _jacobi_step(aw: np.ndarray, step: tuple, blocks: tuple) -> None:
     t = np.copysign(r2, gap) / (np.abs(gap) + np.hypot(gap, r2) + dead)
     c = 1.0 / np.hypot(1.0, t)
     s = t * c
+    real = aw.dtype == np.float64
     g = np.empty((half, 2, 2))
     g[:, 0, 0] = c
     g[:, 0, 1] = -s
     g[:, 1, 0] = s
     g[:, 1, 1] = c
+    if real:
+        # A real phase is ±1: fold it into G's second column, which flips
+        # the same signs exactly, so the q rows need no multiply.
+        g[:, :, 1] *= phase[:, None]
     phase = phase[:, None]
 
     # ``take`` copies, so each product can write straight into aw.
     rows = aw.take(gather, axis=1)
-    rows[:, 1::2] *= phase
+    if not real:
+        rows[:, 1::2] *= phase
     np.matmul(
         g,
         rows.view(np.float64).reshape(2, half, 2, -1),
@@ -327,8 +358,9 @@ def _jacobi_step(aw: np.ndarray, step: tuple, blocks: tuple) -> None:
     a = aw[0]
     # The rows of (R†A)† are the conjugated columns of R†A.
     rows = a.T.take(gather, axis=0)
-    np.conjugate(rows, out=rows)
-    rows[1::2] *= phase
+    if not real:
+        np.conjugate(rows, out=rows)
+        rows[1::2] *= phase
     np.matmul(
         g,
         rows.view(np.float64).reshape(half, 2, -1),
@@ -378,9 +410,7 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     # Work on 2^-e·M, so neither the symmetrization nor any norm below
     # can overflow.
     a, exponent = _scaled_to_unit(a)
-    a = (a + a.conj().T) / 2.0
-    if not np.any(a.imag):
-        a = a.real
+    a = _real_valued((a + a.conj().T) / 2.0)
     size = n + n % 2
     last, position, steps, blocks = _layouts(n)
     # A (padded with a zero dummy row and column for odd n) and W = I,

@@ -14,9 +14,11 @@ a few ulps regardless of how ill-conditioned the metric is.  The factor
 d_j^{-1/2} is applied as 1/‖V·u_j‖, its value in exact arithmetic, so
 every column of Λ is a unit vector to rounding.
 
-M itself is never formed: the Jacobi solver diagonalizes T = R·R† from
-a QR factorization 2^-e·V† = Q·R, which is unitarily similar to
-2^-2e·M, and U = Q·Y carries T's eigenvectors Y back (``_metric_eigen``).
+M itself is never formed: three QR/LQ rounds on 2^-e·V (Stewart's QLP
+step, each an unshifted QR-iteration step on M) leave a triangular L
+and a unitary Q with T = L†·L = Q†·(2^-2e·M)·Q, the Jacobi solver
+diagonalizes T, and U = Q·Y carries T's eigenvectors Y back
+(``_metric_eigen``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from .linalg import (
     HermitianEigen,
     ToleranceConfig,
     _hermitian_product,
+    _real_valued,
     _require_positive_definite,
+    _scaled_back,
     _scaled_to_unit,
     apply_phase_convention,
     as_matrix,
@@ -99,30 +103,43 @@ def require_unitary(b) -> np.ndarray:
     return b
 
 
+# QR/LQ rounds that precondition the metric solve.  Each round is one
+# unshifted QR-iteration step on M and costs two m x m QRs; on the
+# benchmark's solves (m 8-64, cond(M) 1-1e10) three rounds took fewer
+# Jacobi sweeps than two at a net gain, and a fourth gained nothing more.
+_QLP_ROUNDS = 3
+
+
 def _metric_eigen(v: np.ndarray, cfg: ToleranceConfig) -> HermitianEigen:
     """The checked eigendecomposition of M = V†V, without forming V†V.
 
     V is scaled by 2^-e (e the ``frexp`` exponent of its largest real or
-    imaginary part) and 2^-e·V† = Q·R is factored by
-    ``numpy.linalg.qr`` (complete, so Q is m x m).  Then
-    2^-2e·M = Q·T·Q† with T = R·R†, a unitary similarity, and the Jacobi
-    solver diagonalizes T = Y·diag(d_T)·Y†: M's eigenvectors are Q·Y and
-    its eigenvalues 2^2e·d_T.  The QR is a preconditioner only (Drmač &
-    Veselić, SIMAX 29, 2008): T is graded, so Jacobi needs fewer sweeps
-    than on M, and the factors lose accuracy about as ε·cond(V) rather
-    than ε·cond(M).  The power of two is exact, so 2^k·V gives the same
-    U bit for bit, and only d itself can overflow.
+    imaginary part) to F = 2^-e·V, so 2^-2e·M = F†F, and
+    ``numpy.linalg.qr`` runs ``_QLP_ROUNDS`` rounds of Stewart's QLP
+    step (SISC 20, 1999): F = Q'·R keeps only R, its LQ factorization
+    R = L_i·Q_i† comes from the QR of R† (complete, so Q_i is m x m), and
+    F ← L_i.  A round replaces F†F by L_i†·L_i = Q_i†·F†F·Q_i, so after
+    the last round 2^-2e·M = Q·T·Q† with Q = Q₁·Q₂·Q₃ and T = L₃†·L₃.
+    The Jacobi solver diagonalizes T = Y·diag(d_T)·Y†: M's eigenvectors
+    are Q·Y and its eigenvalues 2^2e·d_T.  The QRs are a preconditioner
+    only (Drmač & Veselić, SIMAX 29, 2008): each round is an unshifted
+    QR-iteration step on M that moves its spectrum toward T's diagonal,
+    so Jacobi needs fewer sweeps, and the factors lose accuracy about as
+    ε·cond(V) rather than ε·cond(M).  A real-valued V is factored in
+    float64.  The power of two is exact, so 2^k·V gives the same U bit
+    for bit, and only d itself can overflow.
     """
     scaled, exponent = _scaled_to_unit(v)
-    q, r = np.linalg.qr(scaled.conj().T, mode="complete")
-    reduced = hermitian_eigen(_hermitian_product(r, "R·R†", "R"), cfg)
-    with np.errstate(over="ignore"):
-        eigenvalues = np.ldexp(reduced.eigenvalues, 2 * exponent)
-    if not np.all(np.isfinite(eigenvalues)):
-        raise OverflowError(f"V†V overflows float64 (max|V| = {max_abs(v):.3e})")
+    factor, basis = _real_valued(scaled), None
+    for _ in range(_QLP_ROUNDS):
+        r = np.linalg.qr(factor, mode="r")
+        q, l_adjoint = np.linalg.qr(r.conj().T, mode="complete")
+        basis = q if basis is None else basis @ q
+        factor = l_adjoint.conj().T
+    reduced = hermitian_eigen(_hermitian_product(l_adjoint, "L†·L", "L"), cfg)
     eigen = HermitianEigen(
-        eigenvalues=eigenvalues,
-        eigenvectors=apply_phase_convention(q @ reduced.eigenvectors),
+        eigenvalues=_scaled_back(reduced.eigenvalues, exponent, "V†V", v),
+        eigenvectors=apply_phase_convention(basis @ reduced.eigenvectors),
         sweeps=reduced.sweeps,
     )
     _require_positive_definite(eigen, cfg)

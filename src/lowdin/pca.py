@@ -9,10 +9,11 @@ exactly those eigenvalues.
 
 S has rank at most k = min(n, m), so ``principal_components`` never
 diagonalizes the n x n matrix itself: ``numpy.linalg.qr`` (LAPACK)
-factors V = Q·R, and the Jacobi solver ``hermitian_eigen`` diagonalizes
-the k x k matrix T = R_k·R_k†.  The QR is a preconditioner (Drmač &
-Veselić, SIMAX 29, 2008); the eigendecomposition is still the
-hand-rolled Jacobi one.  T differs from M = R†R, so the spectrum
+factors 2^-e·V = Q·R, and the Jacobi solver ``hermitian_eigen``
+diagonalizes the k x k matrix T = R_k·R_k†.  The power of two keeps T
+in range, so only S's eigenvalues themselves can overflow.  The QR is
+a preconditioner (Drmač & Veselić, SIMAX 29, 2008); the
+eigendecomposition is still the hand-rolled Jacobi one.  T differs from M = R†R, so the spectrum
 comparison (``Factorization.residuals("gram_sscp_gap")``) pairs two
 separate solves.
 """
@@ -29,6 +30,9 @@ from .linalg import (
     HermitianEigen,
     ToleranceConfig,
     _hermitian_product,
+    _real_valued,
+    _scaled_back,
+    _scaled_to_unit,
     apply_phase_convention,
     as_matrix,
     hermitian_eigen,
@@ -55,13 +59,16 @@ def principal_components(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SscpRe
     """Eigenvectors of the SSCP matrix, descending, phase-fixed.
 
     S = V·V† has rank at most k = min(n, m), so it is diagonalized
-    through V = Q·R (``numpy.linalg.qr``, complete): S = Q·diag(T, 0)·Q†
-    with T = R_k·R_k† for the first k rows R_k of R.  Only the k x k
-    matrix T goes to the Jacobi solver; its eigenvectors Y give those of
-    S as Q·blockdiag(Y, I), and its eigenvalues are followed by n - k
-    exact zeros.  The QR is a preconditioner only; the eigendecomposition
-    is ``hermitian_eigen``'s, and ``sweeps`` counts its sweeps on T.
-    Raises OverflowError if an entry of T leaves the float64 range.
+    through F = 2^-e·V = Q·R (e the ``frexp`` exponent of V's largest
+    real or imaginary part; ``numpy.linalg.qr``, complete, in float64
+    for a real-valued V): 2^-2e·S = Q·diag(T, 0)·Q† with T = R_k·R_k†
+    for the first k rows R_k of R.  Only the k x k matrix T goes to the
+    Jacobi solver; its eigenvectors Y give those of S as
+    Q·blockdiag(Y, I), and its eigenvalues, scaled back by 2^2e, are
+    followed by n - k exact zeros.  The QR is a preconditioner only; the
+    eigendecomposition is ``hermitian_eigen``'s, and ``sweeps`` counts
+    its sweeps on T.  Raises OverflowError only if an eigenvalue of S
+    leaves the float64 range.
 
     For square nonsingular V these columns equal the canonical
     orthonormal basis once both carry the shared phase convention.
@@ -69,14 +76,15 @@ def principal_components(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SscpRe
     v = as_matrix(v)
     n, m = v.shape
     retained = min(n, m)
-    q, r = np.linalg.qr(v, mode="complete")
-    top = r[:retained]
-    reduced = hermitian_eigen(_hermitian_product(top, "R·R†", "R"), cfg)
-    values = np.concatenate((reduced.eigenvalues, np.zeros(n - retained)))
+    scaled, exponent = _scaled_to_unit(v)
+    q, r = np.linalg.qr(_real_valued(scaled), mode="complete")
+    reduced = hermitian_eigen(_hermitian_product(r[:retained], "R·R†", "R"), cfg)
+    scores = _scaled_back(reduced.eigenvalues, exponent, "V·V†", v)
+    values = np.concatenate((scores, np.zeros(n - retained)))
     # A rank-deficient T can end on a tiny negative eigenvalue, which
     # belongs after the padded zeros.
     order = np.argsort(-values, kind="stable")
-    vectors = q.copy()
+    vectors = q.astype(np.complex128)
     vectors[:, :retained] = q[:, :retained] @ reduced.eigenvectors
     eigen = HermitianEigen(
         eigenvalues=values[order],

@@ -15,7 +15,7 @@ from lowdin.cli import main
 from lowdin.errors import DimensionMismatch, NotUnitary, SingularMetric
 from lowdin.ortho import Method
 
-from conftest import random_full_rank, random_unitary
+from conftest import random_full_rank, random_matrix, random_unitary
 from oracles import hermitian_2x2_power, lapack_inverse_sqrt_route
 
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
@@ -169,8 +169,22 @@ def _condition_sweep_script():
     return module
 
 
+def _ill_conditioned_64x64(complex_):
+    """A 64 x 64 V with cond(M) = 1e10, from the condition-sweep construction.
+
+    The complex one has the same singular values between Haar-like
+    complex unitary factors.
+    """
+    rng = np.random.default_rng(0)
+    if not complex_:
+        return _condition_sweep_script().controlled_matrix(rng, 64, 1e10)
+    singulars = np.geomspace(1.0, 1e-5, 64)
+    left, right = (random_unitary(rng, 64, complex_=True) for _ in range(2))
+    return (left * singulars) @ right.conj().T
+
+
 class TestMetricSolve:
-    """M = V†V is diagonalized as R·R† from a QR of 2^-e·V†, never formed."""
+    """M = V†V is diagonalized as L†·L after QR/LQ rounds on 2^-e·V, never formed."""
 
     def test_factors_never_call_gram_metric(self, rng, tmp_path, monkeypatch):
         def refuse(v):
@@ -192,10 +206,45 @@ class TestMetricSolve:
         assert main(["relations", "--input", str(source), "--output-dir", str(tmp_path)]) == 0
 
     def test_sweep_count_on_an_ill_conditioned_64x64(self):
-        # cond(M) = 1e10: the solve on R·R† takes 10 sweeps, the Gram route 16.
-        v = _condition_sweep_script().controlled_matrix(np.random.default_rng(0), 64, 1e10)
-        assert lo.factorize(v).eigen.sweeps == 10
+        # cond(M) = 1e10: the solve on L†·L after three QR/LQ rounds takes 5
+        # sweeps (one QR of V† took 10), the Gram route 16.
+        v = _ill_conditioned_64x64(complex_=False)
+        assert lo.factorize(v).eigen.sweeps == 5
         assert lo.hermitian_eigen(lo.gram_metric(v)).sweeps == 16
+
+    def test_sweep_count_on_an_ill_conditioned_complex_64x64(self):
+        assert lo.factorize(_ill_conditioned_64x64(complex_=True)).eigen.sweeps == 6
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_accurate_on_an_ill_conditioned_64x64(self, complex_):
+        # Φ keeps the contract's orthonormality.  The QRs and the Jacobi solve
+        # are backward stable, so d is the spectrum of M + E with
+        # ‖E‖ = O(m·ε·‖M‖), and by Weyl's theorem each d_j lies within about
+        # m·ε·d_max of σ_j² (LAPACK's SVD, itself accurate to ε·σ_max in each
+        # σ_j).  Measured: 5·ε·d_max, real and complex.
+        v = _ill_conditioned_64x64(complex_)
+        f = lo.factorize(v)
+        assert f.residuals("phi_orthonormality")["phi_orthonormality"] <= (
+            lo.DEFAULT_TOLERANCES.orthonormality_tol
+        )
+        d, m = f.eigen.eigenvalues, v.shape[1]
+        sigma = np.linalg.svd(v, compute_uv=False)
+        assert np.max(np.abs(d - sigma**2)) <= m * np.finfo(float).eps * d[0]
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_no_lapack_eigensolver_or_svd(self, rng, monkeypatch, complex_):
+        # numpy.linalg.qr is the only LAPACK call, a preconditioner; every
+        # eigendecomposition is the Jacobi solver's.
+        def refuse(*args, **kwargs):
+            raise AssertionError("only the Jacobi solver diagonalizes")
+
+        v = random_full_rank(rng, 6, 4, complex_=complex_)
+        wide = random_matrix(rng, 3, 5, complex_)
+        for name in ("eigh", "eigvalsh", "eig", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        residuals = lo.factorize(v).residuals()  # every factor, the SSCP solve too
+        assert max(residuals.values()) <= lo.DEFAULT_TOLERANCES.reconstruction_tol
+        assert lo.principal_components(wide).component_scores.shape == (3,)
 
     def test_orthonormal_at_metric_condition_1e10(self):
         # The ensemble of ``condition_sweep.py --dim 8 --trials 10``; its last

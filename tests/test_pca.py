@@ -140,13 +140,18 @@ class TestReducedSscpSolve:
         assert scores == pytest.approx([2 * 7e153**2, 2 * 3.5e153**2], rel=1e-14)
 
     def test_overflow_message_quotes_the_operand_it_measures(self):
-        # test_cli's "sscp_overflow" input: R·R† overflows, and the message
-        # quotes max|R| under R's name (R's first entry is ‖v_0‖, not max|V|).
-        v = np.array([[9e153, 9e153], [1e150, -1e150]])
-        r = np.linalg.qr(v)[1]
+        # T = R·R† comes from 2^-e·V and cannot overflow; only S's eigenvalues
+        # can, here 1e400, and the message quotes max|V| under V's name.
         with pytest.raises(OverflowError) as excinfo:
-            lo.principal_components(v)
-        assert str(excinfo.value) == f"R·R† overflows float64 (max|R| = {lo.max_abs(r):.3e})"
+            lo.principal_components(1e200 * np.eye(2))
+        assert str(excinfo.value) == "V·V† overflows float64 (max|V| = 1.000e+200)"
+
+    @pytest.mark.parametrize("v", [1e154 * np.eye(2), np.array([[9e153, 9e153], [1e150, -1e150]])])
+    def test_huge_input_whose_eigenvalues_fit(self, v):
+        # Both overflowed an unscaled R·R†; S's eigenvalues fit in float64.
+        reference = np.linalg.svd(v, compute_uv=False) ** 2
+        scores = lo.principal_components(v).component_scores
+        assert scores == pytest.approx(reference, rel=1e-14)
 
     @pytest.mark.parametrize("n,m", SSCP_SHAPES)
     def test_one_solve_of_min_dimension(self, rng, n, m, monkeypatch):

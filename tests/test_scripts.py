@@ -36,3 +36,18 @@ def test_script_runs(script, args, header):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == header
+
+
+def test_condition_sweep_reports_the_worst_sweep_count():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "condition_sweep.py"), "--dim", "3", "--trials", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()[1:]
+    assert header.split()[-1] == "sweeps"
+    assert len(rows) == 6 and all(int(row.split()[-1]) >= 1 for row in rows)
