@@ -4,8 +4,9 @@
 Builds square matrices with a prescribed singular value spread, so
 cond(V†V) is controlled exactly, and tracks the key residuals as the
 conditioning worsens, with the most Jacobi sweeps a metric solve took
-at each level.  Shows where the default tolerances stop being
-comfortable (the rank cutoff rejects inputs with cond around 1/rank_tol).
+at each level, from 1 to 1e28.  The default rank cutoff would reject
+cond(V†V) >= 1/rank_tol = 1e12, so the sweep factors with rank_tol =
+1e-300 instead (``CONFIG``).
 
 Usage:
     python scripts/condition_sweep.py --dim 6 --trials 20
@@ -27,6 +28,9 @@ def controlled_matrix(rng, n, metric_condition):
     return q1 @ np.diag(singulars) @ q2.T
 
 
+# rank_tol far below 1/1e28, so no level trips the rank cutoff.
+CONFIG = lo.ToleranceConfig(rank_tol=1e-300)
+
 # Printed column -> the Factorization.residuals entries it takes the worst of.
 COLUMNS = {
     "orthonorm": ("phi_orthonormality", "lambda_orthonormality"),
@@ -42,7 +46,7 @@ def worst_level(rng, n, metric_condition, trials):
     sweeps = 0
     wanted = [name for names in COLUMNS.values() for name in names]
     for _ in range(trials):
-        f = lo.factorize(controlled_matrix(rng, n, metric_condition))
+        f = lo.factorize(controlled_matrix(rng, n, metric_condition), CONFIG)
         residuals = f.residuals(*wanted)
         for column, names in COLUMNS.items():
             worst[column] = max(worst[column], *(residuals[name] for name in names))
@@ -64,7 +68,7 @@ def main():
     rng = np.random.default_rng(args.seed)
     print(f"dim {args.dim}, {args.trials} trials per condition level")
     print(f"{'cond(V†V)':>10}" + "".join(f"{column:>12}" for column in COLUMNS) + f"{'sweeps':>8}")
-    for exponent in range(0, 11, 2):
+    for exponent in range(0, 29, 2):
         cond = 10.0**exponent
         worst, sweeps = worst_level(rng, args.dim, cond, args.trials)
         values = "".join(f"{value:>12.2e}" for value in worst.values())

@@ -34,7 +34,6 @@ from .linalg import (
     ToleranceConfig,
     apply_phase_convention,
     as_matrix,
-    gram_metric,
     hermitian_eigen,
     max_abs,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "canonical_orthogonalize",
     "factorize",
     "format_matrix",
-    "gram_metric",
     "hermitian_eigen",
     "max_abs",
     "parse_matrix_file",

@@ -1,9 +1,11 @@
 """One metric factorization and everything derived from it.
 
 ``factorize`` diagonalizes M = V†V once and checks it; every other
-factor is a view of that one eigendecomposition M = U·diag(d)·U†.  The
-solve never forms M: it runs on T = L†·L after QR/LQ rounds on
-2^-e·V, a unitary similarity of 2^-2e·M (``ortho._metric_eigen``).
+factor is a view of that one eigendecomposition M = U·diag(d)·U† and
+the canonical basis built with it.  The solve never forms M: QR/LQ
+rounds give 2^-e·V = P·L·Q†, Jacobi diagonalizes T = L†·L, a unitary
+similarity of 2^-2e·M, and Λ is assembled from P, L and T's
+eigenvectors, never from V itself (``ortho._metric_solve``).
 
 * canonical basis Λ = V·U·d^{-1/2} and symmetric basis Φ = Λ·U†;
 * polar: V = Φ·H with H = M^{1/2} = U·diag(d^{1/2})·U†;
@@ -29,7 +31,6 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     HermitianEigen,
     ToleranceConfig,
-    _eigen_power,
     as_matrix,
     max_abs,
 )
@@ -118,8 +119,10 @@ class Factorization:
 
     @cached_property
     def polar(self) -> PolarFactors:
-        """V = Φ·H with H = U·diag(d^{1/2})·U†."""
-        return PolarFactors(orthonormal=self.phi, positive=_eigen_power(self.eigen, 0.5))
+        """V = Φ·H with H = U·diag(σ)·U† = M^{1/2}, re-symmetrized."""
+        u = self.eigen.eigenvectors
+        h = (u * self.svd.singular_values) @ u.conj().T
+        return PolarFactors(orthonormal=self.phi, positive=(h + h.conj().T) / 2.0)
 
     @cached_property
     def svd(self) -> SvdFactors:

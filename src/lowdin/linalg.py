@@ -1,12 +1,10 @@
 """Dense complex matrix core.
 
 Everything downstream is built from the handful of primitives here: a
-Jacobi eigensolver for Hermitian matrices, whose eigendecomposition
-gives the powers M^p, the overflow-checked Hermitian product a·a† that
-forms the matrices it diagonalizes, and the Gram metric M = V†V itself.
-The factor path never forms V†V (``ortho`` diagonalizes L†·L after
-QR/LQ rounds on V instead); ``gram_metric`` stays as the direct
-definition, for comparison.
+Jacobi eigensolver for Hermitian matrices and the overflow-checked
+Hermitian product a·a† that forms the matrices it diagonalizes.  No
+factor forms the Gram metric M = V†V itself: ``ortho`` diagonalizes
+L†·L after QR/LQ rounds on V instead.
 
 The eigensolver sweeps in round-robin order (Brent & Luk, SIAM J. Sci.
 Stat. Comput. 6(1), 1985): each sweep is n - 1 steps (n for odd n),
@@ -131,19 +129,6 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-def gram_metric(v) -> np.ndarray:
-    """Metric (Gram) matrix M = V†V of the columns of V.
-
-    The product is re-symmetrized, so the result is Hermitian to the
-    last bit and positive semidefinite up to rounding.  Raises
-    OverflowError if an entry leaves the float64 range.  ``factorize``
-    does not call it: its solve runs on L†·L from QR/LQ rounds on 2^-e·V,
-    which is unitarily similar to 2^-2e·M.
-    """
-    v = as_matrix(v)
-    return _hermitian_product(v.conj().T, "V†V", "V")
-
-
 def _hermitian_product(a: np.ndarray, name: str, operand: str) -> np.ndarray:
     """The re-symmetrized product a·a†, checked for overflow.
 
@@ -216,6 +201,16 @@ def apply_phase_convention(u) -> np.ndarray:
     per-column phase of eigenvectors, making results of independent
     computations comparable entrywise.
     """
+    return _phase_fixed(u)[0]
+
+
+def _phase_fixed(u) -> tuple:
+    """``apply_phase_convention(u)`` and the unit factor it put on each column.
+
+    Every column j of the result is column j of u times ``factors[j]``,
+    except that its pivot is written as |pivot| exactly; a zero column
+    keeps the factor 1.
+    """
     out = np.array(u, dtype=np.complex128, copy=True)
     columns = np.arange(out.shape[1])
     rows = np.argmax(np.abs(out), axis=0)
@@ -232,7 +227,7 @@ def apply_phase_convention(u) -> np.ndarray:
     # Each pivot is |pivot| by construction; write it directly so the
     # convention holds exactly, not to rounding.
     out[rows[live], columns[live]] = moduli[live]
-    return out
+    return out, factors
 
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal float
@@ -470,10 +465,3 @@ def _require_positive_definite(
             eigenvalue=float(d[index]),
             condition=eigen.condition_estimate(),
         )
-
-
-def _eigen_power(eigen: HermitianEigen, p: float) -> np.ndarray:
-    """U·diag(d^p)·U† from a checked eigendecomposition, re-symmetrized."""
-    u = eigen.eigenvectors
-    result = (u * np.power(eigen.eigenvalues, p)) @ u.conj().T
-    return (result + result.conj().T) / 2.0

@@ -7,18 +7,18 @@ that treats all input vectors democratically; B = U, the eigenvector
 matrix of M, gives the canonical basis Λ = V·U·d^{-1/2} aligned with
 the metric's eigenstructure.
 
-Both are computed from one shared eigendecomposition of M, with Φ
-assembled as (V·U·d^{-1/2})·U†.  That expression equals V·M^{-1/2}
-exactly and keeps the analytic identities Λ = Φ·U and Φ = Λ·U† tight to
-a few ulps regardless of how ill-conditioned the metric is.  The factor
-d_j^{-1/2} is applied as 1/‖V·u_j‖, its value in exact arithmetic, so
-every column of Λ is a unit vector to rounding.
+Both come from one factorization of V, with Φ assembled as Λ·U†.
+That expression equals V·M^{-1/2} exactly and keeps the analytic
+identities Λ = Φ·U and Φ = Λ·U† tight to a few ulps regardless of how
+ill-conditioned the metric is.
 
-M itself is never formed: three QR/LQ rounds on 2^-e·V (Stewart's QLP
-step, each an unshifted QR-iteration step on M) leave a triangular L
-and a unitary Q with T = L†·L = Q†·(2^-2e·M)·Q, the Jacobi solver
-diagonalizes T, and U = Q·Y carries T's eigenvectors Y back
-(``_metric_eigen``).
+M itself is never formed, and Λ never multiplies V: three QR/LQ rounds
+on 2^-e·V (Stewart's QLP step, each an unshifted QR-iteration step on
+M) give 2^-e·V = P·L·Q† with P column-orthonormal, L triangular and Q
+unitary.  The Jacobi solver diagonalizes T = L†·L = Y·diag(d_T)·Y†, so
+U = Q·Y and Λ = P·(L·Y) with each column scaled to a unit vector; the
+factor d_j^{-1/2} is applied as 1/‖L·y_j‖, its value in exact
+arithmetic up to the power of two (``_metric_solve``).
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from .linalg import (
     HermitianEigen,
     ToleranceConfig,
     _hermitian_product,
+    _phase_fixed,
     _real_valued,
     _require_positive_definite,
     _scaled_back,
     _scaled_to_unit,
-    apply_phase_convention,
     as_matrix,
     hermitian_eigen,
     max_abs,
@@ -104,64 +104,58 @@ def require_unitary(b) -> np.ndarray:
 
 
 # QR/LQ rounds that precondition the metric solve.  Each round is one
-# unshifted QR-iteration step on M and costs two m x m QRs; on the
+# unshifted QR-iteration step on M and costs two QRs; on the
 # benchmark's solves (m 8-64, cond(M) 1-1e10) three rounds took fewer
 # Jacobi sweeps than two at a net gain, and a fourth gained nothing more.
 _QLP_ROUNDS = 3
 
 
-def _metric_eigen(v: np.ndarray, cfg: ToleranceConfig) -> HermitianEigen:
-    """The checked eigendecomposition of M = V†V, without forming V†V.
+def _metric_solve(v: np.ndarray, cfg: ToleranceConfig) -> tuple:
+    """The checked eigendecomposition of M = V†V and the canonical basis Λ.
 
-    V is scaled by 2^-e (e the ``frexp`` exponent of its largest real or
-    imaginary part) to F = 2^-e·V, so 2^-2e·M = F†F, and
-    ``numpy.linalg.qr`` runs ``_QLP_ROUNDS`` rounds of Stewart's QLP
-    step (SISC 20, 1999): F = Q'·R keeps only R, its LQ factorization
-    R = L_i·Q_i† comes from the QR of R† (complete, so Q_i is m x m), and
-    F ← L_i.  A round replaces F†F by L_i†·L_i = Q_i†·F†F·Q_i, so after
-    the last round 2^-2e·M = Q·T·Q† with Q = Q₁·Q₂·Q₃ and T = L₃†·L₃.
-    The Jacobi solver diagonalizes T = Y·diag(d_T)·Y†: M's eigenvectors
-    are Q·Y and its eigenvalues 2^2e·d_T.  The QRs are a preconditioner
-    only (Drmač & Veselić, SIMAX 29, 2008): each round is an unshifted
-    QR-iteration step on M that moves its spectrum toward T's diagonal,
-    so Jacobi needs fewer sweeps, and the factors lose accuracy about as
-    ε·cond(V) rather than ε·cond(M).  A real-valued V is factored in
-    float64.  The power of two is exact, so 2^k·V gives the same U bit
-    for bit, and only d itself can overflow.
+    M is never formed.  V is scaled by 2^-e (e the ``frexp`` exponent of
+    its largest real or imaginary part) to F = 2^-e·V, and
+    ``numpy.linalg.qr`` runs ``_QLP_ROUNDS`` rounds of Stewart's QLP step
+    (SISC 20, 1999), keeping both sides: F = P_i·R_i, the LQ
+    factorization R_i = L_i·Q_i† comes from the QR of R_i† (complete, so
+    Q_i is m x m), and F ← L_i.  After the last round
+    F = P·L₃·Q† with P = P₁·P₂·P₃ (orthonormal columns) and
+    Q = Q₁·Q₂·Q₃, so 2^-2e·M = Q·T·Q† with T = L₃†·L₃.  The Jacobi
+    solver diagonalizes T = Y·diag(d_T)·Y†: M's eigenvectors are
+    U = Q·Y, phase-fixed, and its eigenvalues d = 2^2e·d_T.  Each round is
+    an unshifted QR-iteration step on M that moves its spectrum toward
+    T's diagonal, so Jacobi needs fewer sweeps.
+
+    Λ = V·U·d^{-1/2} = P·(L₃·Y)·diag(f_j/‖L₃·y_j‖), where f_j is the
+    phase factor the convention put on column j of Q·Y; assembling the
+    left vectors from the QR factors and the triangular factor's
+    eigenvectors is Drmač & Veselić's route (SIMAX 29, 2008).  Λ never
+    multiplies V itself, so its orthonormality does not grow as
+    ε·cond(V).  A real-valued V is factored in float64.  Everything but d is
+    computed from F, so 2^k·V gives the same U and Λ bit for bit, and
+    only d itself can overflow or underflow.
     """
     scaled, exponent = _scaled_to_unit(v)
-    factor, basis = _real_valued(scaled), None
+    factor, left, right = _real_valued(scaled), [], None
     for _ in range(_QLP_ROUNDS):
-        r = np.linalg.qr(factor, mode="r")
+        p, r = np.linalg.qr(factor)
         q, l_adjoint = np.linalg.qr(r.conj().T, mode="complete")
-        basis = q if basis is None else basis @ q
+        left.append(p)
+        right = q if right is None else right @ q
         factor = l_adjoint.conj().T
     reduced = hermitian_eigen(_hermitian_product(l_adjoint, "L†·L", "L"), cfg)
+    eigenvectors, phases = _phase_fixed(right @ reduced.eigenvectors)
     eigen = HermitianEigen(
         eigenvalues=_scaled_back(reduced.eigenvalues, exponent, "V†V", v),
-        eigenvectors=apply_phase_convention(basis @ reduced.eigenvectors),
+        eigenvectors=eigenvectors,
         sweeps=reduced.sweeps,
     )
     _require_positive_definite(eigen, cfg)
-    return eigen
-
-
-def _canonical_matrix(v: np.ndarray, eigen: HermitianEigen) -> np.ndarray:
-    """Λ = V·U·d^{-1/2}, with column j of V·U scaled by 1/‖V·u_j‖.
-
-    ‖V·u_j‖² = u_j†·M·u_j = d_j in exact arithmetic (the projection
-    square sums of V on Λ are the metric eigenvalues), so this is the
-    same Λ; dividing by the computed norm makes every column a unit
-    vector to rounding, which the rounding in d_j alone would not.
-    Columns arrive ordered by descending eigenvalue because the
-    eigendecomposition is.
-    """
-    w = v @ eigen.eigenvectors
-    return w / np.linalg.norm(w, axis=0)
-
-
-def _symmetric_matrix(v: np.ndarray, eigen: HermitianEigen) -> np.ndarray:
-    return _canonical_matrix(v, eigen) @ eigen.eigenvectors.conj().T
+    w = factor @ reduced.eigenvectors
+    w *= phases / np.linalg.norm(w, axis=0)
+    for p in reversed(left):
+        w = p @ w
+    return eigen, w
 
 
 def symmetric_orthogonalize(
@@ -186,8 +180,8 @@ def symmetric_orthogonalize(
         If the metric fails the rank cutoff, with condition diagnostics.
     """
     v = as_matrix(v)
-    eigen = _metric_eigen(v, cfg)
-    phi = _symmetric_matrix(v, eigen)
+    eigen, lam = _metric_solve(v, cfg)
+    phi = lam @ eigen.eigenvectors.conj().T
     return OrthonormalBasis(matrix=phi, method=Method.SYMMETRIC, source_eigen=eigen)
 
 
@@ -200,6 +194,5 @@ def canonical_orthogonalize(
     (U, d) used are attached as ``source_eigen``.
     """
     v = as_matrix(v)
-    eigen = _metric_eigen(v, cfg)
-    lam = _canonical_matrix(v, eigen)
+    eigen, lam = _metric_solve(v, cfg)
     return OrthonormalBasis(matrix=lam, method=Method.CANONICAL, source_eigen=eigen)

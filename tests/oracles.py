@@ -5,8 +5,8 @@ exact integer characteristic polynomials: rational roots are found by
 exhaustive divisor search and exact deflation, the remainder is solved
 by the quadratic formula or the trigonometric cubic formula with a few
 Newton polish steps.  Matrix-power references use LAPACK
-(``numpy.linalg.eigh``).  Nothing here touches the Jacobi path under
-test.
+(``numpy.linalg.eigh``), and the Gram metric V†V is formed directly.
+Nothing here touches the Jacobi path under test.
 """
 
 from __future__ import annotations
@@ -60,6 +60,21 @@ def phase_convention_by_columns(u) -> np.ndarray:
             out[:, j] = column * (pivot.conjugate() / modulus)
             out[k, j] = modulus
     return out
+
+
+def gram_metric(v) -> np.ndarray:
+    """The metric M = V†V formed directly, which the factor path never does.
+
+    The product is re-symmetrized, so it is Hermitian to the last bit;
+    OverflowError if an entry leaves the float64 range.
+    """
+    a = np.asarray(v, dtype=np.complex128).conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = a @ a.conj().T
+        m = (m + m.conj().T) / 2.0
+    if not np.all(np.isfinite(m)):
+        raise OverflowError("V†V overflows float64")
+    return m
 
 
 def lapack_inverse_sqrt_route(v) -> np.ndarray:

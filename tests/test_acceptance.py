@@ -22,7 +22,7 @@ import lowdin as lo
 from lowdin.cli import main as cli_main
 
 from conftest import random_full_rank, random_unitary
-from oracles import hermitian_2x2_eigenvalues, hermitian_3x3_eigenvalues
+from oracles import gram_metric, hermitian_2x2_eigenvalues, hermitian_3x3_eigenvalues
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ENSEMBLE_SEED = 20260808
@@ -92,7 +92,7 @@ def test_criterion_3_reduced_svd_identity(factored):
             assert residual <= 1e-8 * (1.0 + lo.max_abs(v))
             sigma = svd.singular_values
             assert np.all(np.diff(sigma) <= 0.0)
-            d = lo.hermitian_eigen(lo.gram_metric(v)).eigenvalues
+            d = lo.hermitian_eigen(gram_metric(v)).eigenvalues
             assert np.max(np.abs(sigma**2 - d) / d) <= 1e-8
 
 

@@ -82,6 +82,25 @@ class TestSymmetricCommand:
             assert orthonormality <= lo.DEFAULT_TOLERANCES.orthonormality_tol
 
 
+    @pytest.mark.parametrize("command", ["symmetric", "verify"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("1e-158,2e-158\n3e-158,-1e-158\n5e-158,1e-158\n", id="tall-1e-158"),
+            pytest.param("1e-160,0\n0,1e-160\n", id="identity-1e-160"),
+        ],
+    )
+    def test_input_near_the_bottom_of_the_float_range(self, tmp_path, command, text):
+        # Perfectly conditioned, but the squares of V's entries are subnormal.
+        # Λ is built from 2^-e·V, so only d sees the small scale.
+        source = tmp_path / "in.csv"
+        source.write_text(text)
+        assert run_cli(command, source, tmp_path / "out") == 0
+        report = load_report(tmp_path / "out")
+        assert report["pass"] is True
+        assert report["residuals"]["orthonormality"] <= 1e-15
+
+
 class TestCanonicalCommand:
     def test_writes_lambda(self, tmp_path):
         code = run_cli("canonical", FIXTURES / "diag_2_3.csv", tmp_path)

@@ -11,6 +11,7 @@ from lowdin.errors import DimensionMismatch, NotUnitary, SingularMetric
 from lowdin.ortho import Method
 
 from conftest import random_full_rank, random_unitary
+from oracles import gram_metric
 from test_ortho import conditioned_matrices
 
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
@@ -95,7 +96,7 @@ class TestReducedSvd:
     def test_squared_singular_values_are_metric_eigenvalues(self, rng):
         v = random_full_rank(rng, 6, 4)
         factors = lo.reduced_svd(v)
-        d = lo.hermitian_eigen(lo.gram_metric(v)).eigenvalues
+        d = lo.hermitian_eigen(gram_metric(v)).eigenvalues
         assert np.max(np.abs(factors.singular_values**2 - d) / d) <= 1e-10
 
     def test_descending_order(self, rng):

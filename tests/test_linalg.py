@@ -12,7 +12,7 @@ from lowdin.linalg import _jacobi_step, _layouts, _schedule
 from lowdin.ortho import UNITARY_TOL
 
 from conftest import random_full_rank, random_matrix, random_unitary
-from oracles import hermitian_2x2_power, jacobi_rotations, phase_convention_by_columns
+from oracles import gram_metric, hermitian_2x2_power, jacobi_rotations, phase_convention_by_columns
 
 I2 = np.eye(2)
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
@@ -29,30 +29,32 @@ NO_CONVERGENCE_4X4 = np.array(
 
 
 class TestGramMetric:
+    """The tests' Gram oracle M = V†V, which other tests compare against."""
+
     def test_orthonormal_input(self):
-        assert np.array_equal(lo.gram_metric(I2), I2)
+        assert np.array_equal(gram_metric(I2), I2)
 
     def test_shear(self):
         v = np.array([[1.0, 1.0], [0.0, 1.0]])
-        assert np.array_equal(lo.gram_metric(v), np.array([[1.0, 1.0], [1.0, 2.0]]))
+        assert np.array_equal(gram_metric(v), np.array([[1.0, 1.0], [1.0, 2.0]]))
 
     def test_single_column(self):
-        assert np.array_equal(lo.gram_metric(np.array([[1.0], [1.0]])), np.array([[2.0]]))
+        assert np.array_equal(gram_metric(np.array([[1.0], [1.0]])), np.array([[2.0]]))
 
     def test_exactly_hermitian(self, rng):
         v = random_matrix(rng, 6, 4, complex_=True)
-        m = lo.gram_metric(v)
+        m = gram_metric(v)
         assert lo.max_abs(m - m.conj().T) == 0.0
 
     def test_positive_semidefinite_up_to_rounding(self, rng):
         for _ in range(20):
             v = random_matrix(rng, 5, 5)
-            d = lo.hermitian_eigen(lo.gram_metric(v)).eigenvalues
+            d = lo.hermitian_eigen(gram_metric(v)).eigenvalues
             assert d[-1] >= -lo.DEFAULT_TOLERANCES.rank_tol * d[0]
 
     def test_overflow_is_an_error(self):
         with pytest.raises(OverflowError):
-            lo.gram_metric(1e200 * I2)
+            gram_metric(1e200 * I2)
         with pytest.raises(OverflowError):
             lo.principal_components(1e200 * I2)
 
@@ -372,7 +374,7 @@ class TestHermitianPower:
 
     def test_sqrt_squares_back(self, rng):
         v = random_matrix(rng, 5, 5)
-        m = lo.gram_metric(v)
+        m = gram_metric(v)
         root = lo.factorize(v).polar.positive
         cfg = lo.DEFAULT_TOLERANCES
         assert lo.max_abs(root @ root - m) <= cfg.reconstruction_tol * lo.max_abs(m)
@@ -380,7 +382,7 @@ class TestHermitianPower:
     def test_inverse_sqrt_identity_for_moderate_condition(self, rng):
         for _ in range(10):
             v = random_matrix(rng, 4, 4)
-            d = lo.hermitian_eigen(lo.gram_metric(v)).eigenvalues
+            d = lo.hermitian_eigen(gram_metric(v)).eigenvalues
             if d[0] / d[-1] > 1e6:
                 continue
             phi = lo.factorize(v).phi.matrix

@@ -2,7 +2,6 @@
 
 import importlib.util
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lowdin as lo
-from lowdin.cli import main
 from lowdin.errors import DimensionMismatch, NotUnitary, SingularMetric
 from lowdin.ortho import Method
 
 from conftest import random_full_rank, random_matrix, random_unitary
-from oracles import hermitian_2x2_power, lapack_inverse_sqrt_route
+from oracles import gram_metric, hermitian_2x2_power, lapack_inverse_sqrt_route
 
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_LO = (3.0 - math.sqrt(5.0)) / 2.0
@@ -136,9 +134,9 @@ class TestCanonical:
 
 
     def test_columns_are_unit_vectors_when_ill_conditioned(self, rng):
-        # Column j is V·u_j divided by its own norm, so even at
-        # cond(V†V) = 1e10, where Λ†Λ - I is far from rounding off the
-        # diagonal, the diagonal of Λ†Λ is 1 to a few ulps.
+        # Column j is P·L·y_j with L·y_j divided by its own norm and P
+        # column-orthonormal, so even at cond(V†V) = 1e10 the diagonal of
+        # Λ†Λ is 1 to a few ulps.
         q1, q2 = random_unitary(rng, 8, complex_=True), random_unitary(rng, 6, complex_=True)
         v = (q1[:, :6] * np.geomspace(1.0, 1e-5, 6)) @ q2
         lam = lo.canonical_orthogonalize(v).matrix
@@ -159,6 +157,23 @@ class TestPowerOfTwoScaling:
         v = random_full_rank(rng, 5, 3, complex_=True)
         phi = lo.symmetric_orthogonalize(v).matrix
         assert np.array_equal(lo.symmetric_orthogonalize(np.ldexp(1.0, k) * v).matrix, phi)
+
+    def test_symmetric_basis_is_bitwise_scale_invariant_wherever_it_factors(self):
+        # Λ and U come from 2^-e·V alone, so only d sees the power of two:
+        # every 2^k·V either raises (d overflows, or underflows into the rank
+        # cutoff) or gives Φ(V) bit for bit, also where d is subnormal.
+        v = random_full_rank(np.random.default_rng(0), 6, 4, complex_=True)
+        phi = lo.factorize(v).phi.matrix
+        factored = []
+        for k in range(-1100, 601):
+            try:
+                scaled = lo.factorize(np.ldexp(1.0, k) * v).phi.matrix
+            except (OverflowError, SingularMetric):
+                continue
+            assert np.array_equal(scaled, phi), k
+            factored.append(k)
+        assert factored == list(range(factored[0], factored[-1] + 1))
+        assert factored[0] < -530 and factored[-1] >= 500
 
 
 def _condition_sweep_script():
@@ -186,31 +201,12 @@ def _ill_conditioned_64x64(complex_):
 class TestMetricSolve:
     """M = V†V is diagonalized as L†·L after QR/LQ rounds on 2^-e·V, never formed."""
 
-    def test_factors_never_call_gram_metric(self, rng, tmp_path, monkeypatch):
-        def refuse(v):
-            raise AssertionError("gram_metric is not on the factor path")
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "lowdin" and hasattr(module, "gram_metric"):
-                monkeypatch.setattr(module, "gram_metric", refuse)
-        v = random_full_rank(rng, 5, 3, complex_=True)
-        cfg = lo.DEFAULT_TOLERANCES
-        residuals = lo.factorize(v).residuals()
-        assert max(residuals.values()) <= cfg.reconstruction_tol
-        assert lo.verify_orthonormal(lo.symmetric_orthogonalize(v).matrix).passed
-        assert lo.verify_orthonormal(lo.polar_decompose(v).orthonormal.matrix).passed
-        svd = lo.reduced_svd(v)
-        assert lo.max_abs(lo.reconstruct_svd(svd) - v) <= cfg.reconstruction_tol
-        source = tmp_path / "v.csv"
-        source.write_text("2,1\n1,3\n0,1\n")
-        assert main(["relations", "--input", str(source), "--output-dir", str(tmp_path)]) == 0
-
     def test_sweep_count_on_an_ill_conditioned_64x64(self):
         # cond(M) = 1e10: the solve on L†·L after three QR/LQ rounds takes 5
         # sweeps (one QR of V† took 10), the Gram route 16.
         v = _ill_conditioned_64x64(complex_=False)
         assert lo.factorize(v).eigen.sweeps == 5
-        assert lo.hermitian_eigen(lo.gram_metric(v)).sweeps == 16
+        assert lo.hermitian_eigen(gram_metric(v)).sweeps == 16
 
     def test_sweep_count_on_an_ill_conditioned_complex_64x64(self):
         assert lo.factorize(_ill_conditioned_64x64(complex_=True)).eigen.sweeps == 6
@@ -254,6 +250,22 @@ class TestMetricSolve:
         for exponent in range(0, 11, 2):
             worst = script.worst_residuals(rng, 8, 10.0**exponent, 10)
             assert worst["orthonorm"] <= lo.DEFAULT_TOLERANCES.orthonormality_tol
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    @pytest.mark.parametrize("metric_condition", [1e12, 1e16], ids=["1e12", "1e16"])
+    def test_orthonormal_to_rounding_at_any_admitted_condition(self, n, complex_, metric_condition):
+        # Λ is assembled from the QR factors of 2^-e·V and the eigenvectors
+        # of T, never from V itself, so orthonormality does not grow as
+        # ε·cond(V).  The default rank cutoff would reject these inputs.
+        cfg = lo.ToleranceConfig(rank_tol=1e-300)
+        rng = np.random.default_rng(n)
+        singulars = np.geomspace(1.0, metric_condition**-0.5, n)
+        for _ in range(3):
+            left, right = (random_unitary(rng, n, complex_) for _ in range(2))
+            f = lo.factorize((left * singulars) @ right.conj().T, cfg)
+            residuals = f.residuals("phi_orthonormality", "lambda_orthonormality")
+            assert max(residuals.values()) <= 1e-13
 
     def test_eigenvalue_overflow_is_reported_against_v(self):
         # V is representable but d = 1e400 is not.

@@ -11,7 +11,7 @@ import lowdin as lo
 from lowdin.errors import DimensionMismatch
 
 from conftest import random_full_rank, random_matrix
-from oracles import hermitian_2x2_eigenvalues
+from oracles import gram_metric, hermitian_2x2_eigenvalues
 from test_ortho import conditioned_matrices
 
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
@@ -248,7 +248,7 @@ def test_projection_sums_equal_metric_eigenvalues(v):
 def test_trace_is_conserved_across_democratic_bases(v):
     phi = lo.symmetric_orthogonalize(v)
     lam = lo.canonical_orthogonalize(v)
-    trace = float(np.trace(lo.gram_metric(v)).real)
+    trace = float(np.trace(gram_metric(v)).real)
     total_phi = float(np.sum(lo.projection_square_sums(v, phi)))
     total_lam = float(np.sum(lo.projection_square_sums(v, lam)))
     assert total_phi == pytest.approx(trace, rel=1e-10)

@@ -50,4 +50,4 @@ def test_condition_sweep_reports_the_worst_sweep_count():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()[1:]
     assert header.split()[-1] == "sweeps"
-    assert len(rows) == 6 and all(int(row.split()[-1]) >= 1 for row in rows)
+    assert len(rows) == 15 and all(int(row.split()[-1]) >= 1 for row in rows)
