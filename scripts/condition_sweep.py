@@ -54,10 +54,6 @@ def worst_level(rng, n, metric_condition, trials):
     return worst, sweeps
 
 
-def worst_residuals(rng, n, metric_condition, trials):
-    return worst_level(rng, n, metric_condition, trials)[0]
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dim", type=int, default=6)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .decompositions import factorize
 from .errors import LinalgError
-from .linalg import DEFAULT_TOLERANCES, ToleranceConfig
+from .linalg import ToleranceConfig
 from .matrixio import MatrixFileError, parse_matrix_file, write_matrix_file
 
 # Pass/fail bounds for residuals that have no ToleranceConfig field: the
@@ -74,7 +74,7 @@ COMMANDS = {
         "reduced singular value decomposition V = W diag(sigma) U†",
         ("lambda_orthonormality", "svd_reconstruction"),
         ("W", "sigma", "Udagger"),
-        (("singular_values", "sigma"), ("condition_estimate", "sigma_condition")),
+        (("singular_values", "sigma"), ("condition_estimate", "condition")),
     ),
     "pca": Command(
         "principal components of the SSCP matrix V V†",
@@ -99,7 +99,9 @@ COMMANDS = {
 }
 
 
-# Views of a Factorization f; none computes more than a transpose.
+# Views of a Factorization f, each a cached attribute or its transpose;
+# ``components`` and ``scores`` run the SSCP solve on first use.  Both
+# ``Phi_from_*`` files are Φ itself: Φ is built as Λ·U†, and W is Λ.
 _VIEWS = {
     "Phi": lambda f: f.phi.matrix,
     "Lambda": lambda f: f.lam.matrix,
@@ -109,17 +111,17 @@ _VIEWS = {
     "sigma": lambda f: f.svd.singular_values,
     "Udagger": lambda f: f.svd.right.conj().T,
     "Lambda_from_Phi": lambda f: f.lambda_from_phi,
-    "Phi_from_Lambda": lambda f: f.phi_from_lambda,
-    "Phi_from_svd": lambda f: f.phi_from_svd,
+    "Phi_from_Lambda": lambda f: f.phi.matrix,
+    "Phi_from_svd": lambda f: f.phi.matrix,
     "components": lambda f: f.sscp.components,
     "scores": lambda f: f.sscp.component_scores,
     "d": lambda f: f.eigen.eigenvalues,
     "condition": lambda f: f.eigen.condition_estimate(),
-    "sigma_condition": lambda f: f.svd.condition_estimate(),
 }
 
 # Exit status per exception: an unreadable or malformed input file is 2;
-# a numerical failure is 3, including V†V or R_k·R_k† overflowing float64.
+# a numerical failure is 3, including an eigenvalue of V†V or V·V† that
+# leaves the float64 range.
 _EXIT_CODES = {
     MatrixFileError: 2,
     OSError: 2,
@@ -127,26 +129,6 @@ _EXIT_CODES = {
     LinalgError: 3,
     OverflowError: 3,
 }
-
-
-@dataclass
-class RunConfig:
-    """Everything one CLI invocation needs."""
-
-    command: str
-    input_path: Path
-    output_dir: Path = Path(".")
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES
-    output_precision: int = 17
-    format: str = "csv"
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if not 1 <= self.output_precision <= 17:
-            raise ValueError("output precision must be between 1 and 17")
-        if self.format not in ("csv", "tsv"):
-            raise ValueError(f"unknown format {self.format!r}")
 
 
 def _json_number(value):
@@ -184,13 +166,17 @@ def _describe_error(exc: Exception) -> dict:
     return info
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command and write its factor files and report."""
+def run(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
+    """Execute one parsed command line and write its factor files and report.
+
+    ``args`` is what ``_build_parser`` parsed, so the command, format and
+    precision are already valid.
+    """
     started = time.perf_counter()
-    command = COMMANDS[config.command]
-    cfg = config.tolerances
+    command = COMMANDS[args.command]
+    output_dir = Path(args.output_dir)
     report = {
-        "command": config.command,
+        "command": args.command,
         "rows": None,
         "cols": None,
         "residuals": {},
@@ -202,11 +188,11 @@ def run(config: RunConfig) -> int:
     files = {}
     code = 0
     try:
-        v = parse_matrix_file(config.input_path, config.format)
+        v = parse_matrix_file(args.input, args.format)
         report["rows"], report["cols"] = v.shape
         f = factorize(v, cfg)
         values = f.residuals(*command.residuals)
-        files = {f"{config.command}_{view}": _VIEWS[view](f) for view in command.views}
+        files = {f"{args.command}_{view}": _VIEWS[view](f) for view in command.views}
         report.update({name: _json(_VIEWS[view](f)) for name, view in command.spectrum})
     except tuple(_EXIT_CODES) as exc:
         code = next(c for kind, c in _EXIT_CODES.items() if isinstance(exc, kind))
@@ -221,17 +207,17 @@ def run(config: RunConfig) -> int:
         if not all(r <= _tolerance_for(n, cfg) for n, r in residuals.items()):
             code = 1
 
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    output_dir.mkdir(parents=True, exist_ok=True)
     for name, matrix in files.items():
         write_matrix_file(
-            config.output_dir / f"{name}.{config.format}",
+            output_dir / f"{name}.{args.format}",
             matrix,
-            fmt=config.format,
-            precision=config.output_precision,
+            fmt=args.format,
+            precision=args.precision,
         )
     report["pass"] = code == 0
     report["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    (config.output_dir / "report.json").write_text(
+    (output_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     if report["error"] is not None:
@@ -266,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=17,
             help="significant digits in output files (17 = shortest round trip)",
         )
-        sub.add_argument("--tol-hermiticity", type=float, default=None)
         sub.add_argument("--tol-orthonormality", type=float, default=None)
         sub.add_argument("--tol-reconstruction", type=float, default=None)
         sub.add_argument("--rank-tol", type=float, default=None)
@@ -278,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {
-        "hermiticity_tol": args.tol_hermiticity,
         "orthonormality_tol": args.tol_orthonormality,
         "reconstruction_tol": args.tol_reconstruction,
         "rank_tol": args.rank_tol,
@@ -286,21 +270,11 @@ def main(argv=None) -> int:
         "max_sweeps": args.max_sweeps,
     }
     try:
-        tolerances = ToleranceConfig(
-            **{k: v for k, v in overrides.items() if v is not None}
-        )
-        config = RunConfig(
-            command=args.command,
-            input_path=Path(args.input),
-            output_dir=Path(args.output_dir),
-            tolerances=tolerances,
-            output_precision=args.precision,
-            format=args.format,
-        )
+        cfg = ToleranceConfig(**{k: v for k, v in overrides.items() if v is not None})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
+    return run(args, cfg)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ cross-checks d.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,11 +67,6 @@ class SvdFactors:
     singular_values: np.ndarray
     right: np.ndarray
 
-    def condition_estimate(self) -> float:
-        """(σ_max/σ_min)², the metric's condition from σ; ``inf`` if σ_min is 0."""
-        smallest = float(self.singular_values[-1])
-        return (float(self.singular_values[0]) / smallest) ** 2 if smallest > 0.0 else math.inf
-
 
 @dataclass(frozen=True)
 class Factorization:
@@ -80,11 +74,11 @@ class Factorization:
 
     ``lam`` is the canonical basis Λ with the (U, d) of M = V†V attached
     as ``source_eigen``.  Φ, the polar factors, the reduced SVD and the
-    relation products are views of it, computed on first use and cached;
-    none of them diagonalizes M again.  ``sscp`` diagonalizes S = V·V†
-    on first use, through the QR-reduced solve of
-    ``principal_components``, for the spectrum cross-check.  Build one with
-    ``factorize``.
+    relation product Φ·U are views of it, computed on first use and
+    cached; none of them diagonalizes M again.  ``sscp`` diagonalizes
+    S = V·V† on first use, through the QR-reduced solve of
+    ``principal_components``, for the spectrum cross-check.  Build one
+    with ``factorize``.
     """
 
     v: np.ndarray
@@ -96,26 +90,18 @@ class Factorization:
         return self.lam.source_eigen
 
     @cached_property
-    def phi_from_lambda(self) -> np.ndarray:
-        """Λ·U†, which is how Φ is built."""
-        return self.lam.matrix @ self.eigen.eigenvectors.conj().T
-
-    @cached_property
     def phi(self) -> OrthonormalBasis:
         """Symmetric basis Φ = Λ·U† = V·M^{-1/2}."""
         return OrthonormalBasis(
-            matrix=self.phi_from_lambda, method=Method.SYMMETRIC, source_eigen=self.eigen
+            matrix=self.lam.matrix @ self.eigen.eigenvectors.conj().T,
+            method=Method.SYMMETRIC,
+            source_eigen=self.eigen,
         )
 
     @cached_property
     def lambda_from_phi(self) -> np.ndarray:
         """Φ·U, which should give back Λ."""
         return self.phi.matrix @ self.eigen.eigenvectors
-
-    @cached_property
-    def phi_from_svd(self) -> np.ndarray:
-        """W·U†, which should give back Φ."""
-        return symmetric_from_svd(self.svd).matrix
 
     @cached_property
     def polar(self) -> PolarFactors:
@@ -127,7 +113,7 @@ class Factorization:
     @cached_property
     def svd(self) -> SvdFactors:
         """V = Λ·diag(d^{1/2})·U†."""
-        sigma = np.sqrt(np.maximum(self.eigen.eigenvalues, 0.0))
+        sigma = np.sqrt(self.eigen.eigenvalues)
         u = self.eigen.eigenvectors
         return SvdFactors(left=self.lam.matrix, singular_values=sigma, right=u)
 
@@ -144,10 +130,11 @@ class Factorization:
         relation_phi_w_udagger, projection_sum_gap, gram_sscp_gap.
         Orthonormality is max|Z†Z - I| of Φ or Λ; reconstructions are
         relative, max|product - V| / (1 + max|V|); the relations are
-        max|Λ - Φ·U| and max|Φ - W·U†|; ``projection_sum_gap`` is the
-        largest relative gap between d and the projection-square sums of
-        V on Λ, and ``gram_sscp_gap`` the one between d and the m largest
-        eigenvalues of S (DimensionMismatch for a wide V).
+        max|Λ - Φ·U| and max|Φ - W·U†|, the second 0 by construction
+        because Φ is built as Λ·U† and W is Λ; ``projection_sum_gap`` is
+        the largest relative gap between d and the projection-square
+        sums of V on Λ, and ``gram_sscp_gap`` the one between d and the
+        m largest eigenvalues of S (DimensionMismatch for a wide V).
         """
         return {name: _RESIDUALS[name](self) for name in names or _RESIDUALS}
 
@@ -164,17 +151,13 @@ def _projection_sum_gap(f: Factorization) -> float:
 def _gram_sscp_gap(f: Factorization) -> float:
     """Largest relative gap between d and the m leading eigenvalues of S.
 
-    Both spectra are descending; where d_j is 0 the gap is absolute.
+    Both spectra are descending, and ``factorize`` admits only d > 0.
     """
     g, s = f.eigen.eigenvalues, f.sscp.eigen.eigenvalues
     m = g.shape[0]
     if s.shape[0] < m:
         raise DimensionMismatch(f"need at least as many rows as columns, got {s.shape[0]}x{m}")
-    paired = s[:m]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gaps = np.abs(paired - g) / np.abs(g)
-    gaps = np.where(g == 0.0, np.abs(paired - g), gaps)
-    return float(np.max(gaps))
+    return float(np.max(np.abs(s[:m] - g) / g))
 
 
 _RESIDUALS = {
@@ -183,7 +166,7 @@ _RESIDUALS = {
     "polar_reconstruction": lambda f: _relative_to_v(reconstruct_polar(f.polar), f),
     "svd_reconstruction": lambda f: _relative_to_v(reconstruct_svd(f.svd), f),
     "relation_lambda_phi_u": lambda f: max_abs(f.lam.matrix - f.lambda_from_phi),
-    "relation_phi_w_udagger": lambda f: max_abs(f.phi.matrix - f.phi_from_svd),
+    "relation_phi_w_udagger": lambda f: max_abs(f.phi.matrix - symmetric_from_svd(f.svd).matrix),
     "projection_sum_gap": _projection_sum_gap,
     "gram_sscp_gap": _gram_sscp_gap,
 }

@@ -1,10 +1,10 @@
 """Dense complex matrix core.
 
 Everything downstream is built from the handful of primitives here: a
-Jacobi eigensolver for Hermitian matrices and the overflow-checked
-Hermitian product a·a† that forms the matrices it diagonalizes.  No
-factor forms the Gram metric M = V†V itself: ``ortho`` diagonalizes
-L†·L after QR/LQ rounds on V instead.
+Jacobi eigensolver for Hermitian matrices and the Hermitian product a·a†
+that forms the matrices it diagonalizes.  No factor forms the Gram
+metric M = V†V itself: ``ortho`` diagonalizes L†·L after QR/LQ rounds
+on V instead.
 
 The eigensolver sweeps in round-robin order (Brent & Luk, SIAM J. Sci.
 Stat. Comput. 6(1), 1985): each sweep is n - 1 steps (n for odd n),
@@ -129,18 +129,15 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-def _hermitian_product(a: np.ndarray, name: str, operand: str) -> np.ndarray:
-    """The re-symmetrized product a·a†, checked for overflow.
+def _hermitian_product(a: np.ndarray) -> np.ndarray:
+    """The re-symmetrized product a·a†.
 
-    ``name`` labels the product and ``operand`` the matrix ``a`` (or its
-    adjoint) in the OverflowError message, which quotes max|a|.
+    Callers pass a triangular factor from QRs of 2^-e·V
+    (``_scaled_to_unit``) for an n x m V.  Its Frobenius norm is that of
+    2^-e·V, below √(2nm), so no entry of the product reaches 2nm.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = a @ a.conj().T
-        p = (p + p.conj().T) / 2.0
-    if not np.all(np.isfinite(p)):
-        raise OverflowError(f"{name} overflows float64 (max|{operand}| = {max_abs(a):.3e})")
-    return p
+    p = a @ a.conj().T
+    return (p + p.conj().T) / 2.0
 
 
 def _scaled_to_unit(a: np.ndarray) -> tuple:

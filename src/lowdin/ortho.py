@@ -96,7 +96,7 @@ def require_unitary(b) -> np.ndarray:
     b = as_matrix(b)
     if b.shape[0] != b.shape[1]:
         raise DimensionMismatch(f"unitary matrix must be square, got {b.shape}")
-    residual = max_abs(b.conj().T @ b - np.eye(b.shape[0]))
+    residual = verify_orthonormal(b).residual
     bound = UNITARY_TOL * b.shape[0]
     if residual > bound:
         raise NotUnitary(f"max|B†B - I| = {residual:.3e} exceeds {bound:.3e}")
@@ -143,7 +143,7 @@ def _metric_solve(v: np.ndarray, cfg: ToleranceConfig) -> tuple:
         left.append(p)
         right = q if right is None else right @ q
         factor = l_adjoint.conj().T
-    reduced = hermitian_eigen(_hermitian_product(l_adjoint, "L†·L", "L"), cfg)
+    reduced = hermitian_eigen(_hermitian_product(l_adjoint), cfg)
     eigenvectors, phases = _phase_fixed(right @ reduced.eigenvectors)
     eigen = HermitianEigen(
         eigenvalues=_scaled_back(reduced.eigenvalues, exponent, "V†V", v),

@@ -13,9 +13,10 @@ factors 2^-e·V = Q·R, and the Jacobi solver ``hermitian_eigen``
 diagonalizes the k x k matrix T = R_k·R_k†.  The power of two keeps T
 in range, so only S's eigenvalues themselves can overflow.  The QR is
 a preconditioner (Drmač & Veselić, SIMAX 29, 2008); the
-eigendecomposition is still the hand-rolled Jacobi one.  T differs from M = R†R, so the spectrum
-comparison (``Factorization.residuals("gram_sscp_gap")``) pairs two
-separate solves.
+eigendecomposition is still the hand-rolled Jacobi one.  T differs
+from M = R†R, so the spectrum comparison
+(``Factorization.residuals("gram_sscp_gap")``) pairs two separate
+solves.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def principal_components(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SscpRe
     retained = min(n, m)
     scaled, exponent = _scaled_to_unit(v)
     q, r = np.linalg.qr(_real_valued(scaled), mode="complete")
-    reduced = hermitian_eigen(_hermitian_product(r[:retained], "R·R†", "R"), cfg)
+    reduced = hermitian_eigen(_hermitian_product(r[:retained]), cfg)
     scores = _scaled_back(reduced.eigenvalues, exponent, "V·V†", v)
     values = np.concatenate((scores, np.zeros(n - retained)))
     # A rank-deficient T can end on a tiny negative eigenvalue, which

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lowdin as lo
-from lowdin.cli import COMMANDS, RunConfig, _build_parser, main, run
-from lowdin.matrixio import parse_matrix_file
+from conftest import random_matrix
+from lowdin.cli import COMMANDS, _build_parser, main
+from lowdin.matrixio import parse_matrix_file, write_matrix_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -165,12 +166,12 @@ class TestRelationsCommand:
         lam = parse_matrix_file(tmp_path / "relations_Lambda.csv")
         u = parse_matrix_file(tmp_path / "relations_U.csv")
         lam_from_phi = parse_matrix_file(tmp_path / "relations_Lambda_from_Phi.csv")
-        phi_from_lam = parse_matrix_file(tmp_path / "relations_Phi_from_Lambda.csv")
-        phi_from_svd = parse_matrix_file(tmp_path / "relations_Phi_from_svd.csv")
         assert lo.max_abs(lam - lam_from_phi) <= 1e-12
-        assert lo.max_abs(phi - phi_from_lam) <= 1e-12
-        assert lo.max_abs(phi - phi_from_svd) <= 1e-12
         assert lo.max_abs(lam - phi @ u) <= 1e-12
+        # Φ is built as Λ·U† and W is Λ, so both other routes are Φ itself.
+        phi_bytes = (tmp_path / "relations_Phi.csv").read_bytes()
+        for route in ("Lambda", "svd"):
+            assert (tmp_path / f"relations_Phi_from_{route}.csv").read_bytes() == phi_bytes
         report = load_report(tmp_path)
         assert report["residuals"]["relation_lambda_phi_u"] <= 1e-12
         assert report["residuals"]["relation_phi_w_udagger"] <= 1e-12
@@ -266,6 +267,25 @@ class TestOneFactorization:
         for name, owner in owners.items():
             assert residuals["verify"][name] == residuals[owner][name], name
 
+    @pytest.mark.parametrize("seed", [*range(10), pytest.param(None, id="near-singular")])
+    def test_every_command_reports_one_condition_estimate(self, tmp_path, seed):
+        # condition_estimate is d_max/d_min of the metric solve for every command.
+        if seed is None:
+            # d_min is about 2.5e-19, within the solver's rounding of 0, and
+            # the default rank cutoff would reject it.
+            v = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9], [0.0, 0.0]])
+            extra = ("--rank-tol", "1e-300")
+        else:  # 6 x 4, real for even seeds, complex for odd ones
+            v, extra = random_matrix(np.random.default_rng(seed), 6, 4, seed % 2 == 1), ()
+        source = tmp_path / "in.csv"
+        write_matrix_file(source, v)
+        estimates = {}
+        for command in COMMANDS:
+            run_cli(command, source, tmp_path / command, *extra)
+            estimates[command] = load_report(tmp_path / command)["condition_estimate"]
+        expected = "inf" if seed is None else lo.factorize(v).eigen.condition_estimate()
+        assert estimates == dict.fromkeys(COMMANDS, expected)
+
 
 class TestErrorsAndExitCodes:
     def test_missing_file_exits_2(self, tmp_path, capsys):
@@ -289,6 +309,12 @@ class TestErrorsAndExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("symmetric", FIXTURES / "identity_2x2.csv", tmp_path, "--precision", "0")
         assert excinfo.value.code == 2
+
+    def test_bad_format_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("svd", FIXTURES / "identity_2x2.csv", tmp_path, "--format", "xlsx")
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "report.json").exists()
 
     def test_bad_tolerance_exits_2(self, tmp_path, capsys):
         code = run_cli(
@@ -417,20 +443,6 @@ class TestOutputOptions:
         assert code == 0
         assert (tmp_path / "symmetric_Phi.csv").exists()
         assert (tmp_path / "report.json").exists()
-
-
-class TestRunConfigValidation:
-    def test_rejects_unknown_command(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="bogus", input_path=Path("x.csv"))
-
-    def test_rejects_bad_precision(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="svd", input_path=Path("x.csv"), output_precision=18)
-
-    def test_rejects_bad_format(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="svd", input_path=Path("x.csv"), format="xlsx")
 
 
 class TestParserReuse:

@@ -248,7 +248,7 @@ class TestMetricSolve:
         script = _condition_sweep_script()
         rng = np.random.default_rng(0)
         for exponent in range(0, 11, 2):
-            worst = script.worst_residuals(rng, 8, 10.0**exponent, 10)
+            worst = script.worst_level(rng, 8, 10.0**exponent, 10)[0]
             assert worst["orthonorm"] <= lo.DEFAULT_TOLERANCES.orthonormality_tol
 
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
