@@ -12,7 +12,9 @@ corpus in its own interpreter, with its own ``src`` first on
 ``PYTHONPATH`` and without writing bytecode into it, and stores the
 factor files, ``report.json`` (with ``elapsed_ms`` zeroed) and the exit
 status of every run under WORK/old and WORK/new.  The two trees are then
-compared file by file.
+compared file by file.  For the factor files that differ it prints the
+worst entrywise |new - old| / max|old|, and it counts the runs whose
+exit status changed.
 
 Exits 0 when every file is byte-identical and 1 when any differs.  Give
 the same checkout twice to check that runs are deterministic.
@@ -114,6 +116,22 @@ def run_checkout(root: Path, corpus: Path, out: Path) -> None:
     subprocess.run([sys.executable, "-c", RUNNER, str(corpus), str(out)], env=env, check=True)
 
 
+def read_factor(path: Path) -> np.ndarray:
+    """A factor file the CLI wrote (csv, ``a+bi`` tokens) as a complex array."""
+    rows = [line.split(",") for line in path.read_text().splitlines() if line]
+    return np.array([[complex(t[:-1] + "j" if t.endswith("i") else t) for t in row] for row in rows])
+
+
+def relative_drift(a: Path, b: Path) -> float:
+    """max|new - old| / max|old| between two factor files; inf if the shapes differ."""
+    old, new = read_factor(a), read_factor(b)
+    if old.shape != new.shape:
+        return float("inf")
+    scale = float(np.max(np.abs(old), initial=0.0))
+    drift = float(np.max(np.abs(new - old), initial=0.0))
+    return drift / scale if scale > 0.0 else (0.0 if drift == 0.0 else float("inf"))
+
+
 def differing_keys(a: Path, b: Path) -> list:
     """Top-level keys whose values differ between two report.json files."""
     x, y = json.loads(a.read_text()), json.loads(b.read_text())
@@ -153,6 +171,12 @@ def main() -> int:
                    for k in differing_keys(trees["old"] / p, trees["new"] / p))
     if keys:
         print(f"  report.json keys that differ: {dict(sorted(keys.items()))}")
+    factors = [p for p in differ if p.suffix == ".csv"]
+    if factors:
+        drift, worst = max((relative_drift(trees["old"] / p, trees["new"] / p), p) for p in factors)
+        print(f"worst entrywise |new - old| / max|old| over {len(factors)} differing factor files: "
+              f"{drift:.2e} ({worst})")
+    print(f"changed exit codes: {sum(1 for p in differ if p.name == 'exit')}")
     return 1 if differ else 0
 
 

@@ -13,7 +13,11 @@ whole-array numpy operations.  The input is first scaled by an exact
 power of two, so entries up to the overflow threshold are diagonalized,
 and the eigenvectors of 2^k·M are those of M bit for bit while the
 entries of 2^k·M stay normal numbers.  Pivots below the normal range
-get no rotation and are set to zero.
+get no rotation and are set to zero.  Once the off-diagonal norm meets
+its target, one polish sweep follows, and it rotates only the steps
+that still hold a pair failing the relative test
+|a_pq| <= ε·√|a_pp·a_qq| (Demmel & Veselić, SIMAX 13, 1992); when
+every pair passes, it does not run at all.
 
 Matrices are plain ``numpy`` arrays; ``as_matrix`` gives them
 ``complex128`` entries, and eigenvectors are returned as ``complex128``.
@@ -54,7 +58,10 @@ class ToleranceConfig:
     rank_tol             relative eigenvalue cutoff below which a metric
                          counts as singular
     eigen_convergence_tol  relative off-diagonal norm at which the Jacobi
-                         sweeps stop, after one more polish sweep
+                         sweeps stop, after one more polish sweep unless
+                         every pair already has |a_pq| <= ε·√|a_pp·a_qq|;
+                         the polish rotates only the steps holding a pair
+                         that does not
     max_sweeps           hard limit on Jacobi sweeps before giving up
     """
 
@@ -91,7 +98,8 @@ class HermitianEigen:
     ``eigenvalues`` is real and descending; ``eigenvectors`` is unitary
     with column j paired to eigenvalue j and phase-fixed by the package
     convention.  ``sweeps`` is the number of Jacobi sweeps the solver
-    ran, the polish sweep included.
+    ran, the polish sweep included: the sweeps that met the target, plus
+    one unless every pair already passed the relative test then.
     """
 
     eigenvalues: np.ndarray
@@ -284,7 +292,19 @@ def _layouts(n: int) -> tuple:
     return orders[-1].copy(), positions[-1].copy(), tuple(zip(gathers, entries)), blocks
 
 
-def _jacobi_step(aw: np.ndarray, step: tuple, blocks: tuple) -> None:
+def _negligible(apq: np.ndarray, app: np.ndarray, aqq: np.ndarray) -> bool:
+    """Whether every pivot passes |a_pq| <= ε·√|a_pp·a_qq|.
+
+    This is Demmel & Veselić's relative test (SIMAX 13, 1992).  Zeroing
+    a pivot that passes it is a perturbation as small, relative to
+    √|a_pp·a_qq|, as rounding a_pp and a_qq, so it is as good as
+    rotating it.  The test is scale-invariant, so 2^k·M gets the same
+    verdicts as M.
+    """
+    return bool(np.all(np.abs(apq) <= _EPS * np.sqrt(np.abs(app * aqq))))
+
+
+def _jacobi_step(aw: np.ndarray, step: tuple, blocks: tuple, polish: bool = False) -> None:
     """Rotate every pair of one round-robin step at once.
 
     ``aw`` stacks the working matrix A and W = U†, the conjugate
@@ -304,14 +324,25 @@ def _jacobi_step(aw: np.ndarray, step: tuple, blocks: tuple) -> None:
     folded into G's second column instead (a sign flip is exact, so the
     result is bitwise the same).  ``aw`` must be C-contiguous; it is
     updated in place.
+
+    In the ``polish`` sweep a step whose pivots are all ``_negligible``
+    rotates nothing: it only moves aw to its layout, with two ``take``s,
+    and zeroes its pivots, as the rotations would have.
     """
     gather, entries = step
     size = gather.shape[0]
     half = size // 2
+    diagonal_p, diagonal_q, pivots = blocks
     entries = aw.take(entries)
     apq = entries[:half]
     app = entries[half : 2 * half].real
     aqq = entries[2 * half :].real
+    if polish and _negligible(apq, app, aqq):
+        rows = aw.take(gather, axis=1)
+        aw[1] = rows[1]
+        rows[0].take(gather, axis=1, out=aw[0], mode="clip")  # in range: no buffer
+        aw[0].reshape(-1)[pivots] = 0.0
+        return
     r = np.abs(apq)
     # A pivot that is zero or subnormal gets the identity rotation (and is
     # zeroed below): a subnormal r is too coarse for apq/r to be a unit
@@ -360,7 +391,6 @@ def _jacobi_step(aw: np.ndarray, step: tuple, blocks: tuple) -> None:
     )
     # The transformed 2x2 blocks are known in closed form; writing them
     # directly keeps the diagonal real and each pivot exactly zero.
-    diagonal_p, diagonal_q, pivots = blocks
     flat = a.reshape(-1)
     shift = t * r
     flat[diagonal_p] = app - shift
@@ -374,7 +404,13 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     Each sweep visits every off-diagonal pair once, in the round-robin
     order of Brent & Luk: n - 1 steps (n for odd n) of n/2 disjoint
     rotations applied together.  After the off-diagonal norm first meets
-    the target, one more sweep polishes the result.
+    the target, one more sweep polishes the result, unless the sweeps are
+    used up or every off-diagonal pair already passes the relative test
+    |a_pq| <= ε·√|a_pp·a_qq|, which is checked once over the whole
+    matrix.  In the polish sweep a step whose pairs all pass it rotates
+    nothing: it only moves the matrix to the step's layout and zeroes
+    the pivots.  So ``sweeps`` is the number that met the target or one
+    more, and an input already diagonal to that test takes none.
 
     Parameters
     ----------
@@ -427,10 +463,15 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
         sweeps += 1
         off = _off_diagonal_norm(aw[0])
     # One polish sweep after the target is met takes the quadratically
-    # shrinking remainder to about zero, unless the sweeps are used up.
-    if off > 0.0 and sweeps < cfg.max_sweeps:
+    # shrinking remainder to about zero, unless the sweeps are used up or
+    # every pair is already negligible; it rotates only the steps that
+    # hold a pair that is not.
+    diagonal = np.diagonal(aw[0])
+    off_diagonal = aw[0] - np.diag(diagonal)
+    diagonal = diagonal.real
+    if sweeps < cfg.max_sweeps and not _negligible(off_diagonal, diagonal[:, None], diagonal):
         for step in steps:
-            _jacobi_step(aw, step, blocks)
+            _jacobi_step(aw, step, blocks, True)  # polish
         sweeps += 1
     position = position[:n]  # of each index in the final layout; drops the dummy
     diag = np.real(np.diagonal(aw[0]))[position]

@@ -108,30 +108,38 @@ def parse_matrix_file(path, fmt: str = "csv") -> np.ndarray:
     return parse_matrix_text(Path(path).read_text(encoding="utf-8"), fmt)
 
 
-def _format_real(x: float, precision: int) -> str:
-    if precision >= 17:
-        return repr(float(x))
-    return format(float(x), f".{precision}g")
-
-
 def format_value(value, precision: int = 17) -> str:
     """Render one entry in the grammar this module parses."""
-    z = complex(value)
-    if z.imag == 0.0:
-        return _format_real(z.real, precision)
-    sign = "+" if z.imag > 0.0 else "-"
-    return f"{_format_real(z.real, precision)}{sign}{_format_real(abs(z.imag), precision)}i"
+    return format_matrix([[value]], precision)[:-1]
 
 
 def format_matrix(a, precision: int = 17, fmt: str = "csv") -> str:
-    """Render a matrix (1-D input becomes a column) as delimited text."""
+    """Render a matrix (1-D input becomes a column) as delimited text.
+
+    An entry with a zero imaginary part (either sign) is written as its
+    real part alone; any other as ``a+bi`` or ``a-bi``.  The rows are
+    built from ``tolist()`` of the real and imaginary parts, so an entry
+    costs the formatting of its parts and no Python call besides.
+    """
     delimiter = delimiter_for(fmt)
-    arr = np.asarray(a)
+    arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
-    lines = [
-        delimiter.join(format_value(entry, precision) for entry in row) for row in arr
-    ]
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 1-D or 2-D array, got ndim={arr.ndim}")
+    real = repr if precision >= 17 else f"{{:.{precision}g}}".format
+    if not np.any(arr.imag):
+        lines = [delimiter.join(map(real, row)) for row in arr.real.tolist()]
+    else:
+        lines = [
+            delimiter.join(
+                [
+                    real(x) if y == 0.0 else f"{real(x)}{'+' if y > 0.0 else '-'}{real(abs(y))}i"
+                    for x, y in zip(xs, ys)
+                ]
+            )
+            for xs, ys in zip(arr.real.tolist(), arr.imag.tolist())
+        ]
     return "\n".join(lines) + "\n"
 
 

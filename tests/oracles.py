@@ -112,6 +112,30 @@ def jacobi_rotations(a, w, pairs):
     return adjoint @ a @ rotation, adjoint @ np.asarray(w, dtype=np.complex128)
 
 
+def format_matrix_by_entry(a, precision=17, fmt="csv"):
+    """The matrix file text, one entry at a time through ``complex(entry)``.
+
+    Each part is ``repr(float)`` at precision 17 and up, else
+    ``format(x, ".{precision}g")``; an entry with a zero imaginary part
+    is its real part alone, any other ``a+bi`` or ``a-bi`` with |b|.
+    """
+
+    def part(x):
+        return repr(float(x)) if precision >= 17 else format(float(x), f".{precision}g")
+
+    def token(value):
+        z = complex(value)
+        if z.imag == 0.0:
+            return part(z.real)
+        return f"{part(z.real)}{'+' if z.imag > 0.0 else '-'}{part(abs(z.imag))}i"
+
+    delimiter = {"csv": ",", "tsv": "\t"}[fmt]
+    arr = np.asarray(a)
+    if arr.ndim == 1:
+        arr = arr.reshape(-1, 1)
+    return "\n".join(delimiter.join(token(entry) for entry in row) for row in arr) + "\n"
+
+
 def characteristic_coefficients_3x3(matrix):
     """Exact (c2, c1, c0) with det(xI - M) = x^3 - c2 x^2 + c1 x - c0.
 

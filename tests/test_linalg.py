@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lowdin as lo
 import lowdin.linalg
@@ -203,6 +205,53 @@ class TestAgainstLapack:
                 assert np.array_equal(first.eigenvalues, second.eigenvalues)
                 assert np.array_equal(first.eigenvectors, second.eigenvectors)
                 assert first.sweeps == second.sweeps
+
+
+def _sweeps_needed(m):
+    """The smallest ``max_sweeps`` at which the solve does not raise."""
+    needed = 1
+    while True:
+        try:
+            lo.hermitian_eigen(m, lo.ToleranceConfig(max_sweeps=needed))
+            return needed
+        except NoConvergence:
+            needed += 1
+
+
+class TestPolishRule:
+    """The polish sweep runs only while a pair fails |a_pq| <= ε·√|a_pp·a_qq|."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_diagonal_to_relative_eps_takes_no_sweep(self, complex_):
+        # Every pivot is below ε·√(a_pp·a_qq) >= 1.5e-16.  The target is met
+        # before any sweep, and no pair needs the polish either.
+        d = np.array([1.0, 3.0, 0.5, 2.0])
+        off = 1e-17 * (1.0 + 1.0j) if complex_ else 1e-17
+        m = np.diag(d) + np.triu(np.full((4, 4), off), 1) + np.tril(np.full((4, 4), np.conj(off)), -1)
+        eigen = lo.hermitian_eigen(m)
+        assert eigen.sweeps == 0
+        assert np.array_equal(eigen.eigenvalues, [3.0, 2.0, 1.0, 0.5])
+        assert np.array_equal(eigen.eigenvectors, np.eye(4)[:, [1, 3, 0, 2]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 32),
+        kind=st.sampled_from(["psd", "indefinite", "rank_deficient"]),
+        complex_=st.booleans(),
+    )
+    def test_at_most_one_sweep_after_the_target(self, seed, n, kind, complex_):
+        rng = np.random.default_rng(seed)
+        a = random_matrix(rng, n, n if kind != "rank_deficient" else int(rng.integers(1, n)), complex_)
+        h = (a + a.conj().T) / 2.0 if kind == "indefinite" else a @ a.conj().T
+        eigen = lo.hermitian_eigen(h)
+        assert eigen.sweeps - _sweeps_needed(h) in (0, 1)
+        d, u = eigen.eigenvalues, eigen.eigenvectors
+        reference = np.linalg.eigh(h)[0][::-1]
+        scale = np.max(np.abs(reference))
+        assert lo.max_abs(d - reference) <= 1e-13 * scale
+        assert lo.max_abs(u.conj().T @ u - np.eye(n)) <= UNITARY_TOL * n
+        assert lo.max_abs((u * d) @ u.conj().T - h) <= 1e-13 * n * scale
 
 
 class TestKernelDtype:

@@ -16,6 +16,7 @@ from lowdin.matrixio import (
     parse_token,
     write_matrix_file,
 )
+from oracles import format_matrix_by_entry
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -116,6 +117,58 @@ class TestFormat:
     def test_tsv_delimiter(self):
         out = format_matrix(np.eye(2), fmt="tsv")
         assert out == "1.0\t0.0\n0.0\t1.0\n"
+
+
+# Values whose text is easy to get wrong: signed zeros, subnormals, the
+# ends of the float64 range and numbers that round at low precision.
+AWKWARD = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+           0.1, -1.0 / 3.0, 123456.789, 1e-05, 2.5, 1e16, 9.999999e22]
+
+
+def _awkward_arrays():
+    rng = np.random.default_rng(5)
+    values = np.array(AWKWARD)
+    real = rng.choice(values, (4, 5))
+    imag = rng.choice(values, (4, 5))
+    return {
+        "real": real,
+        "complex": real + 1j * imag,
+        "all_real_complex": real.astype(np.complex128),
+        "negative_zero_imag": real + 1j * np.copysign(0.0, -np.ones_like(real)),
+        "vector": values,
+        "complex_vector": values + 1j * values[::-1],
+        "row": values[None, :] - 1j * values[None, :],
+        "random": rng.standard_normal((6, 3)) * 10.0 ** rng.integers(-30, 30, (6, 3))
+        + 1j * rng.standard_normal((6, 3)),
+        "empty": np.zeros((0, 3)),
+    }
+
+
+class TestFormatMatrixAgainstPerEntryOracle:
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    @pytest.mark.parametrize("precision", [1, 6, 17])
+    @pytest.mark.parametrize("name", sorted(_awkward_arrays()))
+    def test_byte_identical(self, name, precision, fmt):
+        a = _awkward_arrays()[name]
+        assert format_matrix(a, precision, fmt) == format_matrix_by_entry(a, precision, fmt)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        real=st.lists(finite_floats, min_size=6, max_size=6),
+        imag=st.lists(finite_floats, min_size=6, max_size=6),
+        precision=st.sampled_from([1, 6, 17]),
+    )
+    def test_any_finite_complex_matrix_byte_identical(self, real, imag, precision):
+        a = (np.array(real) + 1j * np.array(imag)).reshape(3, 2)
+        assert format_matrix(a, precision) == format_matrix_by_entry(a, precision)
+
+    def test_rejects_more_than_two_dimensions(self):
+        with pytest.raises(ValueError):
+            format_matrix(np.zeros((2, 2, 2)))
+
+    def test_format_value_is_a_one_entry_matrix(self):
+        for value in AWKWARD + [complex(1.5, -0.0), complex(-0.0, 2.5), complex(3.0, -1e-300)]:
+            assert format_value(value) + "\n" == format_matrix_by_entry([[value]])
 
 
 class TestRoundTrip:

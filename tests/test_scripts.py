@@ -50,4 +50,11 @@ def test_condition_sweep_reports_the_worst_sweep_count():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()[1:]
     assert header.split()[-1] == "sweeps"
-    assert len(rows) == 15 and all(int(row.split()[-1]) >= 1 for row in rows)
+    sweeps = {float(row.split()[0]): int(row.split()[-1]) for row in rows}
+    assert len(sweeps) == 15
+    # cond 1: T = L†·L is the identity to rounding, and some of those
+    # rounding-size pairs still fail |a_pq| <= ε·√|a_pp·a_qq|, so the
+    # polish sweep runs.  From 1e14 on, the QR/LQ rounds alone leave T
+    # diagonal to that test: no sweep at all.
+    assert sweeps[1.0] >= 1
+    assert all(sweeps[10.0**k] == 0 for k in range(14, 29, 2))
