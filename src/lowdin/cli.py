@@ -16,10 +16,11 @@ import argparse
 import functools
 import json
 import math
+import shutil
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,7 @@ _METRIC_SPECTRUM = (("eigenvalues", "d"), ("condition_estimate", "condition"))
 _WITH_SIGMA = _METRIC_SPECTRUM + (("singular_values", "sigma"),)
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One CLI command, as a view of ``factorize``'s ``Factorization``.
 
     ``residuals`` names entries of ``Factorization.residuals`` (none
@@ -208,13 +208,14 @@ def run(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
             code = 1
 
     output_dir.mkdir(parents=True, exist_ok=True)
+    written = {}  # id of each array -> the file it was formatted into
     for name, matrix in files.items():
-        write_matrix_file(
-            output_dir / f"{name}.{args.format}",
-            matrix,
-            fmt=args.format,
-            precision=args.precision,
-        )
+        path = output_dir / f"{name}.{args.format}"
+        if id(matrix) in written:  # another view of the same array: same bytes
+            shutil.copyfile(written[id(matrix)], path)
+            continue
+        write_matrix_file(path, matrix, fmt=args.format, precision=args.precision)
+        written[id(matrix)] = path
     report["pass"] = code == 0
     report["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     (output_dir / "report.json").write_text(
@@ -234,29 +235,33 @@ def _precision_arg(text: str) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    epilog = "commands:\n" + "\n".join(
+        f"  {name:<11} {command.help}" for name, command in COMMANDS.items()
+    )
     parser = argparse.ArgumentParser(
         prog="lowdin",
+        usage="%(prog)s COMMAND --input INPUT [options]",
         description="Orthogonalize a matrix and verify the derived factorizations.",
+        epilog=epilog,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        sub = subparsers.add_parser(name, help=command.help)
-        sub.add_argument("--input", required=True, help="matrix file to read")
-        sub.add_argument(
-            "--output-dir", default=".", help="directory for factor files and report.json"
-        )
-        sub.add_argument("--format", choices=("csv", "tsv"), default="csv")
-        sub.add_argument(
-            "--precision",
-            type=_precision_arg,
-            default=17,
-            help="significant digits in output files (17 = shortest round trip)",
-        )
-        sub.add_argument("--tol-orthonormality", type=float, default=None)
-        sub.add_argument("--tol-reconstruction", type=float, default=None)
-        sub.add_argument("--rank-tol", type=float, default=None)
-        sub.add_argument("--tol-eigen-convergence", type=float, default=None)
-        sub.add_argument("--max-sweeps", type=int, default=None)
+    parser.add_argument("command", choices=COMMANDS, metavar="COMMAND", help="one of the below")
+    parser.add_argument("--input", required=True, help="matrix file to read")
+    parser.add_argument(
+        "--output-dir", default=".", help="directory for factor files and report.json"
+    )
+    parser.add_argument("--format", choices=("csv", "tsv"), default="csv")
+    parser.add_argument(
+        "--precision",
+        type=_precision_arg,
+        default=17,
+        help="significant digits in output files (17 = shortest round trip)",
+    )
+    parser.add_argument("--tol-orthonormality", type=float, default=None)
+    parser.add_argument("--tol-reconstruction", type=float, default=None)
+    parser.add_argument("--rank-tol", type=float, default=None)
+    parser.add_argument("--tol-eigen-convergence", type=float, default=None)
+    parser.add_argument("--max-sweeps", type=int, default=None)
     return parser
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +44,7 @@ from .ortho import (
 from .pca import SscpResult, principal_components, projection_square_sums
 
 
-@dataclass(frozen=True)
-class PolarFactors:
+class PolarFactors(NamedTuple):
     """Right polar factorization V = Φ·H.
 
     ``orthonormal`` is the symmetric basis Φ (n x m), ``positive`` the
@@ -55,8 +55,7 @@ class PolarFactors:
     positive: np.ndarray
 
 
-@dataclass(frozen=True)
-class SvdFactors:
+class SvdFactors(NamedTuple):
     """Reduced SVD V = W·diag(σ)·U†.
 
     ``left`` is n x m column-orthonormal, ``singular_values`` descending

@@ -39,8 +39,10 @@ Conventions, fixed once and used by every module:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +93,7 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 _EPS = np.finfo(np.float64).eps
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
+class HermitianEigen(NamedTuple):
     """Eigendecomposition M = U·diag(d)·U† of a Hermitian matrix.
 
     ``eigenvalues`` is real and descending; ``eigenvectors`` is unitary
@@ -262,8 +263,12 @@ def _schedule(n: int) -> np.ndarray:
     return np.stack((np.minimum(left, right), np.maximum(left, right)), axis=2)
 
 
+@functools.lru_cache(maxsize=128)
 def _layouts(n: int) -> tuple:
     """Index tables that run the schedule of ``_schedule(n)`` in place.
+
+    Built once per size (the last 128 sizes are kept) and returned
+    read-only, since every solve of that size shares them.
 
     During a step the matrix is stored with its pair i at positions
     (2i, 2i + 1), so each pair's rows form one 2 x size block.  Returns
@@ -288,8 +293,11 @@ def _layouts(n: int) -> tuple:
     entries = np.concatenate((gp * size + gq, gp * (size + 1), gq * (size + 1)), axis=1)
     diagonal = np.arange(0, size * size, size + 1)
     pivots = np.concatenate((diagonal[0::2] + 1, diagonal[0::2] + size))
+    last, position = orders[-1].copy(), positions[-1].copy()
+    for table in (last, position, gathers, entries, diagonal, pivots):
+        table.setflags(write=False)  # before the views below, which inherit it
     blocks = (diagonal[0::2], diagonal[1::2], pivots)
-    return orders[-1].copy(), positions[-1].copy(), tuple(zip(gathers, entries)), blocks
+    return last, position, tuple(zip(gathers, entries)), blocks
 
 
 def _negligible(apq: np.ndarray, app: np.ndarray, aqq: np.ndarray) -> bool:

@@ -8,6 +8,12 @@ whose value overflows float64, such as ``1e999``, is a parse error.
 
 At the default precision of 17 significant digits values are written in
 shortest-round-trip form, so ``parse(write(A)) == A`` exactly.
+
+``parse_token`` is the one definition of the grammar and of the errors.
+A row is converted by the builtin ``float`` or ``complex`` when, on the
+characters it holds, the builtin accepts exactly that grammar
+(``_parse_rows``); any other file is parsed token by token
+(``_parse_tokens``), which raises the error with its line and column.
 """
 
 from __future__ import annotations
@@ -22,6 +28,19 @@ _DEC = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _TOKEN_RE = re.compile(rf"^(?P<re>[+-]?{_DEC})(?:(?P<im>[+-]{_DEC})i)?$")
 
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
+
+# Per delimiter: the characters of a row that ``float`` converts token by
+# token, and the form, under ``re.ASCII``, of a whole row plus one more
+# delimiter that ``complex`` converts token by token once each ``i`` is a
+# ``j``.  Within these, a builtin accepts exactly the tokens ``_TOKEN_RE``
+# matches (with ASCII digits, and blanks other than the delimiter around
+# them) and gives them the same values.  ``re`` compiles a form on first
+# use and caches it, so a process that reads no complex row skips that.
+_REAL_CHARS = {d: frozenset("0123456789.eE+- \t" + d) for d in _DELIMITERS.values()}
+_COMPLEX_TOKEN = rf"[+-]?{_DEC}(?:[+-]{_DEC}i)?"
+_COMPLEX_ROWS = {
+    d: rf"(?:{pad}{_COMPLEX_TOKEN}{pad}{d})+" for d, pad in ((",", "[ \t]*"), ("\t", " *"))
+}
 
 
 class MatrixFileError(Exception):
@@ -81,12 +100,65 @@ def parse_matrix_text(text: str, fmt: str = "csv") -> np.ndarray:
     or EmptyMatrix.
     """
     delimiter = delimiter_for(fmt)
-    rows = []
-    width = None
+    matrix = _parse_rows(text, delimiter)
+    return matrix if matrix is not None else _parse_tokens(text, delimiter)
+
+
+def _data_lines(text: str):
+    """(line number, line) of each line that is neither blank nor a comment."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+        if stripped and not stripped.startswith("#"):
+            yield lineno, line
+
+
+def _parse_rows(text: str, delimiter: str):
+    """The matrix ``_parse_tokens`` returns, by whole-row conversions, or None.
+
+    A row whose characters are all digits, ``. e E + -``, blanks or the
+    delimiter goes through ``map(float, ...)``; a row with an ``i`` must
+    match the grammar as a whole, one regex match, and goes through
+    ``map(complex, ...)``.  One ``isfinite`` covers the whole array.
+    None means some row needs the per-token path: another character, a
+    token the builtin rejects, a ragged row, no row at all, or a value
+    that is not finite.
+    """
+    real_chars = _REAL_CHARS[delimiter]
+    complex_row = _COMPLEX_ROWS[delimiter]
+    values = []
+    width = None
+    for _, line in _data_lines(text):
+        tokens = line.split(delimiter)
+        if width is None:
+            width = len(tokens)
+        elif len(tokens) != width:
+            return None
+        if "i" in line:
+            if re.fullmatch(complex_row, line + delimiter, re.ASCII) is None:
+                return None
+            values += map(complex, line.replace("i", "j").split(delimiter))
+        elif real_chars.issuperset(line):
+            try:
+                values += map(float, tokens)
+            except ValueError:
+                return None
+        else:
+            return None
+    if width is None:
+        return None
+    matrix = np.array(values, dtype=np.complex128).reshape(-1, width)
+    return matrix if np.isfinite(matrix).all() else None
+
+
+def _parse_tokens(text: str, delimiter: str) -> np.ndarray:
+    """``parse_matrix_text`` one ``parse_token`` at a time: the reference.
+
+    Rows are checked in order, each for its length before its tokens, so
+    the first problem in the file is the one raised.
+    """
+    rows = []
+    width = None
+    for lineno, line in _data_lines(text):
         tokens = [tok.strip() for tok in line.split(delimiter)]
         if width is None:
             width = len(tokens)

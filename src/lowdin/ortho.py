@@ -24,7 +24,7 @@ arithmetic up to the power of two (``_metric_solve``).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ class Method(enum.Enum):
     CANONICAL = "canonical"
 
 
-@dataclass(frozen=True)
-class OrthonormalBasis:
+class OrthonormalBasis(NamedTuple):
     """Column-orthonormal matrix tagged with the method that built it.
 
     ``source_eigen`` carries the (U, d) of the metric used in the
@@ -70,8 +69,7 @@ class OrthonormalBasis:
     source_eigen: HermitianEigen | None = None
 
 
-@dataclass(frozen=True)
-class OrthonormalityReport:
+class OrthonormalityReport(NamedTuple):
     """Result of the Z†Z = I check: max residual and a pass flag."""
 
     residual: float

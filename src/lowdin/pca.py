@@ -21,7 +21,7 @@ solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ from .linalg import (
 from .ortho import OrthonormalBasis
 
 
-@dataclass(frozen=True)
-class SscpResult:
+class SscpResult(NamedTuple):
     """Eigendecomposition of the SSCP matrix and the retained components.
 
     ``components`` holds the first min(n, m) eigenvectors of S in

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lowdin as lo
+import lowdin.matrixio
 from conftest import random_matrix
 from lowdin.cli import COMMANDS, _build_parser, main
-from lowdin.matrixio import parse_matrix_file, write_matrix_file
+from lowdin.matrixio import format_matrix, parse_matrix_file, write_matrix_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -175,6 +176,27 @@ class TestRelationsCommand:
         report = load_report(tmp_path)
         assert report["residuals"]["relation_lambda_phi_u"] <= 1e-12
         assert report["residuals"]["relation_phi_w_udagger"] <= 1e-12
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    def test_each_distinct_array_is_formatted_once(self, tmp_path, monkeypatch, fmt):
+        # Six files, four arrays: the three Φ files alias one array.
+        formatted = []
+
+        def counting(a, *args, **kwargs):
+            formatted.append(a)
+            return format_matrix(a, *args, **kwargs)
+
+        source = tmp_path / f"v.{fmt}"
+        write_matrix_file(source, parse_matrix_file(FIXTURES / "rand_4x3.csv"), fmt=fmt)
+        out = tmp_path / "out"
+        monkeypatch.setattr(lowdin.matrixio, "format_matrix", counting)
+        assert run_cli("relations", source, out, "--format", fmt) == 0
+        assert len(formatted) == 4
+        files = {p.name: p.read_bytes() for p in out.glob(f"relations_*.{fmt}")}
+        assert len(files) == 6
+        phi = files[f"relations_Phi.{fmt}"]
+        for route in ("Lambda", "svd"):
+            assert files[f"relations_Phi_from_{route}.{fmt}"] == phi
 
 
 class TestVerifyCommand:
@@ -448,6 +470,20 @@ class TestOutputOptions:
 class TestParserReuse:
     def test_parser_is_built_once(self):
         assert _build_parser() is _build_parser()
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        for name, command in COMMANDS.items():
+            assert f"  {name:<11} {command.help}" in out
+
+    def test_missing_command_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--input", str(FIXTURES / "identity_2x2.csv"), "--output-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "report.json").exists()
 
     def test_options_of_one_run_do_not_leak_into_the_next(self, tmp_path):
         def report(name, *extra):

@@ -173,6 +173,21 @@ class TestRoundRobinSchedule:
         assert sorted(seen) == expected
 
 
+class TestLayoutCache:
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    def test_repeat_call_returns_the_same_read_only_tables(self, n):
+        last, position, steps, blocks = _layouts(n)
+        again = _layouts(n)
+        assert again[0] is last and again[1] is position
+        assert all(a is b for pair in zip(again[2], steps) for a, b in zip(*pair))
+        assert all(a is b for a, b in zip(again[3], blocks))
+        tables = [last, position, *blocks] + [t for step in steps for t in step]
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[...] = 0
+
+
 def _hermitian_cases(rng, n, complex_):
     a = random_matrix(rng, n, n, complex_)
     q = random_unitary(rng, n, complex_)

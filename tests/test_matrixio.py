@@ -9,6 +9,9 @@ from lowdin.matrixio import (
     EmptyMatrix,
     ParseError,
     RaggedRows,
+    _parse_rows,
+    _parse_tokens,
+    delimiter_for,
     format_matrix,
     format_value,
     parse_matrix_file,
@@ -91,6 +94,91 @@ class TestParse:
         with pytest.raises(ParseError) as excinfo:
             parse_matrix_text("# header\n\n1,x\n")
         assert excinfo.value.line == 3
+
+
+# Tokens next to the grammar's edges: each is accepted or rejected by
+# ``parse_token``, and the row conversions must agree with it either way.
+NEAR_MISSES = [
+    "1e999", "-1e999", "0-2e400i", "1+1e999i", "2.5i", "+2i", "1+i", "i", "1 + 2i", "1 +2i",
+    "1+ 2i", "1_0", "inf", "-inf", "nan", "\u0661", "1+\u0662i", "\xa01.5\xa0", "\xa0",
+    "", " ", "1e+5i", "1+2e-3i", "1.+.5i", "1..", "1+2i5", "1j", "1+2j", "(1+2i)", ".", "e5",
+    "1e", "+", "-0", "1-0i", "-0-0i", "+.5e-3", "1E5", "0x10", "1,5", "#1", "1\t2", "\t1\t",
+]
+_real_tokens = st.floats(allow_nan=False, width=64).map(repr)
+# The imaginary sign is read off repr, so -0.0 is written "-0.0i".
+_complex_tokens = st.tuples(finite_floats, finite_floats).map(
+    lambda z: f"{z[0]!r}{'-' if repr(z[1])[0] == '-' else '+'}{abs(z[1])!r}i"
+)
+_tokens = st.one_of(
+    _real_tokens,
+    _complex_tokens,
+    st.sampled_from(NEAR_MISSES),
+    st.tuples(st.sampled_from(["", " ", "\t", "  "]), _complex_tokens | _real_tokens).map(
+        lambda pt: pt[0] + pt[1] + pt[0]
+    ),
+)
+
+
+@st.composite
+def _token_soups(draw):
+    """Delimited text of valid and near-miss tokens, mostly rectangular."""
+    fmt = draw(st.sampled_from(["csv", "tsv"]))
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["ragged", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        elif kind == "comment":
+            lines.append("# 1,2 i")
+        else:
+            count = width if kind == "row" else draw(st.integers(1, 5))
+            tokens = draw(st.lists(_tokens, min_size=count, max_size=count))
+            lines.append(delimiter_for(fmt).join(tokens))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"])), fmt
+
+
+def _outcome(parse, *args):
+    """The bits and shape parsed, or the exception type and its fields."""
+    try:
+        a = parse(*args)
+    except (ParseError, RaggedRows, EmptyMatrix) as exc:
+        return type(exc), vars(exc), str(exc)
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestRowConversionsMatchTokenGrammar:
+    """``parse_matrix_text`` against its per-token reference, ``_parse_tokens``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_token_soups())
+    def test_same_bits_or_same_error(self, soup):
+        text, fmt = soup
+        expected = _outcome(_parse_tokens, text, delimiter_for(fmt))
+        assert _outcome(parse_matrix_text, text, fmt) == expected
+        fast = _parse_rows(text, delimiter_for(fmt))
+        assert fast is None or _outcome(lambda: fast) == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    @pytest.mark.parametrize("token", NEAR_MISSES)
+    def test_each_near_miss_in_a_valid_file(self, token, fmt):
+        d = delimiter_for(fmt)
+        text = f"1{d}2.5-3i\n-0{d}{token}\n4e-3{d}.5\n"
+        assert _outcome(parse_matrix_text, text, fmt) == _outcome(_parse_tokens, text, d)
+
+    def test_written_files_take_the_row_path(self):
+        rng = np.random.default_rng(3)
+        for fmt in ("csv", "tsv"):
+            real = rng.standard_normal((9, 4))
+            for a in (real, real - 1j * rng.random((9, 4))):
+                text = format_matrix(a, fmt=fmt)
+                fast = _parse_rows(text, delimiter_for(fmt))
+                assert fast is not None and fast.tobytes() == a.astype(np.complex128).tobytes()
+
+    def test_overflow_before_a_later_bad_token_is_reported_first(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_matrix_text("1,2\n1e999,3\n4,x\n")
+        assert (excinfo.value.line, excinfo.value.column, excinfo.value.token) == (2, 1, "1e999")
 
 
 class TestFormat:
