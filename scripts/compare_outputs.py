@@ -5,9 +5,11 @@ Writes a corpus of inputs to WORK/corpus: the test fixtures, 120 random
 real and complex V (n <= 40, wide V among them, cond(V†V) up to 1e12)
 and ten hostile files (a bad token, a ragged row, an overflowing token,
 1e200·I, 1e-200·I, a rank-deficient, a zero, a 1 x 1, a row and a column
-matrix).  Every command runs on every input with default flags, and on
-the fixtures and the first 20 random inputs also with ``--max-sweeps 2``,
-``--rank-tol 1e-30`` and ``--precision 5``.  Each checkout runs the
+matrix), all csv, plus tsv copies of the fixtures and of the first 20
+random inputs.  Every command runs on every csv input with default
+flags, and on the fixtures and the first 20 random inputs also with
+``--max-sweeps 2``, ``--rank-tol 1e-30`` and ``--precision 5``; on every
+tsv input it runs once, with ``--format tsv``.  Each checkout runs the
 corpus in its own interpreter, with its own ``src`` first on
 ``PYTHONPATH`` and without writing bytecode into it, and stores the
 factor files, ``report.json`` (with ``elapsed_ms`` zeroed) and the exit
@@ -55,7 +57,10 @@ corpus, out = Path(sys.argv[1]), Path(sys.argv[2])
 flags = {"default": [], "sweeps2": ["--max-sweeps", "2"], "ranktiny": ["--rank-tol", "1e-30"],
          "p5": ["--precision", "5"]}
 for path in sorted(corpus.iterdir()):
-    variants = flags if path.name[0] != "r" or path.name < "r020" else {"default": []}
+    if path.suffix == ".tsv":
+        variants = {"tsv": ["--format", "tsv"]}
+    else:
+        variants = flags if path.name[0] != "r" or path.name < "r020" else {"default": []}
     for variant, extra in variants.items():
         for command in cli.COMMANDS:
             d = out / path.name / variant / command
@@ -87,7 +92,9 @@ def matrix_text(v):
 def write_corpus(fixtures: Path, corpus: Path) -> None:
     corpus.mkdir(parents=True)
     for f in fixtures.glob("*.csv"):
-        (corpus / f.name).write_bytes(f.read_bytes())
+        body = f.read_bytes()
+        (corpus / f.name).write_bytes(body)
+        (corpus / f"{f.stem}.tsv").write_bytes(body.replace(b",", b"\t"))
     rng = np.random.default_rng(20261018)
     for i in range(120):
         cplx, kind = i % 2 == 1, i % 6
@@ -105,7 +112,10 @@ def write_corpus(fixtures: Path, corpus: Path) -> None:
         s = np.geomspace(1.0, cond**-0.5, k) * 10.0 ** rng.uniform(-3, 3)
         u = rng.uniform(-1, 1, (n, m)) + (1j * rng.uniform(-1, 1, (n, m)) if cplx else 0)
         v = (q1[:, :k] * s) @ q2[:k, :] if kind in (0, 1, 2, 5) else u
-        (corpus / f"r{i:03d}.csv").write_text(matrix_text(v))
+        text = matrix_text(v)
+        (corpus / f"r{i:03d}.csv").write_text(text)
+        if i < 20:
+            (corpus / f"r{i:03d}.tsv").write_text(text.replace(",", "\t"))
     for name, body in HOSTILE.items():
         (corpus / f"h_{name}.csv").write_text(body)
 
@@ -117,8 +127,9 @@ def run_checkout(root: Path, corpus: Path, out: Path) -> None:
 
 
 def read_factor(path: Path) -> np.ndarray:
-    """A factor file the CLI wrote (csv, ``a+bi`` tokens) as a complex array."""
-    rows = [line.split(",") for line in path.read_text().splitlines() if line]
+    """A factor file the CLI wrote (csv or tsv, ``a+bi`` tokens) as a complex array."""
+    delimiter = "\t" if path.suffix == ".tsv" else ","
+    rows = [line.split(delimiter) for line in path.read_text().splitlines() if line]
     return np.array([[complex(t[:-1] + "j" if t.endswith("i") else t) for t in row] for row in rows])
 
 
@@ -171,7 +182,7 @@ def main() -> int:
                    for k in differing_keys(trees["old"] / p, trees["new"] / p))
     if keys:
         print(f"  report.json keys that differ: {dict(sorted(keys.items()))}")
-    factors = [p for p in differ if p.suffix == ".csv"]
+    factors = [p for p in differ if p.suffix in (".csv", ".tsv")]
     if factors:
         drift, worst = max((relative_drift(trees["old"] / p, trees["new"] / p), p) for p in factors)
         print(f"worst entrywise |new - old| / max|old| over {len(factors)} differing factor files: "

@@ -50,7 +50,6 @@ from .matrixio import (
 from .ortho import (
     Method,
     OrthonormalBasis,
-    OrthonormalityReport,
     canonical_orthogonalize,
     require_unitary,
     symmetric_orthogonalize,
@@ -73,7 +72,6 @@ __all__ = [
     "NotHermitian",
     "NotUnitary",
     "OrthonormalBasis",
-    "OrthonormalityReport",
     "ParseError",
     "PolarFactors",
     "RaggedRows",

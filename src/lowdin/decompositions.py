@@ -13,9 +13,9 @@ eigenvectors, never from V itself (``ortho._metric_solve``).
 
 The conversions Λ = Φ·U, Φ = Λ·U†, and Φ = W·U† move between the bases
 using that shared eigendecomposition.  The SSCP principal components of
-S = V·V† are the one other solve, on the min(n, m)-square matrix R_k·R_k†
-from a QR of 2^-e·V (``principal_components``); their spectrum
-cross-checks d.
+S = V·V† are the one other solve, on the min(n, m)-square matrix R·R†
+from a reduced QR of 2^-e·V (``principal_components``); their scores
+cross-check d.
 """
 
 from __future__ import annotations
@@ -74,10 +74,10 @@ class Factorization:
     ``lam`` is the canonical basis Λ with the (U, d) of M = V†V attached
     as ``source_eigen``.  Φ, the polar factors, the reduced SVD and the
     relation product Φ·U are views of it, computed on first use and
-    cached; none of them diagonalizes M again.  ``sscp`` diagonalizes
-    S = V·V† on first use, through the QR-reduced solve of
-    ``principal_components``, for the spectrum cross-check.  Build one
-    with ``factorize``.
+    cached; none of them diagonalizes M again.  ``sscp`` holds the
+    min(n, m) principal components of S = V·V† and their scores, from
+    the QR-reduced solve of ``principal_components`` on first use, for
+    the spectrum cross-check.  Build one with ``factorize``.
     """
 
     v: np.ndarray
@@ -118,7 +118,7 @@ class Factorization:
 
     @cached_property
     def sscp(self) -> SscpResult:
-        """Principal components of S = V·V†, from its own solve."""
+        """The min(n, m) principal components of S = V·V†, from their own solve."""
         return principal_components(self.v, self.cfg)
 
     def residuals(self, *names: str) -> dict:
@@ -133,7 +133,8 @@ class Factorization:
         because Φ is built as Λ·U† and W is Λ; ``projection_sum_gap`` is
         the largest relative gap between d and the projection-square
         sums of V on Λ, and ``gram_sscp_gap`` the one between d and the
-        m largest eigenvalues of S (DimensionMismatch for a wide V).
+        principal component scores of S (DimensionMismatch for a wide V,
+        which has fewer scores than d has entries).
         """
         return {name: _RESIDUALS[name](self) for name in names or _RESIDUALS}
 
@@ -148,20 +149,21 @@ def _projection_sum_gap(f: Factorization) -> float:
 
 
 def _gram_sscp_gap(f: Factorization) -> float:
-    """Largest relative gap between d and the m leading eigenvalues of S.
+    """Largest relative gap between d and S's min(n, m) component scores.
 
     Both spectra are descending, and ``factorize`` admits only d > 0.
+    A wide V has fewer scores than d has entries.
     """
-    g, s = f.eigen.eigenvalues, f.sscp.eigen.eigenvalues
+    g, s = f.eigen.eigenvalues, f.sscp.component_scores
     m = g.shape[0]
     if s.shape[0] < m:
         raise DimensionMismatch(f"need at least as many rows as columns, got {s.shape[0]}x{m}")
-    return float(np.max(np.abs(s[:m] - g) / g))
+    return float(np.max(np.abs(s - g) / g))
 
 
 _RESIDUALS = {
-    "phi_orthonormality": lambda f: verify_orthonormal(f.phi.matrix).residual,
-    "lambda_orthonormality": lambda f: verify_orthonormal(f.lam.matrix).residual,
+    "phi_orthonormality": lambda f: verify_orthonormal(f.phi.matrix),
+    "lambda_orthonormality": lambda f: verify_orthonormal(f.lam.matrix),
     "polar_reconstruction": lambda f: _relative_to_v(reconstruct_polar(f.polar), f),
     "svd_reconstruction": lambda f: _relative_to_v(reconstruct_svd(f.svd), f),
     "relation_lambda_phi_u": lambda f: max_abs(f.lam.matrix - f.lambda_from_phi),

@@ -223,12 +223,7 @@ def _phase_fixed(u) -> tuple:
     pivots = out[rows, columns]
     moduli = np.hypot(pivots.real, pivots.imag)  # abs() of each pivot, bit for bit
     live = moduli > 0.0
-    # Each factor is the numpy-scalar division conj(pivot)/|pivot|; an
-    # array-wide division need not round the same way.
-    factors = np.array(
-        [p.conjugate() / m if m > 0.0 else 1.0 for p, m in zip(pivots, moduli)],
-        dtype=np.complex128,
-    )
+    factors = np.where(live, pivots.conj() / np.where(live, moduli, 1.0), 1.0)
     np.multiply(out, factors, out=out, where=live)
     # Each pivot is |pivot| by construction; write it directly so the
     # convention holds exactly, not to rounding.

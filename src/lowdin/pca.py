@@ -8,13 +8,13 @@ projection-square sums of V's columns onto the canonical basis recover
 exactly those eigenvalues.
 
 S has rank at most k = min(n, m), so ``principal_components`` never
-diagonalizes the n x n matrix itself: ``numpy.linalg.qr`` (LAPACK)
-factors 2^-e·V = Q·R, and the Jacobi solver ``hermitian_eigen``
-diagonalizes the k x k matrix T = R_k·R_k†.  The power of two keeps T
-in range, so only S's eigenvalues themselves can overflow.  The QR is
-a preconditioner (Drmač & Veselić, SIMAX 29, 2008); the
-eigendecomposition is still the hand-rolled Jacobi one.  T differs
-from M = R†R, so the spectrum comparison
+diagonalizes the n x n matrix itself and returns only its k leading
+components: ``numpy.linalg.qr`` (LAPACK, reduced) factors 2^-e·V = Q·R,
+and the Jacobi solver ``hermitian_eigen`` diagonalizes the k x k matrix
+T = R·R†.  The power of two keeps T in range, so only S's eigenvalues
+themselves can overflow.  The QR is a preconditioner (Drmač & Veselić,
+SIMAX 29, 2008); the eigendecomposition is still the hand-rolled Jacobi
+one.  T differs from M = R†R, so the spectrum comparison
 (``Factorization.residuals("gram_sscp_gap")``) pairs two separate
 solves.
 """
@@ -28,7 +28,6 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import (
     DEFAULT_TOLERANCES,
-    HermitianEigen,
     ToleranceConfig,
     _hermitian_product,
     _real_valued,
@@ -42,59 +41,43 @@ from .ortho import OrthonormalBasis
 
 
 class SscpResult(NamedTuple):
-    """Eigendecomposition of the SSCP matrix and the retained components.
+    """The k = min(n, m) principal components of S = V·V†.
 
-    ``components`` holds the first min(n, m) eigenvectors of S in
-    descending eigenvalue order; ``component_scores`` the matching
-    eigenvalues.  The full eigendecomposition stays available in
-    ``eigen``.
+    ``components`` (n x k, orthonormal columns) are S's eigenvectors for
+    its k largest eigenvalues, descending and phase-fixed;
+    ``component_scores`` are those eigenvalues, and ``sweeps`` counts the
+    Jacobi sweeps of the k x k solve.  The other n - k eigenvalues of S
+    are 0 and are not returned.
     """
 
-    eigen: HermitianEigen
     components: np.ndarray
     component_scores: np.ndarray
+    sweeps: int
 
 
 def principal_components(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SscpResult:
-    """Eigenvectors of the SSCP matrix, descending, phase-fixed.
+    """The k = min(n, m) leading eigenvectors of the SSCP matrix S = V·V†.
 
-    S = V·V† has rank at most k = min(n, m), so it is diagonalized
-    through F = 2^-e·V = Q·R (e the ``frexp`` exponent of V's largest
-    real or imaginary part; ``numpy.linalg.qr``, complete, in float64
-    for a real-valued V): 2^-2e·S = Q·diag(T, 0)·Q† with T = R_k·R_k†
-    for the first k rows R_k of R.  Only the k x k matrix T goes to the
-    Jacobi solver; its eigenvectors Y give those of S as
-    Q·blockdiag(Y, I), and its eigenvalues, scaled back by 2^2e, are
-    followed by n - k exact zeros.  The QR is a preconditioner only; the
-    eigendecomposition is ``hermitian_eigen``'s, and ``sweeps`` counts
-    its sweeps on T.  Raises OverflowError only if an eigenvalue of S
-    leaves the float64 range.
+    S has rank at most k, so it is diagonalized through the reduced QR
+    F = 2^-e·V = Q·R (e the ``frexp`` exponent of V's largest real or
+    imaginary part; ``numpy.linalg.qr`` in float64 for a real-valued V):
+    2^-2e·S = Q·T·Q† with the k x k T = R·R†.  The Jacobi solver
+    diagonalizes T = Y·diag(d_T)·Y†; the components are Q·Y, phase-fixed,
+    and their scores 2^2e·d_T.  The QR is a preconditioner only; the
+    eigendecomposition is ``hermitian_eigen``'s.  Raises OverflowError
+    only if an eigenvalue of S leaves the float64 range.
 
     For square nonsingular V these columns equal the canonical
     orthonormal basis once both carry the shared phase convention.
     """
     v = as_matrix(v)
-    n, m = v.shape
-    retained = min(n, m)
     scaled, exponent = _scaled_to_unit(v)
-    q, r = np.linalg.qr(_real_valued(scaled), mode="complete")
-    reduced = hermitian_eigen(_hermitian_product(r[:retained]), cfg)
-    scores = _scaled_back(reduced.eigenvalues, exponent, "V·V†", v)
-    values = np.concatenate((scores, np.zeros(n - retained)))
-    # A rank-deficient T can end on a tiny negative eigenvalue, which
-    # belongs after the padded zeros.
-    order = np.argsort(-values, kind="stable")
-    vectors = q.astype(np.complex128)
-    vectors[:, :retained] = q[:, :retained] @ reduced.eigenvectors
-    eigen = HermitianEigen(
-        eigenvalues=values[order],
-        eigenvectors=apply_phase_convention(vectors[:, order]),
-        sweeps=reduced.sweeps,
-    )
+    q, r = np.linalg.qr(_real_valued(scaled))
+    reduced = hermitian_eigen(_hermitian_product(r), cfg)
     return SscpResult(
-        eigen=eigen,
-        components=eigen.eigenvectors[:, :retained],
-        component_scores=eigen.eigenvalues[:retained],
+        components=apply_phase_convention(q @ reduced.eigenvectors),
+        component_scores=_scaled_back(reduced.eigenvalues, exponent, "V·V†", v),
+        sweeps=reduced.sweeps,
     )
 
 

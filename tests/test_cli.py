@@ -57,7 +57,7 @@ class TestSymmetricCommand:
         code = run_cli("symmetric", FIXTURES / "shear_2x2.csv", tmp_path)
         assert code == 0
         phi = parse_matrix_file(tmp_path / "symmetric_Phi.csv")
-        assert lo.verify_orthonormal(phi).passed
+        assert lo.verify_orthonormal(phi) <= lo.DEFAULT_TOLERANCES.orthonormality_tol
         report = load_report(tmp_path)
         assert report["eigenvalues"] == pytest.approx([GOLDEN_HI, GOLDEN_LO])
         assert report["condition_estimate"] == pytest.approx(GOLDEN_HI / GOLDEN_LO)
@@ -349,18 +349,39 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert "strictly positive" in capsys.readouterr().err
 
-    def test_impossible_tolerance_fails_run_without_numeric_error(self, tmp_path):
-        code = run_cli(
-            "symmetric",
-            FIXTURES / "shear_2x2.csv",
-            tmp_path,
-            "--tol-orthonormality",
-            "1e-30",
-        )
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("symmetric", "--tol-orthonormality"),
+            ("polar", "--tol-reconstruction"),
+            ("svd", "--tol-reconstruction"),
+        ],
+    )
+    def test_impossible_tolerance_fails_run_without_numeric_error(self, tmp_path, command, flag):
+        code = run_cli(command, FIXTURES / "shear_2x2.csv", tmp_path, flag, "1e-30")
         assert code == 1
         report = load_report(tmp_path)
         assert report["pass"] is False
         assert report["error"] is None
+
+    def test_eigen_convergence_flag_reaches_the_solver(self, tmp_path):
+        # rand_4x3 converges within 3 sweeps to the default target, never
+        # to an off-diagonal norm of 1e-300 relative.
+        source = FIXTURES / "rand_4x3.csv"
+        assert run_cli("symmetric", source, tmp_path / "default", "--max-sweeps", "3") == 0
+        code = run_cli(
+            "symmetric",
+            source,
+            tmp_path / "tight",
+            "--tol-eigen-convergence",
+            "1e-300",
+            "--max-sweeps",
+            "3",
+        )
+        assert code == 3
+        error = load_report(tmp_path / "tight")["error"]
+        assert error["type"] == "NoConvergence"
+        assert error["sweeps"] == 3
 
     def test_rank_tol_flag_changes_the_cutoff(self, tmp_path):
         # with a huge rank cutoff even a well-conditioned metric is

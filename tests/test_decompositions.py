@@ -36,7 +36,8 @@ class TestPolar:
         factors = lo.polar_decompose(v)
         assert np.allclose(factors.orthonormal.matrix, v / 2.0, atol=1e-14)
         assert np.allclose(factors.positive, 2.0 * np.eye(2), atol=1e-14)
-        assert lo.verify_orthonormal(factors.orthonormal.matrix).passed
+        residual = lo.verify_orthonormal(factors.orthonormal.matrix)
+        assert residual <= lo.DEFAULT_TOLERANCES.orthonormality_tol
         assert lo.max_abs(lo.reconstruct_polar(factors) - v) <= 1e-14
 
     def test_orthonormal_factor_is_the_symmetric_basis(self, rng):
@@ -134,7 +135,7 @@ class TestFactorizationResiduals:
             f = lo.factorize(v)
             gap = f.residuals("gram_sscp_gap")["gram_sscp_gap"]
             d = f.eigen.eigenvalues
-            scores = lo.principal_components(v).eigen.eigenvalues[:m]
+            scores = lo.principal_components(v).component_scores
             assert gap == float(np.max(np.abs(scores - d) / np.abs(d)))
 
     def test_keeps_its_cfg_and_caches_the_sscp_solve(self):

@@ -434,7 +434,7 @@ class TestHermitianPower:
         assert lo.max_abs(f.phi.matrix - v @ kernel) <= 1e-12
         assert lo.max_abs(f.polar.positive - hermitian_2x2_power(2.0, 2.0, 1.0, 0.5)) <= 1e-12
         # Φ†Φ = M^(-1/2)·M·M^(-1/2) recovers the identity
-        assert lo.verify_orthonormal(f.phi.matrix).residual <= 1e-8
+        assert lo.verify_orthonormal(f.phi.matrix) <= 1e-8
 
     def test_sqrt_squares_back(self, rng):
         v = random_matrix(rng, 5, 5)

@@ -38,21 +38,17 @@ def conditioned_matrices(draw, max_dim=5, complex_=False):
 
 class TestVerifyOrthonormal:
     def test_identity_passes_with_zero_residual(self):
-        report = lo.verify_orthonormal(np.eye(4))
-        assert report.residual == 0.0
-        assert report.passed
+        assert lo.verify_orthonormal(np.eye(4)) == 0.0
 
     def test_shear_fails_with_residual_one(self):
         # Z†Z = [[1, 1], [1, 2]] so the largest deviation from I is 1.
-        report = lo.verify_orthonormal(SHEAR)
-        assert report.residual == 1.0
-        assert not report.passed
+        residual = lo.verify_orthonormal(SHEAR)
+        assert residual == 1.0
+        assert residual > lo.DEFAULT_TOLERANCES.orthonormality_tol
 
     def test_known_orthonormal_pair(self):
         s = 1.0 / math.sqrt(2.0)
-        report = lo.verify_orthonormal(np.array([[s, s], [s, -s]]))
-        assert report.residual <= 1e-15
-        assert report.passed
+        assert lo.verify_orthonormal(np.array([[s, s], [s, -s]])) <= 1e-15
 
 
 class TestSymmetric:
@@ -72,7 +68,7 @@ class TestSymmetric:
         expected = SHEAR @ kernel
         basis = lo.symmetric_orthogonalize(SHEAR)
         assert lo.max_abs(basis.matrix - expected) <= 1e-12
-        assert lo.verify_orthonormal(basis.matrix).residual <= 1e-10
+        assert lo.verify_orthonormal(basis.matrix) <= 1e-10
         # and it is a genuine factor of V: Phi M^{1/2} = V
         half = hermitian_2x2_power(1.0, 2.0, 1.0, 0.5)
         assert lo.max_abs(basis.matrix @ half - SHEAR) <= 1e-12
@@ -117,7 +113,7 @@ class TestCanonical:
 
     def test_shear_spectral_property(self):
         basis = lo.canonical_orthogonalize(SHEAR)
-        assert lo.verify_orthonormal(basis.matrix).residual <= 1e-10
+        assert lo.verify_orthonormal(basis.matrix) <= 1e-10
         # summed squared projections of V's columns onto each canonical
         # vector recover the metric eigenvalues
         sums = [
@@ -309,8 +305,8 @@ def test_orthonormality_on_uniform_entry_ensemble(rng):
 def test_both_bases_are_orthonormal(v):
     phi = lo.symmetric_orthogonalize(v)
     lam = lo.canonical_orthogonalize(v)
-    assert lo.verify_orthonormal(phi.matrix, lo.ToleranceConfig(orthonormality_tol=1e-10)).passed
-    assert lo.verify_orthonormal(lam.matrix, lo.ToleranceConfig(orthonormality_tol=1e-10)).passed
+    assert lo.verify_orthonormal(phi.matrix) <= 1e-10
+    assert lo.verify_orthonormal(lam.matrix) <= 1e-10
 
 
 @settings(max_examples=30, deadline=None)
@@ -318,8 +314,8 @@ def test_both_bases_are_orthonormal(v):
 def test_complex_bases_are_orthonormal(v):
     phi = lo.symmetric_orthogonalize(v)
     lam = lo.canonical_orthogonalize(v)
-    assert lo.verify_orthonormal(phi.matrix).residual <= 1e-10
-    assert lo.verify_orthonormal(lam.matrix).residual <= 1e-10
+    assert lo.verify_orthonormal(phi.matrix) <= 1e-10
+    assert lo.verify_orthonormal(lam.matrix) <= 1e-10
 
 
 @settings(max_examples=30, deadline=None)
