@@ -349,16 +349,24 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert "strictly positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "command, flag",
-        [
-            ("symmetric", "--tol-orthonormality"),
-            ("polar", "--tol-reconstruction"),
-            ("svd", "--tol-reconstruction"),
-        ],
-    )
-    def test_impossible_tolerance_fails_run_without_numeric_error(self, tmp_path, command, flag):
-        code = run_cli(command, FIXTURES / "shear_2x2.csv", tmp_path, flag, "1e-30")
+    def test_impossible_tolerance_fails_run_without_numeric_error(self, tmp_path):
+        code = run_cli(
+            "symmetric",
+            FIXTURES / "shear_2x2.csv",
+            tmp_path,
+            "--tol-orthonormality",
+            "1e-30",
+        )
+        assert code == 1
+        report = load_report(tmp_path)
+        assert report["pass"] is False
+        assert report["error"] is None
+
+    @pytest.mark.parametrize("command", ["polar", "svd"])
+    def test_impossible_reconstruction_tolerance_fails_run(self, tmp_path, command):
+        code = run_cli(
+            command, FIXTURES / "shear_2x2.csv", tmp_path, "--tol-reconstruction", "1e-30"
+        )
         assert code == 1
         report = load_report(tmp_path)
         assert report["pass"] is False

@@ -105,6 +105,18 @@ class TestReducedSscpSolve:
         assert np.max(np.abs(d - reference) / reference) <= 1e-12
 
     @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n,m", SSCP_SHAPES)
+    def test_components_and_scores_reconstruct_sscp(self, rng, n, m, complex_):
+        # S has rank k = min(n, m), so its k components and scores alone
+        # rebuild all of S: nothing is lost by not computing its null space.
+        v = random_full_rank(rng, n, m, complex_=complex_)
+        result = lo.principal_components(v)
+        u = result.components
+        s = v @ v.conj().T
+        rebuilt = (u * result.component_scores) @ u.conj().T
+        assert lo.max_abs(rebuilt - s) <= 1e-12 * lo.max_abs(s)
+
+    @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("n,m,rank", [(10, 5, 2), (6, 6, 3), (3, 8, 1)])
     def test_rank_deficient_spectrum_stays_descending(self, rng, n, m, rank, complex_):
         v = random_matrix(rng, n, rank, complex_) @ random_matrix(rng, rank, m, complex_)
@@ -192,7 +204,7 @@ class TestGramSscpCheck:
         with pytest.raises(DimensionMismatch):
             wide.residuals("gram_sscp_gap")
 
-    def test_tall_full_rank_spectra_agree(self, rng):
+    def test_full_rank_leftovers_are_counted(self, rng):
         v = random_full_rank(rng, 7, 3)
         assert gram_sscp_gap(v) <= 1e-9
 
