@@ -14,12 +14,16 @@ corpus in its own interpreter, with its own ``src`` first on
 ``PYTHONPATH`` and without writing bytecode into it, and stores the
 factor files, ``report.json`` (with ``elapsed_ms`` zeroed) and the exit
 status of every run under WORK/old and WORK/new.  The two trees are then
-compared file by file.  For the factor files that differ it prints the
-worst entrywise |new - old| / max|old|, and it counts the runs whose
-exit status changed.
+compared file by file.  A run whose exit status changed can write a
+different set of factor files; files found in one tree only are listed
+by run directory, and the files both trees hold are still compared.  For
+the factor files that differ it prints the worst entrywise
+|new - old| / max|old|, and it counts the runs whose exit status
+changed.
 
-Exits 0 when every file is byte-identical and 1 when any differs.  Give
-the same checkout twice to check that runs are deterministic.
+Exits 0 when both trees hold the same files, all byte-identical, and 1
+otherwise.  Give the same checkout twice to check that runs are
+deterministic.
 
 Usage:
     python scripts/compare_outputs.py OLD NEW WORK
@@ -30,7 +34,7 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +153,43 @@ def differing_keys(a: Path, b: Path) -> list:
     return sorted(k for k in x.keys() | y.keys() if x.get(k) != y.get(k))
 
 
+def compare_trees(old: Path, new: Path) -> int:
+    """Compare two output trees and print the summary; 1 if they differ in any way, else 0."""
+    trees = {"old": old, "new": new}
+    files = {side: sorted(p.relative_to(t) for p in t.rglob("*") if p.is_file())
+             for side, t in trees.items()}
+    codes = [(old / p).read_text().strip() for p in files["old"] if p.name == "exit"]
+    print(f"{len(codes)} runs, {len(files['old'])} files; "
+          f"exit/outcome counts {dict(sorted(Counter(codes).items()))}")
+    old_files, new_files = set(files["old"]), set(files["new"])
+    one_sided = defaultdict(list)  # run directory -> "old|new only: name"
+    for side, only in (("old", old_files - new_files), ("new", new_files - old_files)):
+        for p in sorted(only):
+            one_sided[p.parent].append(f"{side} only: {p.name}")
+    if one_sided:
+        print(f"file sets differ: {sum(map(len, one_sided.values()))} files in one tree only, "
+              f"in {len(one_sided)} run directories")
+        for run, names in sorted(one_sided.items()):
+            print(f"  {run}: {', '.join(names)}")
+    differ = [p for p in sorted(old_files & new_files)
+              if not filecmp.cmp(old / p, new / p, shallow=False)]
+    print(f"differing files: {len(differ)}")
+    kinds = Counter(f"{p.parts[-2]}/{p.name}" for p in differ)
+    for kind, count in sorted(kinds.items()):
+        print(f"  {kind}: {count}")
+    keys = Counter(k for p in differ if p.name == "report.json"
+                   for k in differing_keys(old / p, new / p))
+    if keys:
+        print(f"  report.json keys that differ: {dict(sorted(keys.items()))}")
+    factors = [p for p in differ if p.suffix in (".csv", ".tsv")]
+    if factors:
+        drift, worst = max((relative_drift(old / p, new / p), p) for p in factors)
+        print(f"worst entrywise |new - old| / max|old| over {len(factors)} differing factor files: "
+              f"{drift:.2e} ({worst})")
+    print(f"changed exit codes: {sum(1 for p in differ if p.name == 'exit')}")
+    return 1 if differ or one_sided else 0
+
+
 def main() -> int:
     if len(sys.argv) != 4:
         print(__doc__, file=sys.stderr)
@@ -161,34 +202,8 @@ def main() -> int:
     write_corpus(old / "tests" / "fixtures", corpus)
     for side, root in sides.items():
         run_checkout(root, corpus, work / side)
-
-    trees = {side: work / side for side in sides}
-    files = {side: sorted(p.relative_to(t) for p in t.rglob("*") if p.is_file())
-             for side, t in trees.items()}
-    codes = [(trees["old"] / p).read_text().strip() for p in files["old"] if p.name == "exit"]
-    print(f"{sum(1 for _ in corpus.iterdir())} inputs, {len(codes)} runs, "
-          f"{len(files['old'])} files; exit/outcome counts {dict(sorted(Counter(codes).items()))}")
-    if files["old"] != files["new"]:
-        only = set(files["old"]) ^ set(files["new"])
-        print(f"file sets differ: {len(only)} files in one tree only, e.g. {sorted(only)[:5]}")
-        return 1
-    differ = [p for p in files["old"]
-              if not filecmp.cmp(trees["old"] / p, trees["new"] / p, shallow=False)]
-    print(f"differing files: {len(differ)}")
-    kinds = Counter(f"{p.parts[-2]}/{p.name}" for p in differ)
-    for kind, count in sorted(kinds.items()):
-        print(f"  {kind}: {count}")
-    keys = Counter(k for p in differ if p.name == "report.json"
-                   for k in differing_keys(trees["old"] / p, trees["new"] / p))
-    if keys:
-        print(f"  report.json keys that differ: {dict(sorted(keys.items()))}")
-    factors = [p for p in differ if p.suffix in (".csv", ".tsv")]
-    if factors:
-        drift, worst = max((relative_drift(trees["old"] / p, trees["new"] / p), p) for p in factors)
-        print(f"worst entrywise |new - old| / max|old| over {len(factors)} differing factor files: "
-              f"{drift:.2e} ({worst})")
-    print(f"changed exit codes: {sum(1 for p in differ if p.name == 'exit')}")
-    return 1 if differ else 0
+    print(f"{sum(1 for _ in corpus.iterdir())} inputs")
+    return compare_trees(work / "old", work / "new")
 
 
 if __name__ == "__main__":

@@ -55,7 +55,7 @@ from .ortho import (
     symmetric_orthogonalize,
     verify_orthonormal,
 )
-from .pca import SscpResult, principal_components, projection_square_sums
+from .pca import projection_square_sums
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "PolarFactors",
     "RaggedRows",
     "SingularMetric",
-    "SscpResult",
     "SvdFactors",
     "ToleranceConfig",
     "apply_phase_convention",
@@ -90,7 +89,6 @@ __all__ = [
     "parse_matrix_file",
     "parse_matrix_text",
     "polar_decompose",
-    "principal_components",
     "projection_square_sums",
     "reconstruct_polar",
     "reconstruct_svd",

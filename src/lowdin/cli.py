@@ -30,11 +30,11 @@ from .linalg import ToleranceConfig
 from .matrixio import MatrixFileError, parse_matrix_file, write_matrix_file
 
 # Pass/fail bounds for residuals that have no ToleranceConfig field: the
-# analytic relations are exact identities up to a few ulps, the spectral
-# and projection-sum matches hold to roundoff amplified by conditioning.
+# analytic relations and the SSCP eigenpair residual are exact identities
+# up to a few ulps, the projection-sum match holds to roundoff amplified
+# by conditioning.
 RELATION_TOL = 1e-12
 PROJECTION_SUM_TOL = 1e-9
-GRAM_SSCP_TOL = 1e-9
 
 
 _METRIC_SPECTRUM = (("eigenvalues", "d"), ("condition_estimate", "condition"))
@@ -78,7 +78,7 @@ COMMANDS = {
     ),
     "pca": Command(
         "principal components of the SSCP matrix V V†",
-        ("projection_sum_gap", "gram_sscp_gap"),
+        ("projection_sum_gap", "sscp_eigenpair"),
         ("components", "scores"),
         (("eigenvalues", "scores"), ("condition_estimate", "condition")),
     ),
@@ -100,7 +100,7 @@ COMMANDS = {
 
 
 # Views of a Factorization f, each a cached attribute or its transpose;
-# ``components`` and ``scores`` run the SSCP solve on first use.  Both
+# S = V·V†'s components are Λ phase-fixed and its scores are d.  Both
 # ``Phi_from_*`` files are Φ itself: Φ is built as Λ·U†, and W is Λ.
 _VIEWS = {
     "Phi": lambda f: f.phi.matrix,
@@ -113,15 +113,15 @@ _VIEWS = {
     "Lambda_from_Phi": lambda f: f.lambda_from_phi,
     "Phi_from_Lambda": lambda f: f.phi.matrix,
     "Phi_from_svd": lambda f: f.phi.matrix,
-    "components": lambda f: f.sscp.components,
-    "scores": lambda f: f.sscp.component_scores,
+    "components": lambda f: f.components,
+    "scores": lambda f: f.eigen.eigenvalues,
     "d": lambda f: f.eigen.eigenvalues,
     "condition": lambda f: f.eigen.condition_estimate(),
 }
 
 # Exit status per exception: an unreadable or malformed input file is 2;
-# a numerical failure is 3, including an eigenvalue of V†V or V·V† that
-# leaves the float64 range.
+# a numerical failure is 3, including an eigenvalue of V†V that leaves
+# the float64 range.
 _EXIT_CODES = {
     MatrixFileError: 2,
     OSError: 2,
@@ -153,7 +153,7 @@ def _tolerance_for(name: str, cfg: ToleranceConfig) -> float:
         "relation_lambda_phi_u": RELATION_TOL,
         "relation_phi_w_udagger": RELATION_TOL,
         "projection_sum_gap": PROJECTION_SUM_TOL,
-        "gram_sscp_gap": GRAM_SSCP_TOL,
+        "sscp_eigenpair": RELATION_TOL,
     }[name]
 
 

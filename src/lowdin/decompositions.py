@@ -9,13 +9,12 @@ eigenvectors, never from V itself (``ortho._metric_solve``).
 
 * canonical basis Λ = V·U·d^{-1/2} and symmetric basis Φ = Λ·U†;
 * polar: V = Φ·H with H = M^{1/2} = U·diag(d^{1/2})·U†;
-* reduced SVD: V = W·diag(σ)·U† with W = Λ and σ = d^{1/2} descending.
+* reduced SVD: V = W·diag(σ)·U† with W = Λ and σ = d^{1/2} descending;
+* SSCP principal components: S = V·V† has Λ's columns as eigenvectors
+  and d as their eigenvalues, since S·Λ = Λ·diag(d).
 
 The conversions Λ = Φ·U, Φ = Λ·U†, and Φ = W·U† move between the bases
-using that shared eigendecomposition.  The SSCP principal components of
-S = V·V† are the one other solve, on the min(n, m)-square matrix R·R†
-from a reduced QR of 2^-e·V (``principal_components``); their scores
-cross-check d.
+using that shared eigendecomposition.
 """
 
 from __future__ import annotations
@@ -31,6 +30,8 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     HermitianEigen,
     ToleranceConfig,
+    _scaled_to_unit,
+    apply_phase_convention,
     as_matrix,
     max_abs,
 )
@@ -41,7 +42,7 @@ from .ortho import (
     require_unitary,
     verify_orthonormal,
 )
-from .pca import SscpResult, principal_components, projection_square_sums
+from .pca import projection_square_sums
 
 
 class PolarFactors(NamedTuple):
@@ -72,12 +73,10 @@ class Factorization:
     """V with the one checked eigendecomposition of its metric.
 
     ``lam`` is the canonical basis Λ with the (U, d) of M = V†V attached
-    as ``source_eigen``.  Φ, the polar factors, the reduced SVD and the
-    relation product Φ·U are views of it, computed on first use and
-    cached; none of them diagonalizes M again.  ``sscp`` holds the
-    min(n, m) principal components of S = V·V† and their scores, from
-    the QR-reduced solve of ``principal_components`` on first use, for
-    the spectrum cross-check.  Build one with ``factorize``.
+    as ``source_eigen``.  Φ, the polar factors, the reduced SVD, the
+    relation product Φ·U and the principal components of S = V·V† are
+    views of it, computed on first use and cached; none of them
+    diagonalizes M again.  Build one with ``factorize``.
     """
 
     v: np.ndarray
@@ -117,24 +116,27 @@ class Factorization:
         return SvdFactors(left=self.lam.matrix, singular_values=sigma, right=u)
 
     @cached_property
-    def sscp(self) -> SscpResult:
-        """The min(n, m) principal components of S = V·V†, from their own solve."""
-        return principal_components(self.v, self.cfg)
+    def components(self) -> np.ndarray:
+        """S = V·V†'s principal components: Λ under the phase convention.
+
+        Column j is S's eigenvector for its j-th largest eigenvalue d_j.
+        """
+        return apply_phase_convention(self.lam.matrix)
 
     def residuals(self, *names: str) -> dict:
         """The named residuals, or all of them when none is named.
 
         Names: phi_orthonormality, lambda_orthonormality,
         polar_reconstruction, svd_reconstruction, relation_lambda_phi_u,
-        relation_phi_w_udagger, projection_sum_gap, gram_sscp_gap.
+        relation_phi_w_udagger, projection_sum_gap, sscp_eigenpair.
         Orthonormality is max|Z†Z - I| of Φ or Λ; reconstructions are
         relative, max|product - V| / (1 + max|V|); the relations are
         max|Λ - Φ·U| and max|Φ - W·U†|, the second 0 by construction
         because Φ is built as Λ·U† and W is Λ; ``projection_sum_gap`` is
         the largest relative gap between d and the projection-square
-        sums of V on Λ, and ``gram_sscp_gap`` the one between d and the
-        principal component scores of S (DimensionMismatch for a wide V,
-        which has fewer scores than d has entries).
+        sums of V on Λ, and ``sscp_eigenpair`` the eigenpair backward
+        error of Λ's columns as eigenvectors of S = V·V†.  Together they
+        check the principal components and their scores d.
         """
         return {name: _RESIDUALS[name](self) for name in names or _RESIDUALS}
 
@@ -148,17 +150,20 @@ def _projection_sum_gap(f: Factorization) -> float:
     return float(np.max(np.abs(projection_square_sums(f.v, f.lam) - d) / d))
 
 
-def _gram_sscp_gap(f: Factorization) -> float:
-    """Largest relative gap between d and S's min(n, m) component scores.
+def _sscp_eigenpair(f: Factorization) -> float:
+    """max|F·G - Λ·diag(ρ)| / max ρ, with F = 2^-e·V, G = F†·Λ and ρ_j = ‖g_j‖².
 
-    Both spectra are descending, and ``factorize`` admits only d > 0.
-    A wide V has fewer scores than d has entries.
+    ρ_j is the Rayleigh quotient of λ_j for 2^-2e·S, so S is never
+    formed, and the residual is Parlett's eigenpair backward error
+    (*The Symmetric Eigenvalue Problem*, SIAM 1998) relative to S's
+    largest eigenvalue.  It is computed from F and Λ alone, so 2^k·V
+    reads the same value bit for bit, also where d is subnormal.
     """
-    g, s = f.eigen.eigenvalues, f.sscp.component_scores
-    m = g.shape[0]
-    if s.shape[0] < m:
-        raise DimensionMismatch(f"need at least as many rows as columns, got {s.shape[0]}x{m}")
-    return float(np.max(np.abs(s - g) / g))
+    scaled, _ = _scaled_to_unit(f.v)
+    lam = f.lam.matrix
+    g = scaled.conj().T @ lam
+    rho = np.sum(np.abs(g) ** 2, axis=0)
+    return max_abs(scaled @ g - lam * rho) / float(np.max(rho))
 
 
 _RESIDUALS = {
@@ -169,7 +174,7 @@ _RESIDUALS = {
     "relation_lambda_phi_u": lambda f: max_abs(f.lam.matrix - f.lambda_from_phi),
     "relation_phi_w_udagger": lambda f: max_abs(f.phi.matrix - symmetric_from_svd(f.svd).matrix),
     "projection_sum_gap": _projection_sum_gap,
-    "gram_sscp_gap": _gram_sscp_gap,
+    "sscp_eigenpair": _sscp_eigenpair,
 }
 
 

@@ -25,7 +25,7 @@ Inside the eigensolver the work array follows the data: a matrix whose
 imaginary parts are all zero is rotated in ``float64``, any other in
 ``complex128``, by the same step code, whose rotations use real
 arithmetic only (``_real_valued`` is the rule, and the QRs that
-precondition the metric and SSCP solves follow it too).  All functions
+precondition the metric solve follow it too).  All functions
 are pure and never mutate their arguments, so values can be shared
 freely between threads.
 
@@ -161,15 +161,15 @@ def _scaled_to_unit(a: np.ndarray) -> tuple:
     return np.ldexp(parts, -exponent).view(np.complex128), exponent
 
 
-def _scaled_back(d: np.ndarray, exponent: int, product: str, v: np.ndarray) -> np.ndarray:
-    """2^2e·d: eigenvalues of the ``product`` of V from those of 2^-e·V's.
+def _scaled_back(d: np.ndarray, exponent: int, v: np.ndarray) -> np.ndarray:
+    """2^2e·d: eigenvalues of V†V from those of 2^-e·V's metric.
 
     Raises OverflowError, quoting max|V|, if one leaves the float64 range.
     """
     with np.errstate(over="ignore"):
         d = np.ldexp(d, 2 * exponent)
     if not np.all(np.isfinite(d)):
-        raise OverflowError(f"{product} overflows float64 (max|V| = {max_abs(v):.3e})")
+        raise OverflowError(f"V†V overflows float64 (max|V| = {max_abs(v):.3e})")
     return d
 
 

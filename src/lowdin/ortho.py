@@ -130,7 +130,7 @@ def _metric_solve(v: np.ndarray, cfg: ToleranceConfig) -> tuple:
     reduced = hermitian_eigen(_hermitian_product(l_adjoint), cfg)
     eigenvectors, phases = _phase_fixed(right @ reduced.eigenvectors)
     eigen = HermitianEigen(
-        eigenvalues=_scaled_back(reduced.eigenvalues, exponent, "V†V", v),
+        eigenvalues=_scaled_back(reduced.eigenvalues, exponent, v),
         eigenvectors=eigenvectors,
         sweeps=reduced.sweeps,
     )

@@ -6,14 +6,20 @@ exhaustive divisor search and exact deflation, the remainder is solved
 by the quadratic formula or the trigonometric cubic formula with a few
 Newton polish steps.  Matrix-power references use LAPACK
 (``numpy.linalg.eigh``), and the Gram metric V†V is formed directly.
-Nothing here touches the Jacobi path under test.
+Only ``principal_components`` runs the Jacobi solver, and on a matrix
+the metric path never builds: S = V·V† reduced by its own QR, so its
+components check Λ by a second route.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
+
+import lowdin as lo
+from lowdin.linalg import _hermitian_product, _real_valued, _scaled_to_unit
 
 
 def _abs2(z: complex) -> float:
@@ -75,6 +81,39 @@ def gram_metric(v) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise OverflowError("V†V overflows float64")
     return m
+
+
+class SscpResult(NamedTuple):
+    """The k = min(n, m) principal components of S = V·V†.
+
+    ``components`` (n x k, orthonormal columns) are S's eigenvectors for
+    its k largest eigenvalues, descending and phase-fixed, and
+    ``component_scores`` are those eigenvalues.  The other n - k
+    eigenvalues of S are 0 and are not returned.
+    """
+
+    components: np.ndarray
+    component_scores: np.ndarray
+
+
+def principal_components(v) -> SscpResult:
+    """The k = min(n, m) leading eigenvectors of S = V·V†, from their own solve.
+
+    S has rank at most k, so it is diagonalized through the reduced QR
+    F = 2^-e·V = Q·R (e the ``frexp`` exponent of V's largest real or
+    imaginary part): 2^-2e·S = Q·T·Q† with the k x k T = R·R†.  The
+    Jacobi solver diagonalizes T = Y·diag(d_T)·Y†; the components are
+    Q·Y, phase-fixed, and their scores 2^2e·d_T.  Works for wide and
+    rank-deficient V too.
+    """
+    v = lo.as_matrix(v)
+    scaled, exponent = _scaled_to_unit(v)
+    q, r = np.linalg.qr(_real_valued(scaled))
+    reduced = lo.hermitian_eigen(_hermitian_product(r))
+    return SscpResult(
+        components=lo.apply_phase_convention(q @ reduced.eigenvectors),
+        component_scores=np.ldexp(reduced.eigenvalues, 2 * exponent),
+    )
 
 
 def lapack_inverse_sqrt_route(v) -> np.ndarray:

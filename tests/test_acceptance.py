@@ -19,10 +19,16 @@ import numpy as np
 import pytest
 
 import lowdin as lo
+from lowdin.cli import RELATION_TOL
 from lowdin.cli import main as cli_main
 
 from conftest import random_full_rank, random_unitary
-from oracles import gram_metric, hermitian_2x2_eigenvalues, hermitian_3x3_eigenvalues
+from oracles import (
+    gram_metric,
+    hermitian_2x2_eigenvalues,
+    hermitian_3x3_eigenvalues,
+    principal_components,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ENSEMBLE_SEED = 20260808
@@ -139,16 +145,23 @@ def test_criterion_5_symmetric_from_svd_route(factored):
 
 def test_criterion_6_pca_equivalences(factored):
     with criterion(6, "PCA equivalences"):
-        # (a) the nonzero spectra of V V† and V†V agree
+        # (a) the nonzero spectra of V V† and V†V agree: d against the
+        # scores of the oracle's own solve of S
         for v, _, lam, _, _ in factored:
-            assert lo.factorize(v).residuals("gram_sscp_gap")["gram_sscp_gap"] <= 1e-8
+            d = lam.source_eigen.eigenvalues
+            scores = principal_components(v).component_scores
+            assert np.max(np.abs(scores - d) / d) <= 1e-8
         # (c) projection-square sums onto the canonical basis recover d
         for v, _, lam, _, _ in factored:
             d = lam.source_eigen.eigenvalues
             sums = lo.projection_square_sums(v, lam)
             assert np.max(np.abs(sums - d) / d) <= 1e-8
-        # (b) principal components match the canonical basis for square
-        # nonsingular input with well-separated SSCP spectrum
+        # (d) Λ's columns are eigenvectors of S, to the eigenpair residual
+        for v, _, _, _, _ in factored:
+            residual = lo.factorize(v).residuals("sscp_eigenpair")["sscp_eigenpair"]
+            assert residual <= RELATION_TOL
+        # (b) the oracle's principal components match the canonical basis
+        # for square nonsingular input with well-separated SSCP spectrum
         rng = np.random.default_rng(ENSEMBLE_SEED + 1)
         checked = 0
         while checked < 50:
@@ -157,7 +170,7 @@ def test_criterion_6_pca_equivalences(factored):
             scores = np.linalg.eigvalsh(v @ v.conj().T)[::-1]
             if np.min(np.abs(np.diff(scores))) < 1e-6 * scores[0]:
                 continue
-            result = lo.principal_components(v)
+            result = principal_components(v)
             lam = lo.canonical_orthogonalize(v)
             aligned = lo.apply_phase_convention(lam.matrix)
             assert lo.max_abs(result.components - aligned) <= 1e-6

@@ -71,9 +71,9 @@ class TestSymmetricCommand:
         ],
     )
     def test_input_whose_gram_matrix_overflows(self, tmp_path, command, text):
-        # Neither V†V nor V·V† is formed, so only d must fit in float64.  For
-        # the second input R·R† would overflow if V were not scaled by 2^-e
-        # first, in the metric solve and in the SSCP solve of pca and verify.
+        # Neither V†V nor V·V† is formed, so only d must fit in float64: V is
+        # scaled by 2^-e before the metric solve and before pca's eigenpair
+        # residual.
         source = tmp_path / "in.csv"
         source.write_text(text)
         assert run_cli(command, source, tmp_path / "out") == 0
@@ -155,7 +155,7 @@ class TestPcaCommand:
         assert components.shape == (4, 3)
         assert np.all(np.diff(scores) <= 0.0)
         report = load_report(tmp_path)
-        assert report["residuals"]["gram_sscp_gap"] <= 1e-9
+        assert report["residuals"]["sscp_eigenpair"] <= 1e-12
         assert report["residuals"]["projection_sum_gap"] <= 1e-9
 
 
@@ -211,7 +211,7 @@ class TestVerifyCommand:
             "relation_lambda_phi_u",
             "relation_phi_w_udagger",
             "projection_sum_gap",
-            "gram_sscp_gap",
+            "sscp_eigenpair",
         }
         assert report["pass"] is True
         assert report["eigenvalues"] and report["singular_values"]
@@ -235,8 +235,8 @@ class TestOneFactorization:
         "canonical": 1,
         "polar": 1,
         "svd": 1,
-        "pca": 2,  # M once, S = V·V† once
-        "verify": 2,
+        "pca": 1,
+        "verify": 1,
         "relations": 1,
     }
 
@@ -279,7 +279,7 @@ class TestOneFactorization:
             "relation_lambda_phi_u": "relations",
             "relation_phi_w_udagger": "relations",
             "projection_sum_gap": "pca",
-            "gram_sscp_gap": "pca",
+            "sscp_eigenpair": "pca",
         }
         residuals = {}
         for command in {"verify", *owners.values()}:
@@ -522,7 +522,7 @@ class TestParserReuse:
             return data
 
         before = report("before")
-        assert report("capped", "--max-sweeps", "2")["error"]["type"] == "NoConvergence"
+        assert report("capped", "--max-sweeps", "1")["error"]["type"] == "NoConvergence"
         after = report("after")
         assert after == before
         assert after["pass"] is True

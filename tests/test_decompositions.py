@@ -1,5 +1,6 @@
 """Polar decomposition, reduced SVD, and the inter-basis conversions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 
 import lowdin as lo
+from lowdin.cli import PROJECTION_SUM_TOL, RELATION_TOL
 from lowdin.errors import DimensionMismatch, NotUnitary, SingularMetric
-from lowdin.ortho import Method
+from lowdin.ortho import Method, OrthonormalBasis
 
 from conftest import random_full_rank, random_unitary
 from oracles import gram_metric
@@ -120,7 +122,7 @@ class TestFactorizationResiduals:
         "relation_lambda_phi_u",
         "relation_phi_w_udagger",
         "projection_sum_gap",
-        "gram_sscp_gap",
+        "sscp_eigenpair",
     }
 
     def test_every_residual_by_default(self, rng):
@@ -128,21 +130,48 @@ class TestFactorizationResiduals:
         assert set(residuals) == self.NAMES
         assert all(value <= 1e-10 for value in residuals.values())
 
-    def test_gram_sscp_gap_is_the_pca_check(self, rng):
-        # The gap pairs the metric spectrum with principal_components' one.
-        for n, m in ((3, 3), (6, 2), (5, 4)):
-            v = random_full_rank(rng, n, m, complex_=True)
-            f = lo.factorize(v)
-            gap = f.residuals("gram_sscp_gap")["gram_sscp_gap"]
-            d = f.eigen.eigenvalues
-            scores = lo.principal_components(v).component_scores
-            assert gap == float(np.max(np.abs(scores - d) / np.abs(d)))
+    @staticmethod
+    def _tampered(f, lam=None, d=None):
+        """f with its Λ or its d replaced, as a corrupted metric solve would leave it."""
+        eigen = f.eigen if d is None else f.eigen._replace(eigenvalues=d)
+        matrix = f.lam.matrix if lam is None else lam
+        return dataclasses.replace(
+            f, lam=OrthonormalBasis(matrix=matrix, method=Method.CANONICAL, source_eigen=eigen)
+        )
 
-    def test_keeps_its_cfg_and_caches_the_sscp_solve(self):
+    @pytest.mark.parametrize(
+        "tamper, name, bound",
+        [
+            pytest.param("entry", "sscp_eigenpair", RELATION_TOL, id="lambda-entry"),
+            pytest.param("swap", "projection_sum_gap", PROJECTION_SUM_TOL, id="column-swap"),
+            pytest.param("d1", "projection_sum_gap", PROJECTION_SUM_TOL, id="d1"),
+        ],
+    )
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_a_tampered_pca_fails_its_check(self, rng, tamper, name, bound, complex_):
+        # Λ's columns as S's eigenvectors and d as their eigenvalues: one
+        # entry of Λ off by 1e-8, two columns of Λ swapped, or d₁ off by
+        # 1e-8 relative each push one of pca's residuals past its bound.
+        for _ in range(5):
+            f = lo.factorize(random_full_rank(rng, 6, 4, complex_=complex_))
+            assert f.residuals(name)[name] <= bound
+            if tamper == "entry":
+                lam = f.lam.matrix.copy()
+                lam[0, 0] += 1e-8
+                bad = self._tampered(f, lam=lam)
+            elif tamper == "swap":
+                bad = self._tampered(f, lam=f.lam.matrix[:, [1, 0, 2, 3]])
+            else:
+                d = f.eigen.eigenvalues.copy()
+                d[0] *= 1.0 + 1e-8
+                bad = self._tampered(f, d=d)
+            assert bad.residuals(name)[name] > bound
+
+    def test_keeps_its_cfg_and_caches_its_views(self):
         cfg = lo.ToleranceConfig(rank_tol=1e-6)
         f = lo.factorize(SHEAR, cfg)
         assert f.cfg is cfg
-        assert f.sscp is f.sscp
+        assert f.components is f.components
 
 
 class TestConversions:

@@ -58,7 +58,7 @@ class TestGramMetric:
         with pytest.raises(OverflowError):
             gram_metric(1e200 * I2)
         with pytest.raises(OverflowError):
-            lo.principal_components(1e200 * I2)
+            lo.factorize(1e200 * I2)
 
 
 class TestHermitianEigen:

@@ -1,5 +1,6 @@
 """The experiment scripts run against the library and print their tables."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -58,3 +59,43 @@ def test_condition_sweep_reports_the_worst_sweep_count():
     # diagonal to that test: no sweep at all.
     assert sweeps[1.0] >= 1
     assert all(sweeps[10.0**k] == 0 for k in range(14, 29, 2))
+
+
+def _compare_outputs_script():
+    path = ROOT / "scripts" / "compare_outputs.py"
+    spec = importlib.util.spec_from_file_location("compare_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_outputs_goes_on_past_files_in_one_tree_only(tmp_path, capsys):
+    # A run whose exit status changed from 3 to 0 writes factor files the
+    # old tree lacks; the summary still reports the drift and the exit change.
+    trees = {side: tmp_path / side for side in ("old", "new")}
+    for side, tree in trees.items():
+        failed = tree / "r007.csv" / "sweeps2" / "pca"
+        failed.mkdir(parents=True)
+        (failed / "exit").write_text("3\n" if side == "old" else "0\n")
+        if side == "new":
+            (failed / "pca_scores.csv").write_text("2.0\n")
+        passed = tree / "r008.csv" / "default" / "pca"
+        passed.mkdir(parents=True)
+        (passed / "exit").write_text("0\n")
+        (passed / "pca_scores.csv").write_text("4.0\n" if side == "old" else "4.000000001\n")
+    assert _compare_outputs_script().compare_trees(trees["old"], trees["new"]) == 1
+    out = capsys.readouterr().out
+    assert "file sets differ: 1 files in one tree only, in 1 run directories" in out
+    assert "r007.csv/sweeps2/pca: new only: pca_scores.csv" in out
+    assert "over 1 differing factor files: 2.50e-10 (r008.csv/default/pca/pca_scores.csv)" in out
+    assert "changed exit codes: 1" in out
+
+
+def test_compare_outputs_passes_identical_trees(tmp_path, capsys):
+    for side in ("old", "new"):
+        run = tmp_path / side / "r000.csv" / "default" / "svd"
+        run.mkdir(parents=True)
+        (run / "exit").write_text("0\n")
+        (run / "svd_sigma.csv").write_text("3.0\n2.0\n")
+    assert _compare_outputs_script().compare_trees(tmp_path / "old", tmp_path / "new") == 0
+    assert "differing files: 0" in capsys.readouterr().out
