@@ -4,10 +4,13 @@ Reads a matrix from a delimited text file, runs one of the
 decompositions or checks, writes the factor matrices as
 ``<command>_<factor>.<ext>`` files plus a ``report.json``, and exits 0
 only if every residual clears its tolerance.  Exit status 2 flags an
-input or usage problem, 3 a numerical failure (singular metric, no
-convergence, overflow), and 1 a run whose residuals missed the
-configured tolerances.  Every run that gets past argument parsing
-writes ``report.json``, with ``error`` filled in when it failed.
+input or usage problem, an output path that cannot be written among
+them, 3 a numerical failure (singular metric, no convergence,
+overflow), and 1 a run whose residuals missed the configured
+tolerances.  A run that gets past argument parsing writes
+``report.json``, with ``error`` filled in when it failed, unless the
+output directory cannot be made or ``report.json`` cannot be written
+there.
 """
 
 from __future__ import annotations
@@ -207,20 +210,30 @@ def run(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
         if not all(r <= _tolerance_for(n, cfg) for n, r in residuals.items()):
             code = 1
 
-    output_dir.mkdir(parents=True, exist_ok=True)
-    written = {}  # id of each array -> the file it was formatted into
-    for name, matrix in files.items():
-        path = output_dir / f"{name}.{args.format}"
-        if id(matrix) in written:  # another view of the same array: same bytes
-            shutil.copyfile(written[id(matrix)], path)
-            continue
-        write_matrix_file(path, matrix, fmt=args.format, precision=args.precision)
-        written[id(matrix)] = path
+    try:
+        output_dir.mkdir(parents=True, exist_ok=True)
+        written = {}  # id of each array -> the file it was formatted into
+        for name, matrix in files.items():
+            path = output_dir / f"{name}.{args.format}"
+            if id(matrix) in written:  # another view of the same array: same bytes
+                shutil.copyfile(written[id(matrix)], path)
+                continue
+            write_matrix_file(path, matrix, fmt=args.format, precision=args.precision)
+            written[id(matrix)] = path
+    except OSError as exc:
+        # An output path that cannot be written is a usage error, unless
+        # the run already failed for another reason, which stays reported.
+        if report["error"] is None:
+            code, report["error"] = 2, _describe_error(exc)
     report["pass"] = code == 0
     report["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    (output_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    try:
+        (output_dir / "report.json").write_text(
+            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    except OSError as exc:  # no directory to write it in, or report.json is not a file
+        if report["error"] is None:
+            code, report["error"] = 2, _describe_error(exc)
     if report["error"] is not None:
         print(f"error: {report['error']['type']}: {report['error']['message']}", file=sys.stderr)
     return code

@@ -9,7 +9,10 @@ on V instead.
 The eigensolver sweeps in round-robin order (Brent & Luk, SIAM J. Sci.
 Stat. Comput. 6(1), 1985): each sweep is n - 1 steps (n for odd n),
 and each step rotates n/2 disjoint index pairs together with a few
-whole-array numpy operations.  The input is first scaled by an exact
+whole-array numpy operations.  One call of ``_sweep`` runs a whole
+sweep: it allocates its gather buffers and rotation parameters once,
+and each step writes into them with ``out=``, so per-step cost is the
+numpy calls themselves.  The input is first scaled by an exact
 power of two, so entries up to the overflow threshold are diagonalized,
 and the eigenvectors of 2^k·M are those of M bit for bit while the
 entries of 2^k·M stay normal numbers.  Pivots below the normal range
@@ -23,11 +26,13 @@ Matrices are plain ``numpy`` arrays; ``as_matrix`` gives them
 ``complex128`` entries, and eigenvectors are returned as ``complex128``.
 Inside the eigensolver the work array follows the data: a matrix whose
 imaginary parts are all zero is rotated in ``float64``, any other in
-``complex128``, by the same step code, whose rotations use real
+``complex128``, by the same sweep code, whose rotations use real
 arithmetic only (``_real_valued`` is the rule, and the QRs that
 precondition the metric solve follow it too).  All functions
 are pure and never mutate their arguments, so values can be shared
-freely between threads.
+freely between threads; the solver's work arrays belong to one call
+and are never cached, so solves may also run in several threads at
+once.
 
 Conventions, fixed once and used by every module:
 
@@ -307,17 +312,17 @@ def _negligible(apq: np.ndarray, app: np.ndarray, aqq: np.ndarray) -> bool:
     return bool(np.all(np.abs(apq) <= _EPS * np.sqrt(np.abs(app * aqq))))
 
 
-def _jacobi_step(aw: np.ndarray, step: tuple, blocks: tuple, polish: bool = False) -> None:
-    """Rotate every pair of one round-robin step at once.
+def _sweep(aw: np.ndarray, steps: tuple, blocks: tuple, polish: bool = False) -> None:
+    """Run round-robin ``steps`` in order, rotating all pairs of a step at once.
 
     ``aw`` stacks the working matrix A and W = U†, the conjugate
-    transpose of the accumulated basis; ``step`` and ``blocks`` come from
-    ``_layouts``.  Each pair (p, q) gets the complex plane rotation R with
-    R[p,p]=c, R[p,q]=s, R[q,p]=-s·e^{-iφ}, R[q,q]=c·e^{-iφ}, where
-    a[p,q]=r·e^{iφ}.  W becomes R†W, and A becomes R†AR, computed as
-    R†(R†A)† because A is Hermitian.  The pairs are disjoint, so their
-    rotations commute, and each 2x2 block of R†AR is written in closed
-    form.
+    transpose of the accumulated basis; ``steps`` (all of a sweep's, or
+    a slice of them) and ``blocks`` come from ``_layouts``.  Each pair
+    (p, q) gets the complex plane rotation R with R[p,p]=c, R[p,q]=s,
+    R[q,p]=-s·e^{-iφ}, R[q,q]=c·e^{-iφ}, where a[p,q]=r·e^{iφ}.  W
+    becomes R†W, and A becomes R†AR, computed as R†(R†A)† because A is
+    Hermitian.  The pairs of a step are disjoint, so their rotations
+    commute, and each 2x2 block of R†AR is written in closed form.
 
     R† = G·diag(1, e^{iφ}) with G = [[c, -s], [s, c]] real, so each
     product multiplies the q rows by e^{iφ} and then applies the stacked
@@ -331,74 +336,98 @@ def _jacobi_step(aw: np.ndarray, step: tuple, blocks: tuple, polish: bool = Fals
     In the ``polish`` sweep a step whose pivots are all ``_negligible``
     rotates nothing: it only moves aw to its layout, with two ``take``s,
     and zeroes its pivots, as the rotations would have.
+
+    Every step has the same shapes, so the gather buffers, G and the
+    rotation parameters are allocated once per call and each step writes
+    into them with ``out=``.  They belong to this call alone, which keeps
+    the function safe to run in several threads at once.
     """
-    gather, entries = step
-    size = gather.shape[0]
+    size = aw.shape[1]
     half = size // 2
     diagonal_p, diagonal_q, pivots = blocks
-    entries = aw.take(entries)
+    real = aw.dtype == np.float64
+    a = aw[0]
+    flat = a.reshape(-1)
+    a_columns = a.T
+    # aw and the products written into it, as the float64 rows G acts on.
+    aw_parts = aw.view(np.float64).reshape(2, half, 2, -1)
+    a_parts = a.view(np.float64).reshape(half, 2, -1)
+    rows = np.empty_like(aw)
+    rows_parts = rows.view(np.float64).reshape(2, half, 2, -1)
+    rows_q = rows[:, 1::2]
+    columns = np.empty_like(a)
+    columns_parts = columns.view(np.float64).reshape(half, 2, -1)
+    columns_q = columns[1::2]
+    entries = np.empty(3 * half, dtype=aw.dtype)
     apq = entries[:half]
     app = entries[half : 2 * half].real
     aqq = entries[2 * half :].real
-    if polish and _negligible(apq, app, aqq):
-        rows = aw.take(gather, axis=1)
-        aw[1] = rows[1]
-        rows[0].take(gather, axis=1, out=aw[0], mode="clip")  # in range: no buffer
-        aw[0].reshape(-1)[pivots] = 0.0
-        return
-    r = np.abs(apq)
-    # A pivot that is zero or subnormal gets the identity rotation (and is
-    # zeroed below): a subnormal r is too coarse for apq/r to be a unit
-    # number, or even finite.
-    dead = r < _TINY
-    r[dead] = 0.0
-    phase = np.where(dead, 1.0, apq) / np.where(dead, 1.0, r)
-    # t = tan of the rotation angle: the root of t² + 2τt - 1 = 0, with
-    # τ = (a[q,q] - a[p,p]) / 2r, that is at most 1 in modulus.
-    gap = aqq - app
-    r2 = r + r
-    t = np.copysign(r2, gap) / (np.abs(gap) + np.hypot(gap, r2) + dead)
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-    real = aw.dtype == np.float64
     g = np.empty((half, 2, 2))
-    g[:, 0, 0] = c
-    g[:, 0, 1] = -s
-    g[:, 1, 0] = s
-    g[:, 1, 1] = c
-    if real:
-        # A real phase is ±1: fold it into G's second column, which flips
-        # the same signs exactly, so the q rows need no multiply.
-        g[:, :, 1] *= phase[:, None]
-    phase = phase[:, None]
+    g_diagonal = g.reshape(half, 4)[:, ::3]  # g[:, 0, 0] and g[:, 1, 1]
+    g01, g10, g_second_column = g[:, 0, 1], g[:, 1, 0], g[:, :, 1]
+    r, r2, gap, t, c, s, scratch = np.empty((7, half))
+    c_column = c[:, None]
+    phase = np.empty(half, dtype=aw.dtype)
+    phase_column = phase[:, None]
+    for gather, offsets in steps:
+        # Every index is in range, so "clip" lets ``take`` write into its
+        # output directly instead of through a buffer.
+        aw.take(offsets, out=entries, mode="clip")
+        if polish and _negligible(apq, app, aqq):
+            aw.take(gather, axis=1, out=rows, mode="clip")
+            aw[1] = rows[1]
+            rows[0].take(gather, axis=1, out=a, mode="clip")
+            flat[pivots] = 0.0
+            continue
+        np.abs(apq, out=r)
+        dead = None
+        if r.min() < _TINY:
+            # A pivot that is zero or subnormal gets the identity rotation
+            # (and is zeroed below): a subnormal r is too coarse for apq/r
+            # to be a unit number, or even finite.
+            dead = r < _TINY
+            r[dead] = 0.0
+            np.divide(np.where(dead, 1.0, apq), np.where(dead, 1.0, r), out=phase)
+        else:
+            np.divide(apq, r, out=phase)
+        # t = tan of the rotation angle: the root of t² + 2τt - 1 = 0, with
+        # τ = (a[q,q] - a[p,p]) / 2r, that is at most 1 in modulus.
+        np.subtract(aqq, app, out=gap)
+        np.add(r, r, out=r2)
+        np.abs(gap, out=scratch)
+        scratch += np.hypot(gap, r2, out=t)
+        if dead is not None:
+            scratch += dead  # a dead pair's t is 0, not 0/0
+        np.copysign(r2, gap, out=t)
+        t /= scratch
+        np.hypot(1.0, t, out=c)
+        np.divide(1.0, c, out=c)
+        np.multiply(t, c, out=s)
+        g_diagonal[...] = c_column
+        np.negative(s, out=g01)
+        g10[...] = s
+        if real:
+            # A real phase is ±1: fold it into G's second column, which
+            # flips the same signs exactly, so the q rows need no multiply.
+            g_second_column *= phase_column
 
-    # ``take`` copies, so each product can write straight into aw.
-    rows = aw.take(gather, axis=1)
-    if not real:
-        rows[:, 1::2] *= phase
-    np.matmul(
-        g,
-        rows.view(np.float64).reshape(2, half, 2, -1),
-        out=aw.view(np.float64).reshape(2, half, 2, -1),
-    )
-    a = aw[0]
-    # The rows of (R†A)† are the conjugated columns of R†A.
-    rows = a.T.take(gather, axis=0)
-    if not real:
-        np.conjugate(rows, out=rows)
-        rows[1::2] *= phase
-    np.matmul(
-        g,
-        rows.view(np.float64).reshape(half, 2, -1),
-        out=a.view(np.float64).reshape(half, 2, -1),
-    )
-    # The transformed 2x2 blocks are known in closed form; writing them
-    # directly keeps the diagonal real and each pivot exactly zero.
-    flat = a.reshape(-1)
-    shift = t * r
-    flat[diagonal_p] = app - shift
-    flat[diagonal_q] = aqq + shift
-    flat[pivots] = 0.0
+        # ``take`` copies, so each product can write straight into aw.
+        aw.take(gather, axis=1, out=rows, mode="clip")
+        if not real:
+            rows_q *= phase_column
+        np.matmul(g, rows_parts, out=aw_parts)
+        # The rows of (R†A)† are the conjugated columns of R†A.
+        a_columns.take(gather, axis=0, out=columns, mode="clip")
+        if not real:
+            np.conjugate(columns, out=columns)
+            columns_q *= phase_column
+        np.matmul(g, columns_parts, out=a_parts)
+        # The transformed 2x2 blocks are known in closed form; writing them
+        # directly keeps the diagonal real and each pivot exactly zero.
+        np.multiply(t, r, out=scratch)  # the shift of each diagonal entry
+        flat[diagonal_p] = np.subtract(app, scratch, out=gap)
+        flat[diagonal_q] = np.add(aqq, scratch, out=gap)
+        flat[pivots] = 0.0
 
 
 def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEigen:
@@ -461,8 +490,7 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
                 sweeps=sweeps,
                 off_norm=float(np.ldexp(off, exponent)),
             )
-        for step in steps:
-            _jacobi_step(aw, step, blocks)
+        _sweep(aw, steps, blocks)
         sweeps += 1
         off = _off_diagonal_norm(aw[0])
     # One polish sweep after the target is met takes the quadratically
@@ -473,8 +501,7 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     off_diagonal = aw[0] - np.diag(diagonal)
     diagonal = diagonal.real
     if sweeps < cfg.max_sweeps and not _negligible(off_diagonal, diagonal[:, None], diagonal):
-        for step in steps:
-            _jacobi_step(aw, step, blocks, True)  # polish
+        _sweep(aw, steps, blocks, True)  # polish
         sweeps += 1
     position = position[:n]  # of each index in the final layout; drops the dummy
     diag = np.real(np.diagonal(aw[0]))[position]

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 import lowdin as lo
-from lowdin.linalg import _hermitian_product, _real_valued, _scaled_to_unit
+from lowdin.linalg import _hermitian_product, _negligible, _real_valued, _scaled_to_unit
 
 
 def _abs2(z: complex) -> float:
@@ -149,6 +149,74 @@ def jacobi_rotations(a, w, pairs):
         rotation[q, p], rotation[q, q] = -s * phase.conjugate(), c * phase.conjugate()
     adjoint = rotation.conj().T
     return adjoint @ a @ rotation, adjoint @ np.asarray(w, dtype=np.complex128)
+
+
+def jacobi_sweep_by_steps(aw, steps, blocks, polish=False):
+    """``linalg._sweep`` one step at a time, allocating every temporary afresh.
+
+    The same arithmetic in the same order, written as plain expressions:
+    substituted for ``_sweep``, it must leave every ``hermitian_eigen``
+    result unchanged bit for bit.
+    """
+    for step in steps:
+        _jacobi_step(aw, step, blocks, polish)
+
+
+def _jacobi_step(aw, step, blocks, polish):
+    gather, entries = step
+    half = gather.shape[0] // 2
+    diagonal_p, diagonal_q, pivots = blocks
+    entries = aw.take(entries)
+    apq = entries[:half]
+    app = entries[half : 2 * half].real
+    aqq = entries[2 * half :].real
+    if polish and _negligible(apq, app, aqq):
+        rows = aw.take(gather, axis=1)
+        aw[1] = rows[1]
+        rows[0].take(gather, axis=1, out=aw[0], mode="clip")
+        aw[0].reshape(-1)[pivots] = 0.0
+        return
+    r = np.abs(apq)
+    dead = r < np.finfo(np.float64).tiny
+    r[dead] = 0.0
+    phase = np.where(dead, 1.0, apq) / np.where(dead, 1.0, r)
+    gap = aqq - app
+    r2 = r + r
+    t = np.copysign(r2, gap) / (np.abs(gap) + np.hypot(gap, r2) + dead)
+    c = 1.0 / np.hypot(1.0, t)
+    s = t * c
+    real = aw.dtype == np.float64
+    g = np.empty((half, 2, 2))
+    g[:, 0, 0] = c
+    g[:, 0, 1] = -s
+    g[:, 1, 0] = s
+    g[:, 1, 1] = c
+    if real:
+        g[:, :, 1] *= phase[:, None]
+    phase = phase[:, None]
+    rows = aw.take(gather, axis=1)
+    if not real:
+        rows[:, 1::2] *= phase
+    np.matmul(
+        g,
+        rows.view(np.float64).reshape(2, half, 2, -1),
+        out=aw.view(np.float64).reshape(2, half, 2, -1),
+    )
+    a = aw[0]
+    rows = a.T.take(gather, axis=0)
+    if not real:
+        np.conjugate(rows, out=rows)
+        rows[1::2] *= phase
+    np.matmul(
+        g,
+        rows.view(np.float64).reshape(half, 2, -1),
+        out=a.view(np.float64).reshape(half, 2, -1),
+    )
+    flat = a.reshape(-1)
+    shift = t * r
+    flat[diagonal_p] = app - shift
+    flat[diagonal_q] = aqq + shift
+    flat[pivots] = 0.0
 
 
 def format_matrix_by_entry(a, precision=17, fmt="csv"):

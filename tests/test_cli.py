@@ -322,6 +322,29 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert "oops" in capsys.readouterr().err
 
+    def test_output_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "F"
+        target.write_text("")
+        assert run_cli("symmetric", FIXTURES / "identity_2x2.csv", target) == 2
+        assert capsys.readouterr().err.startswith("error: FileExistsError: ")
+        assert target.read_text() == ""
+
+    def test_output_dir_under_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "F").write_text("")
+        assert run_cli("symmetric", FIXTURES / "identity_2x2.csv", tmp_path / "F" / "sub") == 2
+        assert capsys.readouterr().err.startswith("error: NotADirectoryError: ")
+
+    def test_unwritable_factor_file_exits_2_and_reports_it(self, tmp_path, capsys):
+        assert run_cli("symmetric", FIXTURES / "identity_2x2.csv", tmp_path) == 0
+        assert load_report(tmp_path)["pass"] is True
+        (tmp_path / "symmetric_Phi.csv").unlink()
+        (tmp_path / "symmetric_Phi.csv").mkdir()
+        assert run_cli("symmetric", FIXTURES / "identity_2x2.csv", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error: IsADirectoryError: ")
+        report = load_report(tmp_path)  # replaces the passing report of the first run
+        assert report["pass"] is False
+        assert report["error"]["type"] == "IsADirectoryError"
+
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate", "--input", "x.csv"])

@@ -1,6 +1,8 @@
 """Core matrix operations and the Jacobi eigensolver."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,11 +12,17 @@ from hypothesis import strategies as st
 import lowdin as lo
 import lowdin.linalg
 from lowdin.errors import DimensionMismatch, NoConvergence, NotHermitian, SingularMetric
-from lowdin.linalg import _jacobi_step, _layouts, _schedule
+from lowdin.linalg import _layouts, _schedule, _sweep
 from lowdin.ortho import UNITARY_TOL
 
 from conftest import random_full_rank, random_matrix, random_unitary
-from oracles import gram_metric, hermitian_2x2_power, jacobi_rotations, phase_convention_by_columns
+from oracles import (
+    gram_metric,
+    hermitian_2x2_power,
+    jacobi_rotations,
+    jacobi_sweep_by_steps,
+    phase_convention_by_columns,
+)
 
 I2 = np.eye(2)
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
@@ -273,22 +281,22 @@ class TestKernelDtype:
     """The Jacobi work array keeps the dtype of the (symmetrized) input."""
 
     @staticmethod
-    def spy_on_steps(monkeypatch):
+    def spy_on_sweeps(monkeypatch):
         seen = []
-        step = lowdin.linalg._jacobi_step
+        sweep = lowdin.linalg._sweep
 
         def spy(aw, *args):
             seen.append(aw.dtype)
-            step(aw, *args)
+            sweep(aw, *args)
 
-        monkeypatch.setattr(lowdin.linalg, "_jacobi_step", spy)
+        monkeypatch.setattr(lowdin.linalg, "_sweep", spy)
         return seen
 
     def test_real_input_stays_float64(self, rng, monkeypatch):
-        seen = self.spy_on_steps(monkeypatch)
+        seen = self.spy_on_sweeps(monkeypatch)
         a = random_matrix(rng, 9, 9)
         assert lo.hermitian_eigen((a + a.T) / 2.0).eigenvectors.dtype == np.complex128
-        lo.factorize(random_full_rank(rng, 8, 5)).residuals()  # metric and SSCP solves
+        lo.factorize(random_full_rank(rng, 8, 5)).residuals()
         assert seen and set(seen) == {np.dtype(np.float64)}
 
     def test_one_imaginary_pair_runs_complex(self, rng, monkeypatch):
@@ -297,7 +305,7 @@ class TestKernelDtype:
         h = (a + a.T) / 2.0 + 0j
         h[2, 6] += 0.25j
         h[6, 2] -= 0.25j
-        seen = self.spy_on_steps(monkeypatch)
+        seen = self.spy_on_sweeps(monkeypatch)
         eigen = lo.hermitian_eigen(h)
         assert seen and set(seen) == {np.dtype(np.complex128)}
         reference = np.linalg.eigh(h)[0][::-1]
@@ -338,10 +346,81 @@ class TestJacobiStep:
             w = random_unitary(rng, size, complex_)
             before, after = orders[k - 1], orders[k]  # step -1 is the sweep's last
             aw = np.stack((a[before][:, before], w[before]))
-            _jacobi_step(aw, steps[k], blocks)
+            _sweep(aw, steps[k : k + 1], blocks)
             a_ref, w_ref = jacobi_rotations(a, w, schedule[k])
             assert lo.max_abs(aw[0] - a_ref[after][:, after]) <= 8 * eps * lo.max_abs(a)
             assert lo.max_abs(aw[1] - w_ref[after]) <= 8 * eps * lo.max_abs(w)
+
+
+def _oracle_cases(rng, n, complex_):
+    """Hermitian inputs of size n of every kind the sweep treats apart."""
+    a = random_matrix(rng, n, n, complex_)
+    b = random_matrix(rng, n, max(1, n // 3), complex_)
+    psd = a @ a.conj().T
+    # Diagonal 1, 1, 2, 3, ... with one subnormal pivot beside a normal one
+    # (complex for complex input), so the solve meets a dead pivot that
+    # is not the dummy index of odd n.
+    tiny_pivot = np.diag(np.maximum(np.arange(n), 1.0)).astype(a.dtype)
+    if n >= 3:
+        tiny_pivot[0, 1] = tiny_pivot[1, 0] = 1e-310
+        tiny_pivot[0, 2] = 1e-3j if complex_ else 1e-3
+        tiny_pivot[2, 0] = np.conj(tiny_pivot[0, 2])
+    return {
+        "psd": psd,
+        "indefinite": (a + a.conj().T) / 2.0,
+        "rank_deficient": b @ b.conj().T,
+        "zero": np.zeros((n, n), dtype=a.dtype),
+        "identity": np.eye(n, dtype=a.dtype),
+        "diagonal": np.diag(rng.uniform(-1.0, 1.0, n)).astype(a.dtype),
+        "tiny_pivot": tiny_pivot,
+        "scaled_1e300": psd * (1e300 / lo.max_abs(psd)),
+        "scaled_1e-300": psd * 1e-300,
+    }
+
+
+def _solve_outcome(h, cfg):
+    """Everything ``hermitian_eigen`` returns or raises, as comparable bits."""
+    try:
+        eigen = lo.hermitian_eigen(h, cfg)
+    except NoConvergence as exc:
+        return "NoConvergence", exc.sweeps, np.float64(exc.off_norm).tobytes()
+    return eigen.eigenvalues.tobytes(), eigen.eigenvectors.tobytes(), eigen.sweeps
+
+
+class TestSweepMatchesPerStepOracle:
+    """``_sweep`` does the per-step kernel's arithmetic in the same order."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [*range(1, 20), 33, 64])
+    def test_bitwise_equal_results(self, rng, monkeypatch, n, complex_):
+        cases = _oracle_cases(rng, n, complex_)
+        configs = (lo.DEFAULT_TOLERANCES, lo.ToleranceConfig(max_sweeps=2))
+        swept = {(name, k): _solve_outcome(h, cfg) for name, h in cases.items() for k, cfg in enumerate(configs)}
+        monkeypatch.setattr(lowdin.linalg, "_sweep", jacobi_sweep_by_steps)
+        for (name, k), outcome in swept.items():
+            assert _solve_outcome(cases[name], configs[k]) == outcome, (name, configs[k].max_sweeps)
+
+
+class TestThreadSafety:
+    """The sweep's buffers belong to one call, so concurrent solves do not mix."""
+
+    def test_concurrent_factorizations_match_the_serial_ones(self, rng):
+        inputs = [random_full_rank(rng, 20, 9, complex_=k % 2 == 1) for k in range(8)]
+
+        def outcome(v):
+            f = lo.factorize(v)
+            arrays = (f.eigen.eigenvalues, f.eigen.eigenvectors, f.lam.matrix, f.phi.matrix)
+            return f.eigen.sweeps, *(x.tobytes() for x in arrays)
+
+        serial = [outcome(v) for v in inputs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(5):
+                    assert list(pool.map(outcome, inputs, timeout=120)) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestPowerOfTwoScaling:
