@@ -8,7 +8,9 @@ Newton polish steps.  Matrix-power references use LAPACK
 (``numpy.linalg.eigh``), and the Gram metric V†V is formed directly.
 Only ``principal_components`` runs the Jacobi solver, and on a matrix
 the metric path never builds: S = V·V† reduced by its own QR, so its
-components check Λ by a second route.
+components check Λ by a second route.  ``jacobi_sweep_by_steps`` is the
+solver's sweep written one step at a time, the reference its
+preallocated form must match bit for bit.
 """
 
 from __future__ import annotations
