@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
 """Byte-compare every CLI output of two lowdin checkouts.
 
-Writes a corpus of inputs to WORK/corpus: the test fixtures, 120 random
-real and complex V (n <= 40, wide V among them, cond(V†V) up to 1e12)
-and ten hostile files (a bad token, a ragged row, an overflowing token,
-1e200·I, 1e-200·I, a rank-deficient, a zero, a 1 x 1, a row and a column
-matrix), all csv, plus tsv copies of the fixtures and of the first 20
-random inputs.  Every command runs on every csv input with default
-flags, and on the fixtures and the first 20 random inputs also with
-``--max-sweeps 2``, ``--rank-tol 1e-30`` and ``--precision 5``; on every
-tsv input it runs once, with ``--format tsv``.  Each checkout runs the
-corpus in its own interpreter, with its own ``src`` first on
-``PYTHONPATH`` and without writing bytecode into it, and stores the
-factor files, ``report.json`` (with ``elapsed_ms`` zeroed) and the exit
-status of every run under WORK/old and WORK/new.  The two trees are then
-compared file by file.  A run whose exit status changed can write a
+Writes a corpus of 162 inputs to WORK/corpus: the test fixtures, 120
+random real and complex V (n <= 40, wide V among them, cond(V†V) up to
+1e12) and twelve hostile files (a bad token, a ragged row, an
+overflowing token, 1e200·I, 1e-200·I, a rank-deficient, a zero, a 1 x 1,
+a row and a column matrix, and two V whose d is subnormal: 1e-160·I and
+a tall 3 x 2 V of entries near 1e-158), all csv, plus tsv copies of the
+fixtures and of the first 20 random inputs.  Every command runs on every
+csv input with default flags, and on the hostile files, the fixtures
+whose names do not start with "r" and the first 20 random inputs also
+with ``--max-sweeps 2``, ``--rank-tol 1e-30`` and ``--precision 5``; on
+every tsv input it runs once, with ``--format tsv``: 1869 runs in all.
+Each checkout runs the corpus in its own interpreter, with its own
+``src`` first on ``PYTHONPATH`` and without writing bytecode into it,
+and stores the factor files, ``report.json`` (with ``elapsed_ms``
+zeroed) and the exit status of every run under WORK/old and WORK/new.
+The two trees are then compared file by file.  A run whose exit status changed can write a
 different set of factor files; files found in one tree only are listed
 by run directory, and the files both trees hold are still compared.  For
 the factor files that differ it prints the worst entrywise
@@ -45,6 +47,8 @@ HOSTILE = {
     "inf": "1e999,0\n0,1\n",
     "big": "1e200,0\n0,1e200\n",
     "tiny": "1e-200,0\n0,1e-200\n",
+    "subnormal_d": "1e-160,0\n0,1e-160\n",
+    "subnormal_d_tall": "1e-158,2e-158\n3e-158,-1e-158\n5e-158,1e-158\n",
     "rankdef": "1,2\n2,4\n",
     "zero": "0,0\n0,0\n",
     "scalar": "5\n",

@@ -8,8 +8,10 @@ similarity of 2^-2e·M, and Λ is assembled from P, L and T's
 eigenvectors, never from V itself (``ortho._metric_solve``).
 
 * canonical basis Λ = V·U·d^{-1/2} and symmetric basis Φ = Λ·U†;
-* polar: V = Φ·H with H = M^{1/2} = U·diag(d^{1/2})·U†;
-* reduced SVD: V = W·diag(σ)·U† with W = Λ and σ = d^{1/2} descending;
+* polar: V = Φ·H with H = M^{1/2} = U·diag(σ)·U†;
+* reduced SVD: V = W·diag(σ)·U† with W = Λ and σ = d^{1/2} descending,
+  taken from the scaled domain as 2^e·√d_T, so it keeps the bits a
+  subnormal d has lost;
 * SSCP principal components: S = V·V† has Λ's columns as eigenvectors
   and d as their eigenvalues, since S·Λ = Λ·diag(d).
 
@@ -38,7 +40,7 @@ from .linalg import (
 from .ortho import (
     Method,
     OrthonormalBasis,
-    canonical_orthogonalize,
+    _metric_solve,
     require_unitary,
     verify_orthonormal,
 )
@@ -73,14 +75,16 @@ class Factorization:
     """V with the one checked eigendecomposition of its metric.
 
     ``lam`` is the canonical basis Λ with the (U, d) of M = V†V attached
-    as ``source_eigen``.  Φ, the polar factors, the reduced SVD, the
-    relation product Φ·U and the principal components of S = V·V† are
-    views of it, computed on first use and cached; none of them
-    diagonalizes M again.  Build one with ``factorize``.
+    as ``source_eigen``, and ``sigma`` the singular values d^{1/2} of V,
+    computed as 2^e·√d_T from the same solve.  Φ, the polar factors, the
+    reduced SVD, the relation product Φ·U and the principal components of
+    S = V·V† are views of it, computed on first use and cached; none of
+    them diagonalizes M again.  Build one with ``factorize``.
     """
 
     v: np.ndarray
     lam: OrthonormalBasis
+    sigma: np.ndarray
     cfg: ToleranceConfig = DEFAULT_TOLERANCES
 
     @property
@@ -105,15 +109,14 @@ class Factorization:
     def polar(self) -> PolarFactors:
         """V = Φ·H with H = U·diag(σ)·U† = M^{1/2}, re-symmetrized."""
         u = self.eigen.eigenvectors
-        h = (u * self.svd.singular_values) @ u.conj().T
+        h = (u * self.sigma) @ u.conj().T
         return PolarFactors(orthonormal=self.phi, positive=(h + h.conj().T) / 2.0)
 
     @cached_property
     def svd(self) -> SvdFactors:
-        """V = Λ·diag(d^{1/2})·U†."""
-        sigma = np.sqrt(self.eigen.eigenvalues)
+        """V = Λ·diag(σ)·U†."""
         u = self.eigen.eigenvectors
-        return SvdFactors(left=self.lam.matrix, singular_values=sigma, right=u)
+        return SvdFactors(left=self.lam.matrix, singular_values=self.sigma, right=u)
 
     @cached_property
     def components(self) -> np.ndarray:
@@ -181,12 +184,13 @@ _RESIDUALS = {
 def factorize(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
     """Diagonalize and check the metric of a full-column-rank V once.
 
-    Raises what ``canonical_orthogonalize`` raises: SingularMetric with
-    diagnostics when M fails the rank cutoff, NoConvergence when the
-    eigensolver runs out of sweeps.
+    Raises SingularMetric with diagnostics when M fails the rank cutoff,
+    NoConvergence when the eigensolver runs out of sweeps.
     """
     v = as_matrix(v)
-    return Factorization(v=v, lam=canonical_orthogonalize(v, cfg), cfg=cfg)
+    eigen, lam, sigma = _metric_solve(v, cfg)
+    lam = OrthonormalBasis(matrix=lam, method=Method.CANONICAL, source_eigen=eigen)
+    return Factorization(v=v, lam=lam, sigma=sigma, cfg=cfg)
 
 
 def polar_decompose(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PolarFactors:

@@ -8,17 +8,19 @@ on V instead.
 
 The eigensolver sweeps in round-robin order (Brent & Luk, SIAM J. Sci.
 Stat. Comput. 6(1), 1985): each sweep is n - 1 steps (n for odd n),
-and each step rotates n/2 disjoint index pairs together with a few
-whole-array numpy operations.  One call of ``_sweep`` runs a whole
-sweep: it allocates its gather buffers and rotation parameters once,
-and each step writes into them with ``out=``, so per-step cost is the
-numpy calls themselves.  The input is first scaled by an exact
-power of two, so entries up to the overflow threshold are diagonalized,
-and the eigenvectors of 2^k·M are those of M bit for bit while the
-entries of 2^k·M stay normal numbers.  Pivots below the normal range
-get no rotation and are set to zero.  Once the off-diagonal norm meets
-its target, one polish sweep follows, and it rotates only the steps
-that still hold a pair failing the relative test
+and each step rotates n // 2 disjoint index pairs together with a few
+whole-array numpy operations.  Odd n is padded with a zero dummy index;
+its pair is the last of every step and is never rotated.  One call of
+``_sweep`` runs a whole sweep: it allocates its gather buffers and
+rotation parameters once, and each step writes into them with ``out=``,
+so per-step cost is the numpy calls themselves.  The input is first
+scaled by an exact power of two, so entries up to the overflow
+threshold are diagonalized, and the eigenvectors of 2^k·M are those of
+M bit for bit while the entries of 2^k·M stay normal numbers.  Pivots
+below the normal range, zero or subnormal entries of M itself (never
+the dummy's), get no rotation and are set to zero.  Once the
+off-diagonal norm meets its target, one polish sweep follows, and it
+rotates only the steps that still hold a pair failing the relative test
 |a_pq| <= ε·√|a_pp·a_qq| (Demmel & Veselić, SIMAX 13, 1992); when
 every pair passes, it does not run at all.
 
@@ -253,14 +255,20 @@ def _schedule(n: int) -> np.ndarray:
     (size - 1, size/2, 2): step k is size/2 disjoint pairs (p, q), p < q,
     and over a sweep every unordered pair of ``range(size)`` occurs
     exactly once.  Index 0 stays put while the others move one place
-    round a ring per step.
+    round a ring per step.  For odd n the dummy's pair (p, n) is moved to
+    the end of each step, the other pairs keeping their order, so
+    ``_sweep`` can leave it out by rotating only the first n // 2 pairs.
     """
     size = n + n % 2
     ring = size - 1
     players = np.zeros((ring, size), dtype=np.intp)
     players[:, 1:] = 1 + (np.arange(ring) - np.arange(ring)[:, None]) % ring
     left, right = players[:, : size // 2], players[:, ::-1][:, : size // 2]
-    return np.stack((np.minimum(left, right), np.maximum(left, right)), axis=2)
+    pairs = np.stack((np.minimum(left, right), np.maximum(left, right)), axis=2)
+    if n % 2:
+        dummy_last = np.argsort(pairs[:, :, 1] == n, axis=1, kind="stable")
+        pairs = np.take_along_axis(pairs, dummy_last[:, :, None], axis=1)
+    return pairs
 
 
 @functools.lru_cache(maxsize=128)
@@ -312,7 +320,7 @@ def _negligible(apq: np.ndarray, app: np.ndarray, aqq: np.ndarray) -> bool:
     return bool(np.all(np.abs(apq) <= _EPS * np.sqrt(np.abs(app * aqq))))
 
 
-def _sweep(aw: np.ndarray, steps: tuple, blocks: tuple, polish: bool = False) -> None:
+def _sweep(aw: np.ndarray, steps: tuple, blocks: tuple, live: int, polish: bool = False) -> None:
     """Run round-robin ``steps`` in order, rotating all pairs of a step at once.
 
     ``aw`` stacks the working matrix A and W = U†, the conjugate
@@ -323,6 +331,14 @@ def _sweep(aw: np.ndarray, steps: tuple, blocks: tuple, polish: bool = False) ->
     becomes R†W, and A becomes R†AR, computed as R†(R†A)† because A is
     Hermitian.  The pairs of a step are disjoint, so their rotations
     commute, and each 2x2 block of R†AR is written in closed form.
+
+    Only the first ``live`` (n // 2) pairs of each step are rotated.  For
+    odd n the last pair is the dummy's (``_schedule``): its pivot is
+    exactly 0, so it would get the identity rotation, and its block of G
+    is the identity and its phase 1 throughout, so the matmuls carry its
+    rows through unchanged and no rotation parameter, diagonal entry or
+    pivot is computed or written for it.  The dead-pivot branch then
+    runs only where one of A's own pivots is zero or subnormal.
 
     R† = G·diag(1, e^{iφ}) with G = [[c, -s], [s, c]] real, so each
     product multiplies the q rows by e^{iφ} and then applies the stacked
@@ -345,6 +361,17 @@ def _sweep(aw: np.ndarray, steps: tuple, blocks: tuple, polish: bool = False) ->
     size = aw.shape[1]
     half = size // 2
     diagonal_p, diagonal_q, pivots = blocks
+    g = np.empty((half, 2, 2))
+    phase = np.empty(half, dtype=aw.dtype)
+    if live < half:
+        # Odd n: the last pair is the dummy's.  Its block of G stays the
+        # identity and its phase 1, and the tables are cut to the live
+        # pairs; ``ravel`` copies the pivots to one contiguous index array,
+        # as indexing through a strided one costs about 1 µs more per step.
+        diagonal_p, diagonal_q = diagonal_p[:live], diagonal_q[:live]
+        pivots = pivots.reshape(2, half)[:, :live].ravel()
+        g[live:] = np.eye(2)
+        phase[live:] = 1.0
     real = aw.dtype == np.float64
     a = aw[0]
     flat = a.reshape(-1)
@@ -359,16 +386,16 @@ def _sweep(aw: np.ndarray, steps: tuple, blocks: tuple, polish: bool = False) ->
     columns_parts = columns.view(np.float64).reshape(half, 2, -1)
     columns_q = columns[1::2]
     entries = np.empty(3 * half, dtype=aw.dtype)
-    apq = entries[:half]
-    app = entries[half : 2 * half].real
-    aqq = entries[2 * half :].real
-    g = np.empty((half, 2, 2))
-    g_diagonal = g.reshape(half, 4)[:, ::3]  # g[:, 0, 0] and g[:, 1, 1]
-    g01, g10, g_second_column = g[:, 0, 1], g[:, 1, 0], g[:, :, 1]
-    r, r2, gap, t, c, s, scratch = np.empty((7, half))
+    apq = entries[:live]
+    app = entries[half : half + live].real
+    aqq = entries[2 * half : 2 * half + live].real
+    g_live = g[:live]
+    g_diagonal = g_live.reshape(live, 4)[:, ::3]  # g[:, 0, 0] and g[:, 1, 1]
+    g01, g10, g_second_column = g_live[:, 0, 1], g_live[:, 1, 0], g_live[:, :, 1]
+    r, r2, gap, t, c, s, scratch = np.empty((7, live))
     c_column = c[:, None]
-    phase = np.empty(half, dtype=aw.dtype)
-    phase_column = phase[:, None]
+    phase_live = phase[:live]
+    phase_column, live_phase_column = phase[:, None], phase_live[:, None]
     for gather, offsets in steps:
         # Every index is in range, so "clip" lets ``take`` write into its
         # output directly instead of through a buffer.
@@ -387,9 +414,9 @@ def _sweep(aw: np.ndarray, steps: tuple, blocks: tuple, polish: bool = False) ->
             # to be a unit number, or even finite.
             dead = r < _TINY
             r[dead] = 0.0
-            np.divide(np.where(dead, 1.0, apq), np.where(dead, 1.0, r), out=phase)
+            np.divide(np.where(dead, 1.0, apq), np.where(dead, 1.0, r), out=phase_live)
         else:
-            np.divide(apq, r, out=phase)
+            np.divide(apq, r, out=phase_live)
         # t = tan of the rotation angle: the root of t² + 2τt - 1 = 0, with
         # τ = (a[q,q] - a[p,p]) / 2r, that is at most 1 in modulus.
         np.subtract(aqq, app, out=gap)
@@ -409,7 +436,7 @@ def _sweep(aw: np.ndarray, steps: tuple, blocks: tuple, polish: bool = False) ->
         if real:
             # A real phase is ±1: fold it into G's second column, which
             # flips the same signs exactly, so the q rows need no multiply.
-            g_second_column *= phase_column
+            g_second_column *= live_phase_column
 
         # ``take`` copies, so each product can write straight into aw.
         aw.take(gather, axis=1, out=rows, mode="clip")
@@ -434,7 +461,7 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     """Diagonalize a Hermitian matrix by round-robin Jacobi rotations.
 
     Each sweep visits every off-diagonal pair once, in the round-robin
-    order of Brent & Luk: n - 1 steps (n for odd n) of n/2 disjoint
+    order of Brent & Luk: n - 1 steps (n for odd n) of n // 2 disjoint
     rotations applied together.  After the off-diagonal norm first meets
     the target, one more sweep polishes the result, unless the sweeps are
     used up or every off-diagonal pair already passes the relative test
@@ -473,6 +500,7 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     a = _real_valued((a + a.conj().T) / 2.0)
     size = n + n % 2
     last, position, steps, blocks = _layouts(n)
+    live = n // 2  # pairs per step that are not odd n's dummy pair
     # A (padded with a zero dummy row and column for odd n) and W = I,
     # both stored in the layout a sweep starts from, in A's own dtype.
     aw = np.zeros((2, size, size), dtype=a.dtype)
@@ -490,7 +518,7 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
                 sweeps=sweeps,
                 off_norm=float(np.ldexp(off, exponent)),
             )
-        _sweep(aw, steps, blocks)
+        _sweep(aw, steps, blocks, live)
         sweeps += 1
         off = _off_diagonal_norm(aw[0])
     # One polish sweep after the target is met takes the quadratically
@@ -501,7 +529,7 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     off_diagonal = aw[0] - np.diag(diagonal)
     diagonal = diagonal.real
     if sweeps < cfg.max_sweeps and not _negligible(off_diagonal, diagonal[:, None], diagonal):
-        _sweep(aw, steps, blocks, True)  # polish
+        _sweep(aw, steps, blocks, live, True)  # polish
         sweeps += 1
     position = position[:n]  # of each index in the final layout; drops the dummy
     diag = np.real(np.diagonal(aw[0]))[position]

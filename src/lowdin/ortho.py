@@ -95,7 +95,7 @@ _QLP_ROUNDS = 3
 
 
 def _metric_solve(v: np.ndarray, cfg: ToleranceConfig) -> tuple:
-    """The checked eigendecomposition of M = V†V and the canonical basis Λ.
+    """The checked eigendecomposition of M = V†V, the canonical basis Λ and σ.
 
     M is never formed.  V is scaled by 2^-e (e the ``frexp`` exponent of
     its largest real or imaginary part) to F = 2^-e·V, and
@@ -118,6 +118,11 @@ def _metric_solve(v: np.ndarray, cfg: ToleranceConfig) -> tuple:
     ε·cond(V).  A real-valued V is factored in float64.  Everything but d is
     computed from F, so 2^k·V gives the same U and Λ bit for bit, and
     only d itself can overflow or underflow.
+
+    The singular values σ = d^{1/2} of V are returned as 2^e·√d_T, also
+    from the scaled domain: where d is normal that is √d bit for bit,
+    and where d is subnormal (V near 1e-160) it keeps the bits d lost,
+    so σ(2^k·V) is 2^k·σ(V) bit for bit wherever both are computed.
     """
     scaled, exponent = _scaled_to_unit(v)
     factor, left, right = _real_valued(scaled), [], None
@@ -139,7 +144,7 @@ def _metric_solve(v: np.ndarray, cfg: ToleranceConfig) -> tuple:
     w *= phases / np.linalg.norm(w, axis=0)
     for p in reversed(left):
         w = p @ w
-    return eigen, w
+    return eigen, w, np.ldexp(np.sqrt(reduced.eigenvalues), exponent)
 
 
 def symmetric_orthogonalize(
@@ -164,7 +169,7 @@ def symmetric_orthogonalize(
         If the metric fails the rank cutoff, with condition diagnostics.
     """
     v = as_matrix(v)
-    eigen, lam = _metric_solve(v, cfg)
+    eigen, lam, _ = _metric_solve(v, cfg)
     phi = lam @ eigen.eigenvectors.conj().T
     return OrthonormalBasis(matrix=phi, method=Method.SYMMETRIC, source_eigen=eigen)
 
@@ -178,5 +183,5 @@ def canonical_orthogonalize(
     (U, d) used are attached as ``source_eigen``.
     """
     v = as_matrix(v)
-    eigen, lam = _metric_solve(v, cfg)
+    eigen, lam, _ = _metric_solve(v, cfg)
     return OrthonormalBasis(matrix=lam, method=Method.CANONICAL, source_eigen=eigen)

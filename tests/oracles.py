@@ -153,12 +153,14 @@ def jacobi_rotations(a, w, pairs):
     return adjoint @ a @ rotation, adjoint @ np.asarray(w, dtype=np.complex128)
 
 
-def jacobi_sweep_by_steps(aw, steps, blocks, polish=False):
+def jacobi_sweep_by_steps(aw, steps, blocks, live, polish=False):
     """``linalg._sweep`` one step at a time, allocating every temporary afresh.
 
     The same arithmetic in the same order, written as plain expressions:
     substituted for ``_sweep``, it must leave every ``hermitian_eigen``
-    result unchanged bit for bit.
+    result unchanged bit for bit.  ``live`` is ignored: every pair of a
+    step is rotated, odd n's dummy pair too, whose zero pivot takes the
+    dead-pivot arithmetic and the identity rotation.
     """
     for step in steps:
         _jacobi_step(aw, step, blocks, polish)

@@ -112,6 +112,29 @@ class TestReducedSvd:
         with pytest.raises(SingularMetric):
             lo.reduced_svd(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
+    def test_singular_values_of_a_v_whose_metric_is_subnormal(self):
+        # d = 1e-320 is subnormal, and √d was off by 5.6e-6; σ comes from
+        # the scaled domain instead.
+        sigma = lo.reduced_svd(1e-160 * np.eye(2)).singular_values
+        assert np.all(np.abs(sigma - 1e-160) <= 2 * np.spacing(1e-160))
+
+    def test_singular_values_are_bitwise_scale_covariant_wherever_it_factors(self):
+        # σ(2^k·V) is 2^k·σ(V) bit for bit for every k that factors, also
+        # where d is subnormal; the polar factor H = U·diag(σ)·U† follows.
+        v = random_full_rank(np.random.default_rng(0), 6, 4, complex_=True)
+        f = lo.factorize(v)
+        factored = []
+        for k in range(-1100, 601):
+            try:
+                scaled = lo.factorize(np.ldexp(1.0, k) * v)
+            except (OverflowError, SingularMetric):
+                continue
+            assert np.array_equal(scaled.svd.singular_values, np.ldexp(f.svd.singular_values, k)), k
+            assert np.array_equal(scaled.polar.positive, np.ldexp(1.0, k) * f.polar.positive), k
+            factored.append(k)
+        assert factored == list(range(factored[0], factored[-1] + 1))
+        assert factored[0] < -530 and factored[-1] >= 500
+
 
 class TestFactorizationResiduals:
     NAMES = {

@@ -180,6 +180,13 @@ class TestRoundRobinSchedule:
         expected = [(p, q) for p in range(n) for q in range(p + 1, n)]
         assert sorted(seen) == expected
 
+    @pytest.mark.parametrize("n", range(1, 18, 2))
+    def test_odd_n_puts_the_dummy_pair_last_in_every_step(self, n):
+        # ``_sweep`` rotates the first n // 2 pairs of a step only.
+        steps = _schedule(n)
+        assert np.all(steps[:, -1, 1] == n)
+        assert np.all(steps[:, :-1, 1] < n)
+
 
 class TestLayoutCache:
     @pytest.mark.parametrize("n", [1, 2, 7, 16])
@@ -346,7 +353,7 @@ class TestJacobiStep:
             w = random_unitary(rng, size, complex_)
             before, after = orders[k - 1], orders[k]  # step -1 is the sweep's last
             aw = np.stack((a[before][:, before], w[before]))
-            _sweep(aw, steps[k : k + 1], blocks)
+            _sweep(aw, steps[k : k + 1], blocks, n // 2)
             a_ref, w_ref = jacobi_rotations(a, w, schedule[k])
             assert lo.max_abs(aw[0] - a_ref[after][:, after]) <= 8 * eps * lo.max_abs(a)
             assert lo.max_abs(aw[1] - w_ref[after]) <= 8 * eps * lo.max_abs(w)
@@ -391,7 +398,7 @@ class TestSweepMatchesPerStepOracle:
     """``_sweep`` does the per-step kernel's arithmetic in the same order."""
 
     @pytest.mark.parametrize("complex_", [False, True])
-    @pytest.mark.parametrize("n", [*range(1, 20), 33, 64])
+    @pytest.mark.parametrize("n", [*range(1, 20), 33, 63, 64, 65])
     def test_bitwise_equal_results(self, rng, monkeypatch, n, complex_):
         cases = _oracle_cases(rng, n, complex_)
         configs = (lo.DEFAULT_TOLERANCES, lo.ToleranceConfig(max_sweeps=2))
@@ -399,6 +406,50 @@ class TestSweepMatchesPerStepOracle:
         monkeypatch.setattr(lowdin.linalg, "_sweep", jacobi_sweep_by_steps)
         for (name, k), outcome in swept.items():
             assert _solve_outcome(cases[name], configs[k]) == outcome, (name, configs[k].max_sweeps)
+
+
+class _DeadPivotBranch(Exception):
+    pass
+
+
+class _NumpyWithoutWhere:
+    """numpy, except that ``where``, which only the dead-pivot branch of ``_sweep`` uses, raises."""
+
+    def __getattr__(self, name):
+        if name == "where":
+            raise _DeadPivotBranch
+        return getattr(np, name)
+
+
+class TestDeadPivotBranch:
+    """Odd n's dummy pair is left out, so only a real zero or subnormal pivot takes the branch."""
+
+    @staticmethod
+    def sweep_once(h, monkeypatch):
+        """One ``_sweep`` over h from the layout ``hermitian_eigen`` starts in, without ``np.where``."""
+        n = h.shape[0]
+        size = n + n % 2
+        last, _, steps, blocks = _layouts(n)
+        a = lowdin.linalg._real_valued(h)
+        aw = np.zeros((2, size, size), dtype=a.dtype)
+        aw[0, :n, :n] = a
+        aw[0] = aw[0][last][:, last]
+        aw[1] = np.eye(size)[last]
+        with monkeypatch.context() as patch:
+            patch.setattr(lowdin.linalg, "np", _NumpyWithoutWhere())
+            _sweep(aw, steps, blocks, n // 2)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [3, 5, 9, 17, 33, 63, 65])
+    def test_odd_n_never_enters_it(self, rng, monkeypatch, n, complex_):
+        a = random_matrix(rng, n, n, complex_)
+        self.sweep_once(a @ a.conj().T, monkeypatch)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [3, 4, 9])
+    def test_a_subnormal_pivot_still_enters_it(self, rng, monkeypatch, n, complex_):
+        with pytest.raises(_DeadPivotBranch):
+            self.sweep_once(_oracle_cases(rng, n, complex_)["tiny_pivot"], monkeypatch)
 
 
 class TestThreadSafety:
