@@ -32,14 +32,6 @@ from .errors import LinalgError
 from .linalg import ToleranceConfig
 from .matrixio import MatrixFileError, parse_matrix_file, write_matrix_file
 
-# Pass/fail bounds for residuals that have no ToleranceConfig field: the
-# analytic relations and the SSCP eigenpair residual are exact identities
-# up to a few ulps, the projection-sum match holds to roundoff amplified
-# by conditioning.
-RELATION_TOL = 1e-12
-PROJECTION_SUM_TOL = 1e-9
-
-
 _METRIC_SPECTRUM = (("eigenvalues", "d"), ("condition_estimate", "condition"))
 _WITH_SIGMA = _METRIC_SPECTRUM + (("singular_values", "sigma"),)
 
@@ -48,8 +40,9 @@ class Command(NamedTuple):
     """One CLI command, as a view of ``factorize``'s ``Factorization``.
 
     ``residuals`` names entries of ``Factorization.residuals`` (none
-    names every one); the per-basis orthonormality ones are reported as
-    their worst, ``orthonormality``.  Each of ``views`` is written as
+    names every one), each checked against its ``Factorization.bounds``
+    entry; the per-basis orthonormality ones are reported as their
+    worst, ``orthonormality``.  Each of ``views`` is written as
     ``<command>_<view>``, and ``spectrum`` maps report fields to views.
     """
 
@@ -148,18 +141,6 @@ def _json(value):
     return [_json_number(x) for x in value] if np.ndim(value) else _json_number(value)
 
 
-def _tolerance_for(name: str, cfg: ToleranceConfig) -> float:
-    return {
-        "orthonormality": cfg.orthonormality_tol,
-        "polar_reconstruction": cfg.reconstruction_tol,
-        "svd_reconstruction": cfg.reconstruction_tol,
-        "relation_lambda_phi_u": RELATION_TOL,
-        "relation_phi_w_udagger": RELATION_TOL,
-        "projection_sum_gap": PROJECTION_SUM_TOL,
-        "sscp_eigenpair": RELATION_TOL,
-    }[name]
-
-
 def _describe_error(exc: Exception) -> dict:
     info = {"type": type(exc).__name__, "message": str(exc)}
     for attr in ("eigenvalue_index", "eigenvalue", "condition", "sweeps", "off_norm"):
@@ -207,7 +188,8 @@ def run(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
         if bases:
             residuals["orthonormality"] = max(bases)
         report["residuals"] = {n: _json_number(r) for n, r in residuals.items()}
-        if not all(r <= _tolerance_for(n, cfg) for n, r in residuals.items()):
+        bounds = f.bounds(*values)
+        if not all(r <= bounds[n] for n, r in values.items()):
             code = 1
 
     try:

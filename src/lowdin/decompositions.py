@@ -79,7 +79,8 @@ class Factorization:
     computed as 2^e·√d_T from the same solve.  Φ, the polar factors, the
     reduced SVD, the relation product Φ·U and the principal components of
     S = V·V† are views of it, computed on first use and cached; none of
-    them diagonalizes M again.  Build one with ``factorize``.
+    them diagonalizes M again.  ``cfg`` also bounds the residuals
+    (``bounds``).  Build one with ``factorize``.
     """
 
     v: np.ndarray
@@ -141,10 +142,15 @@ class Factorization:
         error of Λ's columns as eigenvectors of S = V·V†.  Together they
         check the principal components and their scores d.
         """
-        return {name: _RESIDUALS[name](self) for name in names or _RESIDUALS}
+        return {name: _RESIDUALS[name][0](self) for name in names or _RESIDUALS}
+
+    def bounds(self, *names: str) -> dict:
+        """The bound of each named residual, or of every one: a field of ``cfg`` or a constant."""
+        bounds = {name: _RESIDUALS[name][1] for name in names or _RESIDUALS}
+        return {n: getattr(self.cfg, b) if isinstance(b, str) else b for n, b in bounds.items()}
 
 
-def _relative_to_v(product: np.ndarray, f: Factorization) -> float:
+def _v_gap(f: Factorization, product: np.ndarray) -> float:
     return max_abs(product - f.v) / (1.0 + max_abs(f.v))
 
 
@@ -169,15 +175,26 @@ def _sscp_eigenpair(f: Factorization) -> float:
     return max_abs(scaled @ g - lam * rho) / float(np.max(rho))
 
 
+# Bounds of the residuals that have no ToleranceConfig field: the
+# analytic relations and the SSCP eigenpair residual are exact identities
+# up to a few ulps, the projection-sum match holds to roundoff amplified
+# by conditioning.
+RELATION_TOL = 1e-12
+PROJECTION_SUM_TOL = 1e-9
+
+# name: (formula, bound), the bound a ToleranceConfig field's name or a number.
 _RESIDUALS = {
-    "phi_orthonormality": lambda f: verify_orthonormal(f.phi.matrix),
-    "lambda_orthonormality": lambda f: verify_orthonormal(f.lam.matrix),
-    "polar_reconstruction": lambda f: _relative_to_v(reconstruct_polar(f.polar), f),
-    "svd_reconstruction": lambda f: _relative_to_v(reconstruct_svd(f.svd), f),
-    "relation_lambda_phi_u": lambda f: max_abs(f.lam.matrix - f.lambda_from_phi),
-    "relation_phi_w_udagger": lambda f: max_abs(f.phi.matrix - symmetric_from_svd(f.svd).matrix),
-    "projection_sum_gap": _projection_sum_gap,
-    "sscp_eigenpair": _sscp_eigenpair,
+    "phi_orthonormality": (lambda f: verify_orthonormal(f.phi.matrix), "orthonormality_tol"),
+    "lambda_orthonormality": (lambda f: verify_orthonormal(f.lam.matrix), "orthonormality_tol"),
+    "polar_reconstruction": (lambda f: _v_gap(f, reconstruct_polar(f.polar)), "reconstruction_tol"),
+    "svd_reconstruction": (lambda f: _v_gap(f, reconstruct_svd(f.svd)), "reconstruction_tol"),
+    "relation_lambda_phi_u": (lambda f: max_abs(f.lam.matrix - f.lambda_from_phi), RELATION_TOL),
+    "relation_phi_w_udagger": (
+        lambda f: max_abs(f.phi.matrix - symmetric_from_svd(f.svd).matrix),
+        RELATION_TOL,
+    ),
+    "projection_sum_gap": (_projection_sum_gap, PROJECTION_SUM_TOL),
+    "sscp_eigenpair": (_sscp_eigenpair, RELATION_TOL),
 }
 
 

@@ -60,8 +60,6 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian, SingularMetr
 class ToleranceConfig:
     """Numerical tolerances shared by every operation in the package.
 
-    hermiticity_tol      relative bound on ``max|M - M†|`` for inputs
-                         that must be Hermitian
     orthonormality_tol   bound on ``max|Z†Z - I|`` for orthonormal bases
     reconstruction_tol   relative bound on factorization round trips
     rank_tol             relative eigenvalue cutoff below which a metric
@@ -74,7 +72,6 @@ class ToleranceConfig:
     max_sweeps           hard limit on Jacobi sweeps before giving up
     """
 
-    hermiticity_tol: float = 1e-10
     orthonormality_tol: float = 1e-10
     reconstruction_tol: float = 1e-9
     rank_tol: float = 1e-12
@@ -83,7 +80,6 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in (
-            "hermiticity_tol",
             "orthonormality_tol",
             "reconstruction_tol",
             "rank_tol",
@@ -96,6 +92,9 @@ class ToleranceConfig:
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
+
+# Relative bound on max|M - M†| for input that must be Hermitian.
+HERMITICITY_TOL = 1e-10
 
 _EPS = np.finfo(np.float64).eps
 
@@ -189,17 +188,17 @@ def _real_valued(a: np.ndarray) -> np.ndarray:
     return a if np.any(a.imag) else a.real
 
 
-def _check_hermitian(m, cfg: ToleranceConfig) -> np.ndarray:
+def _check_hermitian(m) -> np.ndarray:
     """The square matrix of ``m`` as given, once it passes the Hermiticity check.
 
-    The bound, ``hermiticity_tol``·max|M|, scales with M, so the verdict
+    The bound, HERMITICITY_TOL·max|M|, scales with M, so the verdict
     on 2^k·M is the verdict on M.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"Hermitian matrix must be square, got {a.shape}")
     deviation = max_abs(a - a.conj().T)
-    bound = cfg.hermiticity_tol * max_abs(a)
+    bound = HERMITICITY_TOL * max_abs(a)
     if deviation > bound:
         raise NotHermitian(
             f"max|M - M†| = {deviation:.3e} exceeds {bound:.3e}"
@@ -487,12 +486,12 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     Raises
     ------
     NotHermitian
-        If the input deviates from M† beyond ``hermiticity_tol``.
+        If the input deviates from M† beyond HERMITICITY_TOL·max|M|.
     NoConvergence
         If the relative off-diagonal norm is still above
         ``eigen_convergence_tol`` after ``max_sweeps`` sweeps.
     """
-    a = _check_hermitian(m, cfg)
+    a = _check_hermitian(m)
     n = a.shape[0]
     # Work on 2^-e·M, so neither the symmetrization nor any norm below
     # can overflow.

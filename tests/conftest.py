@@ -1,7 +1,12 @@
 """Shared generators for the test suite."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def random_matrix(rng, n, m, complex_=False):
@@ -28,6 +33,14 @@ def random_unitary(rng, n, complex_=False):
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
+
+
+def load_script(name):
+    """The module ``scripts/<name>.py``, imported without running its main."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

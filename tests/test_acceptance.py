@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 import lowdin as lo
-from lowdin.cli import RELATION_TOL
 from lowdin.cli import main as cli_main
+from lowdin.decompositions import RELATION_TOL
 
 from conftest import random_full_rank, random_unitary
 from oracles import (

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import lowdin as lo
-from lowdin.cli import PROJECTION_SUM_TOL, RELATION_TOL
+from lowdin.decompositions import PROJECTION_SUM_TOL, RELATION_TOL
 from lowdin.errors import DimensionMismatch, NotUnitary, SingularMetric
 from lowdin.ortho import Method, OrthonormalBasis
 
@@ -195,6 +195,17 @@ class TestFactorizationResiduals:
         f = lo.factorize(SHEAR, cfg)
         assert f.cfg is cfg
         assert f.components is f.components
+
+    def test_bounds_come_from_its_cfg_or_the_fixed_constants(self):
+        cfg = lo.ToleranceConfig(orthonormality_tol=1e-11, reconstruction_tol=1e-8)
+        bounds = lo.factorize(SHEAR, cfg).bounds()
+        assert set(bounds) == self.NAMES
+        assert bounds["phi_orthonormality"] == bounds["lambda_orthonormality"] == 1e-11
+        assert bounds["polar_reconstruction"] == bounds["svd_reconstruction"] == 1e-8
+        assert bounds["relation_lambda_phi_u"] == bounds["sscp_eigenpair"] == RELATION_TOL
+        assert lo.factorize(SHEAR).bounds("projection_sum_gap") == {
+            "projection_sum_gap": PROJECTION_SUM_TOL
+        }
 
 
 class TestConversions:

@@ -686,7 +686,6 @@ class TestToleranceConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"hermiticity_tol": 0.0},
             {"orthonormality_tol": -1e-10},
             {"reconstruction_tol": 0.0},
             {"rank_tol": 0.0},

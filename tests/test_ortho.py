@@ -1,8 +1,6 @@
 """Symmetric and canonical orthogonalization."""
 
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +11,7 @@ import lowdin as lo
 from lowdin.errors import DimensionMismatch, NotUnitary, SingularMetric
 from lowdin.ortho import Method
 
-from conftest import random_full_rank, random_unitary
+from conftest import load_script, random_full_rank, random_unitary
 from oracles import gram_metric, hermitian_2x2_power, lapack_inverse_sqrt_route
 
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
@@ -172,23 +170,15 @@ class TestPowerOfTwoScaling:
         assert factored[0] < -530 and factored[-1] >= 500
 
 
-def _condition_sweep_script():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "condition_sweep.py"
-    spec = importlib.util.spec_from_file_location("condition_sweep", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _ill_conditioned_64x64(complex_):
-    """A 64 x 64 V with cond(M) = 1e10, from the condition-sweep construction.
+    """A 64 x 64 V with cond(M) = 1e10, from the accuracy script's construction.
 
     The complex one has the same singular values between Haar-like
     complex unitary factors.
     """
     rng = np.random.default_rng(0)
     if not complex_:
-        return _condition_sweep_script().controlled_matrix(rng, 64, 1e10)
+        return load_script("accuracy").controlled_matrix(rng, (64, 64), 1e10)
     singulars = np.geomspace(1.0, 1e-5, 64)
     left, right = (random_unitary(rng, 64, complex_=True) for _ in range(2))
     return (left * singulars) @ right.conj().T
@@ -239,13 +229,14 @@ class TestMetricSolve:
         assert max(residuals.values()) <= lo.DEFAULT_TOLERANCES.reconstruction_tol
 
     def test_orthonormal_at_metric_condition_1e10(self):
-        # The ensemble of ``condition_sweep.py --dim 8 --trials 10``; its last
-        # level is cond(M) = 1e10, where the Gram route reached 6e-8.
-        script = _condition_sweep_script()
+        # 10 real 8 x 8 draws per level of the accuracy script's grid, up to
+        # cond(M) = 1e10, where the Gram route reached 6e-8.
+        script = load_script("accuracy")
         rng = np.random.default_rng(0)
         for exponent in range(0, 11, 2):
-            worst = script.worst_level(rng, 8, 10.0**exponent, 10)[0]
-            assert worst["orthonorm"] <= lo.DEFAULT_TOLERANCES.orthonormality_tol
+            worst = script.cell(rng, (8, 8), False, 10.0**exponent, 10)["residuals"]
+            for name in ("phi_orthonormality", "lambda_orthonormality"):
+                assert worst[name]["worst"] <= lo.DEFAULT_TOLERANCES.orthonormality_tol
 
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [8, 32, 64])

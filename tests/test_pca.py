@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import lowdin as lo
-from lowdin.cli import RELATION_TOL
+from lowdin.decompositions import RELATION_TOL
 from lowdin.errors import DimensionMismatch
 
 from conftest import random_full_rank, random_matrix, random_unitary

@@ -1,72 +1,64 @@
-"""The experiment scripts run against the library and print their tables."""
+"""The experiment scripts run against the library and write what they report."""
 
-import importlib.util
+import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
+import numpy as np
+
+import lowdin as lo
+
+from conftest import load_script
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize(
-    "script, args, header",
-    [
-        (
-            "residual_study.py",
-            ["--trials", "3", "--max-dim", "3"],
-            "3 real draws, n <= 3, cond(V†V) <= 1e+06",
-        ),
-        (
-            "condition_sweep.py",
-            ["--dim", "3", "--trials", "1"],
-            "dim 3, 1 trials per condition level",
-        ),
-    ],
-)
-def test_script_runs(script, args, header):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def test_accuracy_writes_every_residual_against_its_bound(tmp_path):
+    out = tmp_path / "ACCURACY.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        [sys.executable, str(ROOT / "scripts" / "accuracy.py"), "--trials", "1", "--out", str(out)],
         capture_output=True,
         text=True,
         env=env,
-        timeout=120,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == header
+    table = json.loads(out.read_text(encoding="utf-8"))
+    assert set(table) == {"cells", "command", "seed"}
+    assert table["seed"] == 0
+    assert shlex.split(table["command"])[-4:] == ["--trials", "1", "--out", str(out)]
+    shapes = ("3x3", "8x8", "32x32", "64x64", "40x12", "64x16", "128x32")
+    levels = [10.0**k for k in range(0, 29, 2)]
+    grid = [(c["shape"], c["dtype"], c["cond"]) for c in table["cells"]]
+    assert grid == [(s, d, c) for s in shapes for d in ("real", "complex") for c in levels]
+    bounds = lo.factorize(np.eye(2)).bounds()
+    for c in table["cells"]:
+        assert set(c) == {"shape", "dtype", "cond", "residuals", "sweeps"}
+        assert isinstance(c["sweeps"], int) and c["sweeps"] >= 0
+        assert set(c["residuals"]) == set(bounds)
+        for name, entry in c["residuals"].items():
+            assert set(entry) == {"worst", "median", "bound"}
+            assert entry["bound"] == bounds[name]
+            assert 0.0 <= entry["median"] <= entry["worst"]
+            # Every level the default rank_tol = 1e-12 admits clears every bound.
+            if c["cond"] <= 1e10:
+                assert entry["worst"] <= entry["bound"], (c["shape"], c["dtype"], c["cond"], name)
 
 
-def test_condition_sweep_reports_the_worst_sweep_count():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "condition_sweep.py"), "--dim", "3", "--trials", "2"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    header, *rows = proc.stdout.splitlines()[1:]
-    assert header.split()[-1] == "sweeps"
-    sweeps = {float(row.split()[0]): int(row.split()[-1]) for row in rows}
-    assert len(sweeps) == 15
+def test_a_3x3_takes_no_sweep_from_cond_1e14():
     # cond 1: T = L†·L is the identity to rounding, and some of those
     # rounding-size pairs still fail |a_pq| <= ε·√|a_pp·a_qq|, so the
     # polish sweep runs.  From 1e14 on, the QR/LQ rounds alone leave T
     # diagonal to that test: no sweep at all.
-    assert sweeps[1.0] >= 1
-    assert all(sweeps[10.0**k] == 0 for k in range(14, 29, 2))
-
-
-def _compare_outputs_script():
-    path = ROOT / "scripts" / "compare_outputs.py"
-    spec = importlib.util.spec_from_file_location("compare_outputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    script = load_script("accuracy")
+    rng = np.random.default_rng(0)
+    sweeps = {k: script.cell(rng, (3, 3), False, 10.0**k, 2)["sweeps"] for k in range(0, 29, 2)}
+    assert sweeps[0] >= 1
+    assert all(sweeps[k] == 0 for k in range(14, 29, 2))
 
 
 def test_compare_outputs_goes_on_past_files_in_one_tree_only(tmp_path, capsys):
@@ -83,7 +75,7 @@ def test_compare_outputs_goes_on_past_files_in_one_tree_only(tmp_path, capsys):
         passed.mkdir(parents=True)
         (passed / "exit").write_text("0\n")
         (passed / "pca_scores.csv").write_text("4.0\n" if side == "old" else "4.000000001\n")
-    assert _compare_outputs_script().compare_trees(trees["old"], trees["new"]) == 1
+    assert load_script("compare_outputs").compare_trees(trees["old"], trees["new"]) == 1
     out = capsys.readouterr().out
     assert "file sets differ: 1 files in one tree only, in 1 run directories" in out
     assert "r007.csv/sweeps2/pca: new only: pca_scores.csv" in out
@@ -97,5 +89,5 @@ def test_compare_outputs_passes_identical_trees(tmp_path, capsys):
         run.mkdir(parents=True)
         (run / "exit").write_text("0\n")
         (run / "svd_sigma.csv").write_text("3.0\n2.0\n")
-    assert _compare_outputs_script().compare_trees(tmp_path / "old", tmp_path / "new") == 0
+    assert load_script("compare_outputs").compare_trees(tmp_path / "old", tmp_path / "new") == 0
     assert "differing files: 0" in capsys.readouterr().out
