@@ -686,6 +686,7 @@ class TestToleranceConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            {"rank_tol": math.nan},
             {"orthonormality_tol": -1e-10},
             {"reconstruction_tol": 0.0},
             {"rank_tol": 0.0},
@@ -696,6 +697,11 @@ class TestToleranceConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             lo.ToleranceConfig(**kwargs)
+
+    def test_hermiticity_bound_is_a_constant_not_a_field(self):
+        assert lowdin.linalg.HERMITICITY_TOL == 1e-10
+        with pytest.raises(TypeError):
+            lo.ToleranceConfig(hermiticity_tol=1e-10)
 
 
 class TestAsMatrix:
