@@ -6,11 +6,10 @@ decompositions or checks, writes the factor matrices as
 only if every residual clears its tolerance.  Exit status 2 flags an
 input or usage problem, an output path that cannot be written among
 them, 3 a numerical failure (singular metric, no convergence,
-overflow), and 1 a run whose residuals missed the configured
-tolerances.  A run that gets past argument parsing writes
-``report.json``, with ``error`` filled in when it failed, unless the
-output directory cannot be made or ``report.json`` cannot be written
-there.
+overflow), and 1 a run whose residuals missed their fixed bounds.  A
+run that gets past argument parsing writes ``report.json``, with
+``error`` filled in when it failed, unless the output directory cannot
+be made or ``report.json`` cannot be written there.
 """
 
 from __future__ import annotations
@@ -252,23 +251,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default=17,
         help="significant digits in output files (17 = shortest round trip)",
     )
-    parser.add_argument("--tol-orthonormality", type=float, default=None)
-    parser.add_argument("--tol-reconstruction", type=float, default=None)
     parser.add_argument("--rank-tol", type=float, default=None)
-    parser.add_argument("--tol-eigen-convergence", type=float, default=None)
     parser.add_argument("--max-sweeps", type=int, default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {
-        "orthonormality_tol": args.tol_orthonormality,
-        "reconstruction_tol": args.tol_reconstruction,
-        "rank_tol": args.rank_tol,
-        "eigen_convergence_tol": args.tol_eigen_convergence,
-        "max_sweeps": args.max_sweeps,
-    }
+    overrides = {"rank_tol": args.rank_tol, "max_sweeps": args.max_sweeps}
     try:
         cfg = ToleranceConfig(**{k: v for k, v in overrides.items() if v is not None})
     except ValueError as exc:

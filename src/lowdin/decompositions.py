@@ -79,14 +79,12 @@ class Factorization:
     computed as 2^e·√d_T from the same solve.  Φ, the polar factors, the
     reduced SVD, the relation product Φ·U and the principal components of
     S = V·V† are views of it, computed on first use and cached; none of
-    them diagonalizes M again.  ``cfg`` also bounds the residuals
-    (``bounds``).  Build one with ``factorize``.
+    them diagonalizes M again.  Build one with ``factorize``.
     """
 
     v: np.ndarray
     lam: OrthonormalBasis
     sigma: np.ndarray
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES
 
     @property
     def eigen(self) -> HermitianEigen:
@@ -134,24 +132,24 @@ class Factorization:
         polar_reconstruction, svd_reconstruction, relation_lambda_phi_u,
         relation_phi_w_udagger, projection_sum_gap, sscp_eigenpair.
         Orthonormality is max|Z†Z - I| of Φ or Λ; reconstructions are
-        relative, max|product - V| / (1 + max|V|); the relations are
-        max|Λ - Φ·U| and max|Φ - W·U†|, the second 0 by construction
-        because Φ is built as Λ·U† and W is Λ; ``projection_sum_gap`` is
-        the largest relative gap between d and the projection-square
-        sums of V on Λ, and ``sscp_eigenpair`` the eigenpair backward
-        error of Λ's columns as eigenvectors of S = V·V†.  Together they
-        check the principal components and their scores d.
+        relative, max|product - V| / max|V|, so 2^k·V reads what V does;
+        the relations are max|Λ - Φ·U| and max|Φ - W·U†|, the second 0 by
+        construction because Φ is built as Λ·U† and W is Λ;
+        ``projection_sum_gap`` is the largest relative gap between d and
+        the projection-square sums of V on Λ, and ``sscp_eigenpair`` the
+        eigenpair backward error of Λ's columns as eigenvectors of
+        S = V·V†.  Together they check the principal components and their
+        scores d.
         """
         return {name: _RESIDUALS[name][0](self) for name in names or _RESIDUALS}
 
     def bounds(self, *names: str) -> dict:
-        """The bound of each named residual, or of every one: a field of ``cfg`` or a constant."""
-        bounds = {name: _RESIDUALS[name][1] for name in names or _RESIDUALS}
-        return {n: getattr(self.cfg, b) if isinstance(b, str) else b for n, b in bounds.items()}
+        """The fixed bound of each named residual, or of every one."""
+        return {name: _RESIDUALS[name][1] for name in names or _RESIDUALS}
 
 
 def _v_gap(f: Factorization, product: np.ndarray) -> float:
-    return max_abs(product - f.v) / (1.0 + max_abs(f.v))
+    return max_abs(product - f.v) / max_abs(f.v)
 
 
 def _projection_sum_gap(f: Factorization) -> float:
@@ -175,19 +173,21 @@ def _sscp_eigenpair(f: Factorization) -> float:
     return max_abs(scaled @ g - lam * rho) / float(np.max(rho))
 
 
-# Bounds of the residuals that have no ToleranceConfig field: the
+# Bounds of the residuals that ToleranceConfig does not name: the
 # analytic relations and the SSCP eigenpair residual are exact identities
 # up to a few ulps, the projection-sum match holds to roundoff amplified
 # by conditioning.
 RELATION_TOL = 1e-12
 PROJECTION_SUM_TOL = 1e-9
+_ORTHONORMALITY_TOL = ToleranceConfig.orthonormality_tol
+_RECONSTRUCTION_TOL = ToleranceConfig.reconstruction_tol
 
-# name: (formula, bound), the bound a ToleranceConfig field's name or a number.
+# name: (formula, bound)
 _RESIDUALS = {
-    "phi_orthonormality": (lambda f: verify_orthonormal(f.phi.matrix), "orthonormality_tol"),
-    "lambda_orthonormality": (lambda f: verify_orthonormal(f.lam.matrix), "orthonormality_tol"),
-    "polar_reconstruction": (lambda f: _v_gap(f, reconstruct_polar(f.polar)), "reconstruction_tol"),
-    "svd_reconstruction": (lambda f: _v_gap(f, reconstruct_svd(f.svd)), "reconstruction_tol"),
+    "phi_orthonormality": (lambda f: verify_orthonormal(f.phi.matrix), _ORTHONORMALITY_TOL),
+    "lambda_orthonormality": (lambda f: verify_orthonormal(f.lam.matrix), _ORTHONORMALITY_TOL),
+    "polar_reconstruction": (lambda f: _v_gap(f, reconstruct_polar(f.polar)), _RECONSTRUCTION_TOL),
+    "svd_reconstruction": (lambda f: _v_gap(f, reconstruct_svd(f.svd)), _RECONSTRUCTION_TOL),
     "relation_lambda_phi_u": (lambda f: max_abs(f.lam.matrix - f.lambda_from_phi), RELATION_TOL),
     "relation_phi_w_udagger": (
         lambda f: max_abs(f.phi.matrix - symmetric_from_svd(f.svd).matrix),
@@ -207,7 +207,7 @@ def factorize(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
     v = as_matrix(v)
     eigen, lam, sigma = _metric_solve(v, cfg)
     lam = OrthonormalBasis(matrix=lam, method=Method.CANONICAL, source_eigen=eigen)
-    return Factorization(v=v, lam=lam, sigma=sigma, cfg=cfg)
+    return Factorization(v=v, lam=lam, sigma=sigma)
 
 
 def polar_decompose(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PolarFactors:

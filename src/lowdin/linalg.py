@@ -48,8 +48,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -58,36 +59,35 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian, SingularMetr
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical tolerances shared by every operation in the package.
+    """The two settings a caller may choose, beside the package's fixed bounds.
+
+    rank_tol             relative eigenvalue cutoff below which a metric
+                         counts as singular, in (0, 1)
+    max_sweeps           hard limit on Jacobi sweeps before giving up, an
+                         integer of at least 1
+
+    The bounds on the paper's identities are constants, readable on any
+    instance but not settable, so no caller can loosen the check:
 
     orthonormality_tol   bound on ``max|Z†Z - I|`` for orthonormal bases
     reconstruction_tol   relative bound on factorization round trips
-    rank_tol             relative eigenvalue cutoff below which a metric
-                         counts as singular
     eigen_convergence_tol  relative off-diagonal norm at which the Jacobi
                          sweeps stop, after one more polish sweep unless
                          every pair already has |a_pq| <= ε·√|a_pp·a_qq|;
                          the polish rotates only the steps holding a pair
                          that does not
-    max_sweeps           hard limit on Jacobi sweeps before giving up
     """
 
-    orthonormality_tol: float = 1e-10
-    reconstruction_tol: float = 1e-9
+    orthonormality_tol: ClassVar[float] = 1e-10
+    reconstruction_tol: ClassVar[float] = 1e-9
+    eigen_convergence_tol: ClassVar[float] = 1e-14
     rank_tol: float = 1e-12
-    eigen_convergence_tol: float = 1e-14
     max_sweeps: int = 64
 
     def __post_init__(self):
-        for name in (
-            "orthonormality_tol",
-            "reconstruction_tol",
-            "rank_tol",
-            "eigen_convergence_tol",
-        ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.max_sweeps < 1:
+        if not 0.0 < self.rank_tol < 1.0:
+            raise ValueError("rank_tol must be strictly positive and below 1")
+        if operator.index(self.max_sweeps) < 1:
             raise ValueError("max_sweeps must be at least 1")
 
 
@@ -473,9 +473,10 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     Parameters
     ----------
     m : array_like
-        Square matrix passing the Hermiticity check of ``cfg``.
+        Square matrix within HERMITICITY_TOL·max|M| of M†.
     cfg : ToleranceConfig
-        Supplies the convergence target and the sweep limit.
+        Supplies the sweep limit; the convergence target is the fixed
+        ``ToleranceConfig.eigen_convergence_tol`` times ‖M‖_F.
 
     Returns
     -------
@@ -489,7 +490,7 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
         If the input deviates from M† beyond HERMITICITY_TOL·max|M|.
     NoConvergence
         If the relative off-diagonal norm is still above
-        ``eigen_convergence_tol`` after ``max_sweeps`` sweeps.
+        ``eigen_convergence_tol`` after ``cfg.max_sweeps`` sweeps.
     """
     a = _check_hermitian(m)
     n = a.shape[0]
@@ -506,7 +507,7 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     aw[0, :n, :n] = a
     aw[0] = aw[0][last][:, last]
     aw[1] = np.eye(size)[last]
-    target = cfg.eigen_convergence_tol * float(np.linalg.norm(a))
+    target = ToleranceConfig.eigen_convergence_tol * float(np.linalg.norm(a))
     sweeps = 0
     off = _off_diagonal_norm(aw[0])
     while off > target:

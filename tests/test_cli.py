@@ -16,6 +16,7 @@ import lowdin as lo
 import lowdin.matrixio
 from conftest import random_matrix
 from lowdin.cli import COMMANDS, _build_parser, main
+from lowdin.decompositions import PROJECTION_SUM_TOL
 from lowdin.matrixio import format_matrix, parse_matrix_file, write_matrix_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -362,57 +363,43 @@ class TestErrorsAndExitCodes:
         assert not (tmp_path / "report.json").exists()
 
     def test_bad_tolerance_exits_2(self, tmp_path, capsys):
-        code = run_cli(
-            "symmetric",
-            FIXTURES / "identity_2x2.csv",
-            tmp_path,
-            "--rank-tol",
-            "0",
-        )
-        assert code == 2
-        assert "strictly positive" in capsys.readouterr().err
+        # A cutoff rank_tol·d₀ at or above d₀ would reject every metric.
+        for value in ("0", "1", "inf"):
+            code = run_cli(
+                "symmetric",
+                FIXTURES / "identity_2x2.csv",
+                tmp_path / value,
+                "--rank-tol",
+                value,
+            )
+            assert code == 2
+            assert "strictly positive and below 1" in capsys.readouterr().err
+            assert not (tmp_path / value / "report.json").exists()
 
-    def test_impossible_tolerance_fails_run_without_numeric_error(self, tmp_path):
-        code = run_cli(
-            "symmetric",
-            FIXTURES / "shear_2x2.csv",
-            tmp_path,
-            "--tol-orthonormality",
-            "1e-30",
-        )
-        assert code == 1
-        report = load_report(tmp_path)
-        assert report["pass"] is False
-        assert report["error"] is None
+    @pytest.mark.parametrize(
+        "flag", ["--tol-orthonormality", "--tol-reconstruction", "--tol-eigen-convergence"]
+    )
+    def test_no_flag_moves_a_fixed_bound(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("symmetric", FIXTURES / "shear_2x2.csv", tmp_path, flag, "1e-30")
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("command", ["polar", "svd"])
-    def test_impossible_reconstruction_tolerance_fails_run(self, tmp_path, command):
-        code = run_cli(
-            command, FIXTURES / "shear_2x2.csv", tmp_path, "--tol-reconstruction", "1e-30"
-        )
-        assert code == 1
-        report = load_report(tmp_path)
-        assert report["pass"] is False
-        assert report["error"] is None
-
-    def test_eigen_convergence_flag_reaches_the_solver(self, tmp_path):
-        # rand_4x3 converges within 3 sweeps to the default target, never
-        # to an off-diagonal norm of 1e-300 relative.
-        source = FIXTURES / "rand_4x3.csv"
-        assert run_cli("symmetric", source, tmp_path / "default", "--max-sweeps", "3") == 0
-        code = run_cli(
-            "symmetric",
-            source,
-            tmp_path / "tight",
-            "--tol-eigen-convergence",
-            "1e-300",
-            "--max-sweeps",
-            "3",
-        )
-        assert code == 3
-        error = load_report(tmp_path / "tight")["error"]
-        assert error["type"] == "NoConvergence"
-        assert error["sweeps"] == 3
+    def test_a_residual_past_its_bound_fails_the_run_without_numeric_error(self, tmp_path):
+        # On 2^-524·[[1, 2], [3, -1], [5, 1]] d is subnormal, and d₂'s
+        # projection sum lies one float from it, so projection_sum_gap reads
+        # the spacing of the floats there, 2.7e-9 (README, Report).  polar
+        # checks no projection sum, and its reconstruction is relative to
+        # max|V|.
+        source = tmp_path / "tiny.csv"
+        write_matrix_file(source, np.ldexp([[1.0, 2.0], [3.0, -1.0], [5.0, 1.0]], -524))
+        for command, code in (("verify", 1), ("pca", 1), ("polar", 0)):
+            assert run_cli(command, source, tmp_path / command) == code
+            report = load_report(tmp_path / command)
+            assert report["pass"] is (code == 0)
+            assert report["error"] is None
+            if code:
+                assert report["residuals"]["projection_sum_gap"] > PROJECTION_SUM_TOL
 
     def test_rank_tol_flag_changes_the_cutoff(self, tmp_path):
         # with a huge rank cutoff even a well-conditioned metric is

@@ -190,22 +190,61 @@ class TestFactorizationResiduals:
                 bad = self._tampered(f, d=d)
             assert bad.residuals(name)[name] > bound
 
-    def test_keeps_its_cfg_and_caches_its_views(self):
-        cfg = lo.ToleranceConfig(rank_tol=1e-6)
-        f = lo.factorize(SHEAR, cfg)
-        assert f.cfg is cfg
+    def test_caches_its_views(self):
+        f = lo.factorize(SHEAR)
         assert f.components is f.components
+        assert f.polar is f.polar
 
-    def test_bounds_come_from_its_cfg_or_the_fixed_constants(self):
-        cfg = lo.ToleranceConfig(orthonormality_tol=1e-11, reconstruction_tol=1e-8)
-        bounds = lo.factorize(SHEAR, cfg).bounds()
+    def test_bounds_are_the_fixed_constants(self):
+        # The config a V is factored with moves the rank cutoff and the
+        # sweep limit, never a bound.
+        bounds = lo.factorize(SHEAR, lo.ToleranceConfig(rank_tol=1e-300, max_sweeps=8)).bounds()
+        assert bounds == lo.factorize(SHEAR).bounds()
         assert set(bounds) == self.NAMES
-        assert bounds["phi_orthonormality"] == bounds["lambda_orthonormality"] == 1e-11
-        assert bounds["polar_reconstruction"] == bounds["svd_reconstruction"] == 1e-8
+        assert bounds["phi_orthonormality"] == bounds["lambda_orthonormality"] == 1e-10
+        assert bounds["polar_reconstruction"] == bounds["svd_reconstruction"] == 1e-9
         assert bounds["relation_lambda_phi_u"] == bounds["sscp_eigenpair"] == RELATION_TOL
+        assert bounds["relation_phi_w_udagger"] == RELATION_TOL
         assert lo.factorize(SHEAR).bounds("projection_sum_gap") == {
             "projection_sum_gap": PROJECTION_SUM_TOL
         }
+
+    def test_every_residual_is_bitwise_scale_invariant_wherever_it_factors(self):
+        # Φ, Λ, U and the scaled-domain F are those of V bit for bit, and
+        # σ and H scale exactly, so each residual of 2^k·V reads that of V.
+        # projection_sum_gap divides by d, which has lost bits where it is
+        # subnormal.
+        tiny = np.finfo(np.float64).tiny
+        for complex_ in (False, True):
+            v = random_full_rank(np.random.default_rng(0), 6, 4, complex_=complex_)
+            expected = lo.factorize(v).residuals()
+            factored = []
+            for k in range(-1100, 601):
+                try:
+                    f = lo.factorize(np.ldexp(1.0, k) * v)
+                except (OverflowError, SingularMetric):
+                    continue
+                values = f.residuals()
+                if f.eigen.eigenvalues[-1] < tiny:
+                    del values["projection_sum_gap"]
+                assert values == {n: expected[n] for n in values}, (complex_, k)
+                factored.append(k)
+            assert factored[0] < -530 and factored[-1] >= 500
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_a_tampered_h_fails_its_reconstruction_at_any_scale(self, complex_):
+        # H = U·diag(σ)·U† off by a factor 1 + 1e-4 (σ and H scale alike)
+        # moves V = Φ·H and V = W·diag(σ)·U† by 1e-4 relative, on a V of
+        # max|V| = 9.5e-7 as on any other power-of-two scale of it.
+        v = random_full_rank(np.random.default_rng(1), 6, 4, complex_=complex_)
+        v = v * (9.5e-7 / lo.max_abs(v))
+        names = ("polar_reconstruction", "svd_reconstruction")
+        for k in (-500, -20, 0, 20, 500):
+            f = lo.factorize(np.ldexp(1.0, k) * v)
+            bad = dataclasses.replace(f, sigma=f.sigma * (1.0 + 1e-4))
+            for name, value in bad.residuals(*names).items():
+                assert f.residuals(name)[name] <= f.bounds(name)[name]
+                assert value == pytest.approx(1e-4, rel=1e-6), (k, name)
 
 
 class TestConversions:

@@ -1,5 +1,6 @@
 """Core matrix operations and the Jacobi eigensolver."""
 
+import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -682,26 +683,47 @@ class TestToleranceConfig:
         cfg = lo.ToleranceConfig()
         assert cfg.rank_tol == 1e-12
         assert cfg.max_sweeps == 64
+        assert [f.name for f in dataclasses.fields(cfg)] == ["rank_tol", "max_sweeps"]
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, error",
         [
-            {"rank_tol": math.nan},
-            {"orthonormality_tol": -1e-10},
-            {"reconstruction_tol": 0.0},
-            {"rank_tol": 0.0},
-            {"eigen_convergence_tol": 0.0},
-            {"max_sweeps": 0},
+            ({"rank_tol": math.nan}, ValueError),
+            ({"rank_tol": 0.0}, ValueError),
+            # A cutoff of rank_tol·d₀ at or above d₀ rejects every metric.
+            ({"rank_tol": 1.0}, ValueError),
+            ({"rank_tol": math.inf}, ValueError),
+            ({"max_sweeps": 0}, ValueError),
+            # The solver stops at sweeps == max_sweeps, which a
+            # non-integer never equals.
+            ({"max_sweeps": 1.5}, TypeError),
+            ({"max_sweeps": math.nan}, TypeError),
         ],
     )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_rejects_bad_values(self, kwargs, error):
+        with pytest.raises(error):
             lo.ToleranceConfig(**kwargs)
 
     def test_hermiticity_bound_is_a_constant_not_a_field(self):
         assert lowdin.linalg.HERMITICITY_TOL == 1e-10
         with pytest.raises(TypeError):
             lo.ToleranceConfig(hermiticity_tol=1e-10)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("orthonormality_tol", 1e-10),
+            ("reconstruction_tol", 1e-9),
+            ("eigen_convergence_tol", 1e-14),
+        ],
+    )
+    def test_fixed_bounds_are_readable_constants_not_fields(self, name, value):
+        assert getattr(lo.DEFAULT_TOLERANCES, name) == value
+        assert getattr(lo.ToleranceConfig(rank_tol=1e-300, max_sweeps=2), name) == value
+        with pytest.raises(TypeError):
+            lo.ToleranceConfig(**{name: value})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lo.DEFAULT_TOLERANCES, name, 1.0)
 
 
 class TestAsMatrix:
