@@ -10,10 +10,10 @@ The eigensolver sweeps in round-robin order (Brent & Luk, SIAM J. Sci.
 Stat. Comput. 6(1), 1985): each sweep is n - 1 steps (n for odd n),
 and each step rotates n // 2 disjoint index pairs together with a few
 whole-array numpy operations.  Odd n is padded with a zero dummy index;
-its pair is the last of every step and is never rotated.  One call of
-``_sweep`` runs a whole sweep: it allocates its gather buffers and
-rotation parameters once, and each step writes into them with ``out=``,
-so per-step cost is the numpy calls themselves.  The input is first
+its pair is the last of every step and is never rotated.  A solve
+allocates its gather buffers, rotation blocks and rotation parameters
+once (``_sweeper``), and each step writes into them with ``out=``, so
+per-step cost is the numpy calls themselves.  The input is first
 scaled by an exact power of two, so entries up to the overflow
 threshold are diagonalized, and the eigenvectors of 2^k·M are those of
 M bit for bit while the entries of 2^k·M stay normal numbers.  Pivots
@@ -26,11 +26,15 @@ every pair passes, it does not run at all.
 
 Matrices are plain ``numpy`` arrays; ``as_matrix`` gives them
 ``complex128`` entries, and eigenvectors are returned as ``complex128``.
-Inside the eigensolver the work array follows the data: a matrix whose
-imaginary parts are all zero is rotated in ``float64``, any other in
-``complex128``, by the same sweep code, whose rotations use real
-arithmetic only (``_real_valued`` is the rule, and the QRs that
-precondition the metric solve follow it too).  All functions
+Inside the eigensolver the work array is real and follows the data:
+each row of a matrix whose imaginary parts are all zero is one
+``float64`` plane, and each row of any other is two, its real part over
+its imaginary part (``_real_valued`` is the rule, and the QRs that
+precondition the metric solve follow it too).  A pair's rows are then
+one contiguous block, and one real ``matmul`` with a per-pair block
+rotates it, the phase of the complex rotation and the conjugation of
+the column pass included, so the same sweep code runs both and no
+step does complex arithmetic.  All functions
 are pure and never mutate their arguments, so values can be shared
 freely between threads; the solver's work arrays belong to one call
 and are never cached, so solves may also run in several threads at
@@ -240,10 +244,52 @@ def _phase_fixed(u) -> tuple:
 _TINY = np.finfo(np.float64).tiny  # smallest normal float
 
 
+def _to_planes(x: np.ndarray) -> np.ndarray:
+    """x with each row stored as real planes: shape (..., r, c) becomes (..., r, P, c).
+
+    A float64 x has one plane, itself; any other has two, [Re; Im].
+    ``_from_planes`` undoes it bit for bit.  The result is C-contiguous.
+    """
+    if x.dtype == np.float64:
+        return np.ascontiguousarray(x[..., None, :])
+    parts = np.ascontiguousarray(x).view(np.float64).reshape(*x.shape, 2)
+    return np.ascontiguousarray(parts.swapaxes(-1, -2))
+
+
+def _from_planes(x: np.ndarray) -> np.ndarray:
+    """The float64 (one plane) or complex128 (two) matrix stored in ``x``'s planes."""
+    if x.shape[-2] == 1:
+        return x[..., 0, :]
+    return np.ascontiguousarray(x.swapaxes(-1, -2)).view(np.complex128)[..., 0]
+
+
+def _work_array(a: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The Jacobi work array of ``a``: A and W = I, both in layout ``order``, as real planes.
+
+    A is ``a`` padded with a zero dummy row and column when ``order``
+    holds n + 1 indices (odd n).  The result has shape (2, size, P, size):
+    one plane for a float64 ``a``, two for a complex one.
+    """
+    n, size = a.shape[0], order.shape[0]
+    aw = np.zeros((2, size, size), dtype=a.dtype)
+    aw[0, :n, :n] = a
+    aw[0] = aw[0][order][:, order]
+    aw[1] = np.eye(size)[order]
+    return _to_planes(aw)
+
+
 def _off_diagonal_norm(a: np.ndarray) -> float:
+    """Frobenius norm of the off-diagonal part of a work matrix stored as planes."""
     off = a.copy()
-    np.fill_diagonal(off, 0.0)
+    np.fill_diagonal(off[:, 0], 0.0)  # the imaginary plane's diagonal is zero
     return float(np.linalg.norm(off))
+
+
+def _off_diagonal_moduli(a: np.ndarray) -> np.ndarray:
+    """|a_ij| of a work matrix stored as planes, with the diagonal set to zero."""
+    moduli = np.hypot.reduce(a, axis=1, initial=0.0)  # hypot(0, x) = |x| for one plane
+    np.fill_diagonal(moduli, 0.0)
+    return moduli
 
 
 def _schedule(n: int) -> np.ndarray:
@@ -255,8 +301,8 @@ def _schedule(n: int) -> np.ndarray:
     and over a sweep every unordered pair of ``range(size)`` occurs
     exactly once.  Index 0 stays put while the others move one place
     round a ring per step.  For odd n the dummy's pair (p, n) is moved to
-    the end of each step, the other pairs keeping their order, so
-    ``_sweep`` can leave it out by rotating only the first n // 2 pairs.
+    the end of each step, the other pairs keeping their order, so the
+    sweep can leave it out by rotating only the first n // 2 pairs.
     """
     size = n + n % 2
     ring = size - 1
@@ -271,24 +317,30 @@ def _schedule(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def _layouts(n: int) -> tuple:
+def _layouts(n: int, planes: int) -> tuple:
     """Index tables that run the schedule of ``_schedule(n)`` in place.
 
-    Built once per size (the last 128 sizes are kept) and returned
-    read-only, since every solve of that size shares them.
+    Built once per size and plane count (the last 128 are kept) and
+    returned read-only, since every solve of that shape shares them.
 
-    During a step the matrix is stored with its pair i at positions
-    (2i, 2i + 1), so each pair's rows form one 2 x size block.  Returns
-    ``(last, position, steps, blocks)``:
+    A work matrix has shape (size, planes, size) (``_work_array``).
+    During a step it is stored with its pair i at positions (2i, 2i + 1),
+    so each pair's rows form one contiguous block of 2·planes rows.
+    Returns ``(last, position, steps, written)``:
 
     * ``last[j]`` is the index stored at position j after a sweep's last
       step, which is also the layout each sweep starts from, and
       ``position`` is its inverse;
     * ``steps[k]`` holds the positions, in the layout of step k - 1, of
       the indices of step k in its own layout order, and the flat
-      offsets of their entries a[p,q], a[p,p] and a[q,q];
-    * ``blocks`` holds the flat offsets of the p and q diagonal entries
-      and of the pivots (2i, 2i + 1) and (2i + 1, 2i) in a step's layout.
+      offsets of their entries: a[p,q] plane by plane, the last plane
+      first, then a[p,p] and a[q,q];
+    * ``written`` holds, in one contiguous array, the flat offsets of
+      the entries a step writes, in its layout, for the n // 2 pairs that
+      are not odd n's dummy (``_schedule`` puts the dummy's last): first
+      those it sets to zero, the pivots (2i, 2i + 1) and (2i + 1, 2i) in
+      every plane and the imaginary plane of both diagonal entries, then
+      the p diagonal entries and the q diagonal entries.
     """
     size = n + n % 2
     orders = _schedule(n).reshape(size - 1, size)
@@ -297,14 +349,52 @@ def _layouts(n: int) -> tuple:
     positions[step, orders] = np.arange(size)
     gathers = positions[step - 1, orders]  # step -1 is the previous sweep's last
     gp, gq = gathers[:, 0::2], gathers[:, 1::2]
-    entries = np.concatenate((gp * size + gq, gp * (size + 1), gq * (size + 1)), axis=1)
-    diagonal = np.arange(0, size * size, size + 1)
-    pivots = np.concatenate((diagonal[0::2] + 1, diagonal[0::2] + size))
+    row = planes * size  # flat offset from one row of the work matrix to the next
+    pivot_planes = [gp * row + k * size + gq for k in reversed(range(planes))]
+    entries = np.concatenate((*pivot_planes, gp * (row + 1), gq * (row + 1)), axis=1)
+    p = np.arange(0, 2 * (n // 2), 2)  # each live pair's p position; its q is p + 1
+    diagonals = [p * (row + 1), (p + 1) * (row + 1)]
+    written = np.concatenate(
+        [p * row + k * size + p + 1 for k in range(planes)]
+        + [(p + 1) * row + k * size + p for k in range(planes)]
+        + [diagonal + k * size for diagonal in diagonals for k in range(1, planes)]
+        + diagonals
+    )
     last, position = orders[-1].copy(), positions[-1].copy()
-    for table in (last, position, gathers, entries, diagonal, pivots):
+    for table in (last, position, gathers, entries, written):
         table.setflags(write=False)  # before the views below, which inherit it
-    blocks = (diagonal[0::2], diagonal[1::2], pivots)
-    return last, position, tuple(zip(gathers, entries)), blocks
+    return last, position, tuple(zip(gathers, entries)), written
+
+
+def _block_pattern(planes: int) -> np.ndarray:
+    """The 0/±1 matrix that maps a pair's rotation coefficients to its two blocks.
+
+    Row j holds, flattened, the blocks (K, K·D) of the coefficient vector
+    e_j, for coefficients (c, s, c·sin φ, c·cos φ, s·sin φ, s·cos φ).
+    K = [[c·I, -s·R_φ], [s·I, c·R_φ]] acts on a pair's 2·planes rows,
+    where R_φ = [[cos φ, -sin φ], [sin φ, cos φ]] multiplies by e^{iφ}
+    (with one plane, R_φ = cos φ = ±1), and D negates the imaginary
+    planes, so K·D conjugates the rows it rotates.  Every entry of
+    ``coefficients @ pattern`` is one coefficient, negated or not, or
+    zero, so it is exact.
+    """
+    eye, conjugate = np.eye(planes), np.tile((1.0, -1.0)[:planes], 2)
+    rows = []
+    for c, s, c_sin, c_cos, s_sin, s_cos in np.eye(6):
+        c_phase = np.array([[c_cos, -c_sin], [c_sin, c_cos]])[:planes, :planes]
+        s_phase = np.array([[s_cos, -s_sin], [s_sin, s_cos]])[:planes, :planes]
+        k = np.block([[c * eye, -s_phase], [s * eye, c_phase]])
+        rows.append(np.stack((k, k * conjugate)).ravel())
+    return np.array(rows)
+
+
+# Per plane count: the pattern, and the blocks I and D of c = 1, s = 0, φ = 0.
+_BLOCK_PATTERNS = {
+    planes: (pattern, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]) @ pattern)
+    for planes, pattern in ((p, _block_pattern(p)) for p in (1, 2))
+}
+_NO_PHASE = np.array([[0.0], [1.0]])  # (sin φ, cos φ) of a dead pivot
+_SHIFT_SIGNS = np.array([[-1.0], [1.0]])  # of t·r, on a[p,p] and a[q,q]
 
 
 def _negligible(apq: np.ndarray, app: np.ndarray, aqq: np.ndarray) -> bool:
@@ -319,141 +409,130 @@ def _negligible(apq: np.ndarray, app: np.ndarray, aqq: np.ndarray) -> bool:
     return bool(np.all(np.abs(apq) <= _EPS * np.sqrt(np.abs(app * aqq))))
 
 
-def _sweep(aw: np.ndarray, steps: tuple, blocks: tuple, live: int, polish: bool = False) -> None:
-    """Run round-robin ``steps`` in order, rotating all pairs of a step at once.
+def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
+    """The sweep function of one solve, with its buffers allocated once.
 
-    ``aw`` stacks the working matrix A and W = U†, the conjugate
-    transpose of the accumulated basis; ``steps`` (all of a sweep's, or
-    a slice of them) and ``blocks`` come from ``_layouts``.  Each pair
-    (p, q) gets the complex plane rotation R with R[p,p]=c, R[p,q]=s,
-    R[q,p]=-s·e^{-iφ}, R[q,q]=c·e^{-iφ}, where a[p,q]=r·e^{iφ}.  W
-    becomes R†W, and A becomes R†AR, computed as R†(R†A)† because A is
+    ``aw`` is the work array of ``_work_array``: the working matrix A and
+    W = U†, the conjugate transpose of the accumulated basis, stacked,
+    each stored as real planes; it is updated in place.  ``written``
+    comes from ``_layouts``.  Returns ``sweep(steps, polish=False)``,
+    which runs round-robin ``steps`` (all of a sweep's, or a slice of
+    them) in order, rotating all pairs of a step at once.
+
+    Each pair (p, q) gets the complex plane rotation R with R[p,p]=c,
+    R[p,q]=s, R[q,p]=-s·e^{-iφ}, R[q,q]=c·e^{-iφ}, where a[p,q]=r·e^{iφ}.
+    W becomes R†W, and A becomes R†AR, computed as R†(R†A)† because A is
     Hermitian.  The pairs of a step are disjoint, so their rotations
     commute, and each 2x2 block of R†AR is written in closed form.
 
+    A pair's rows are one contiguous block of 2·P real rows, so R† is one
+    real 2P x 2P block K per pair (``_block_pattern``), and each product
+    is one batched real ``matmul``: K on the gathered rows of A and W,
+    then K·D on the gathered columns of R†A, which conjugates them in
+    the same product.  K is built from the coefficients
+    (c, s, c·sin φ, c·cos φ, s·sin φ, s·cos φ) by one small ``matmul``
+    against the constant pattern.  Real input has one plane and φ = 0
+    or π, and runs the same code; its sin φ is 0 because the gather of
+    pivots leaves the imaginary-part slot of its buffer at zero.
+
     Only the first ``live`` (n // 2) pairs of each step are rotated.  For
     odd n the last pair is the dummy's (``_schedule``): its pivot is
-    exactly 0, so it would get the identity rotation, and its block of G
-    is the identity and its phase 1 throughout, so the matmuls carry its
-    rows through unchanged and no rotation parameter, diagonal entry or
-    pivot is computed or written for it.  The dead-pivot branch then
-    runs only where one of A's own pivots is zero or subnormal.
-
-    R† = G·diag(1, e^{iφ}) with G = [[c, -s], [s, c]] real, so each
-    product multiplies the q rows by e^{iφ} and then applies the stacked
-    G with one real ``matmul`` on the float64 view, where a complex row
-    of length n is a real row of length 2n.  A real aw keeps its dtype:
-    its float64 view is itself, and its phases are ±1, so they are
-    folded into G's second column instead (a sign flip is exact, so the
-    result is bitwise the same).  ``aw`` must be C-contiguous; it is
-    updated in place.
+    exactly 0, so it would get the identity rotation, and its blocks are
+    fixed at I and D, so the matmuls carry its rows through unchanged and
+    no rotation parameter, diagonal entry or pivot is computed or written
+    for it (``written`` leaves it out).  The dead-pivot branch then runs
+    only where one of A's own pivots is zero or subnormal.
 
     In the ``polish`` sweep a step whose pivots are all ``_negligible``
     rotates nothing: it only moves aw to its layout, with two ``take``s,
     and zeroes its pivots, as the rotations would have.
 
-    Every step has the same shapes, so the gather buffers, G and the
-    rotation parameters are allocated once per call and each step writes
-    into them with ``out=``.  They belong to this call alone, which keeps
-    the function safe to run in several threads at once.
+    Every step has the same shapes, so the gather buffers, the blocks and
+    the rotation parameters are allocated here, once per solve, and each
+    step writes into them with ``out=``.  They belong to this solve alone,
+    which keeps solves safe to run in several threads at once.
     """
-    size = aw.shape[1]
-    half = size // 2
-    diagonal_p, diagonal_q, pivots = blocks
-    g = np.empty((half, 2, 2))
-    phase = np.empty(half, dtype=aw.dtype)
-    if live < half:
-        # Odd n: the last pair is the dummy's.  Its block of G stays the
-        # identity and its phase 1, and the tables are cut to the live
-        # pairs; ``ravel`` copies the pivots to one contiguous index array,
-        # as indexing through a strided one costs about 1 µs more per step.
-        diagonal_p, diagonal_q = diagonal_p[:live], diagonal_q[:live]
-        pivots = pivots.reshape(2, half)[:, :live].ravel()
-        g[live:] = np.eye(2)
-        phase[live:] = 1.0
-    real = aw.dtype == np.float64
+    size, planes = aw.shape[1], aw.shape[2]
+    half, width = size // 2, 2 * planes  # pairs per step, rows per pair
+    zeros = written[: written.size - 2 * live]
+    values = np.zeros(written.size)  # what a step writes there
+    new_diagonals = values[zeros.size :].reshape(2, live)
+    pattern, identity = _BLOCK_PATTERNS[planes]
+    k = np.empty((half, pattern.shape[1]))
+    k[live:] = identity  # odd n's dummy pair
+    k_live = k[:live]
+    k_rows, k_columns = k.reshape(half, 2, width, width).transpose(1, 0, 2, 3)
     a = aw[0]
     flat = a.reshape(-1)
-    a_columns = a.T
-    # aw and the products written into it, as the float64 rows G acts on.
-    aw_parts = aw.view(np.float64).reshape(2, half, 2, -1)
-    a_parts = a.view(np.float64).reshape(half, 2, -1)
-    rows = np.empty_like(aw)
-    rows_parts = rows.view(np.float64).reshape(2, half, 2, -1)
-    rows_q = rows[:, 1::2]
-    columns = np.empty_like(a)
-    columns_parts = columns.view(np.float64).reshape(half, 2, -1)
-    columns_q = columns[1::2]
-    entries = np.empty(3 * half, dtype=aw.dtype)
-    apq = entries[:live]
-    app = entries[half : half + live].real
-    aqq = entries[2 * half : 2 * half + live].real
-    g_live = g[:live]
-    g_diagonal = g_live.reshape(live, 4)[:, ::3]  # g[:, 0, 0] and g[:, 1, 1]
-    g01, g10, g_second_column = g_live[:, 0, 1], g_live[:, 1, 0], g_live[:, :, 1]
-    r, r2, gap, t, c, s, scratch = np.empty((7, live))
-    c_column = c[:, None]
-    phase_live = phase[:live]
-    phase_column, live_phase_column = phase[:, None], phase_live[:, None]
-    for gather, offsets in steps:
-        # Every index is in range, so "clip" lets ``take`` write into its
-        # output directly instead of through a buffer.
-        aw.take(offsets, out=entries, mode="clip")
-        if polish and _negligible(apq, app, aqq):
-            aw.take(gather, axis=1, out=rows, mode="clip")
-            aw[1] = rows[1]
-            rows[0].take(gather, axis=1, out=a, mode="clip")
-            flat[pivots] = 0.0
-            continue
-        np.abs(apq, out=r)
-        dead = None
-        if r.min() < _TINY:
-            # A pivot that is zero or subnormal gets the identity rotation
-            # (and is zeroed below): a subnormal r is too coarse for apq/r
-            # to be a unit number, or even finite.
-            dead = r < _TINY
-            r[dead] = 0.0
-            np.divide(np.where(dead, 1.0, apq), np.where(dead, 1.0, r), out=phase_live)
-        else:
-            np.divide(apq, r, out=phase_live)
-        # t = tan of the rotation angle: the root of t² + 2τt - 1 = 0, with
-        # τ = (a[q,q] - a[p,p]) / 2r, that is at most 1 in modulus.
-        np.subtract(aqq, app, out=gap)
-        np.add(r, r, out=r2)
-        np.abs(gap, out=scratch)
-        scratch += np.hypot(gap, r2, out=t)
-        if dead is not None:
-            scratch += dead  # a dead pair's t is 0, not 0/0
-        np.copysign(r2, gap, out=t)
-        t /= scratch
-        np.hypot(1.0, t, out=c)
-        np.divide(1.0, c, out=c)
-        np.multiply(t, c, out=s)
-        g_diagonal[...] = c_column
-        np.negative(s, out=g01)
-        g10[...] = s
-        if real:
-            # A real phase is ±1: fold it into G's second column, which
-            # flips the same signs exactly, so the q rows need no multiply.
-            g_second_column *= live_phase_column
+    a_columns = a.transpose(2, 1, 0)
+    aw_blocks, a_blocks = aw.reshape(2, half, width, size), a.reshape(half, width, size)
+    rows, columns = np.empty_like(aw), np.empty_like(a)
+    rows_blocks, columns_blocks = rows.reshape(aw_blocks.shape), columns.reshape(a_blocks.shape)
+    # Rows Im a_pq, Re a_pq, a_pp, a_qq; one plane leaves the first at zero.
+    entries = np.zeros((4, half))
+    taken = entries.reshape(-1)[(2 - planes) * half :]
+    apq, app, aqq = entries[:2, :live], entries[2, :live], entries[3, :live]
+    old_diagonals = entries[2:, :live]
+    coefficients = np.empty((6, live))
+    c, s = coefficients[0], coefficients[1]
+    c_s, products = coefficients[:2, None], coefficients[2:].reshape(2, 2, live)
+    phase = np.empty((2, live))  # sin φ, cos φ
+    r, r2, gap, t, scratch = np.empty((5, live))
+    shifts = np.empty((2, live))
 
-        # ``take`` copies, so each product can write straight into aw.
-        aw.take(gather, axis=1, out=rows, mode="clip")
-        if not real:
-            rows_q *= phase_column
-        np.matmul(g, rows_parts, out=aw_parts)
-        # The rows of (R†A)† are the conjugated columns of R†A.
-        a_columns.take(gather, axis=0, out=columns, mode="clip")
-        if not real:
-            np.conjugate(columns, out=columns)
-            columns_q *= phase_column
-        np.matmul(g, columns_parts, out=a_parts)
-        # The transformed 2x2 blocks are known in closed form; writing them
-        # directly keeps the diagonal real and each pivot exactly zero.
-        np.multiply(t, r, out=scratch)  # the shift of each diagonal entry
-        flat[diagonal_p] = np.subtract(app, scratch, out=gap)
-        flat[diagonal_q] = np.add(aqq, scratch, out=gap)
-        flat[pivots] = 0.0
+    def sweep(steps: tuple, polish: bool = False) -> None:
+        for gather, offsets in steps:
+            # Every index is in range, so "clip" lets ``take`` write into
+            # its output directly instead of through a buffer.
+            aw.take(offsets, out=taken, mode="clip")
+            np.hypot(apq[1], apq[0], out=r)
+            if polish and _negligible(r, app, aqq):
+                aw.take(gather, axis=1, out=rows, mode="clip")
+                aw[1] = rows[1]
+                rows[0].take(gather, axis=2, out=a, mode="clip")
+                flat[zeros] = 0.0
+                continue
+            dead = None
+            if r.min() < _TINY:
+                # A pivot that is zero or subnormal gets the identity
+                # rotation (and is zeroed below): a subnormal r is too
+                # coarse for a_pq/r to be a unit number, or even finite.
+                dead = r < _TINY
+                r[dead] = 0.0
+                np.divide(np.where(dead, _NO_PHASE, apq), np.where(dead, 1.0, r), out=phase)
+            else:
+                np.divide(apq, r, out=phase)
+            # t = tan of the rotation angle: the root of t² + 2τt - 1 = 0,
+            # with τ = (a[q,q] - a[p,p]) / 2r, that is at most 1 in modulus.
+            np.subtract(aqq, app, out=gap)
+            np.add(r, r, out=r2)
+            np.abs(gap, out=scratch)
+            np.add(scratch, np.hypot(gap, r2, out=t), out=scratch)
+            if dead is not None:
+                np.add(scratch, dead, out=scratch)  # a dead pair's t is 0, not 0/0
+            np.copysign(r2, gap, out=t)
+            np.divide(t, scratch, out=t)
+            np.hypot(1.0, t, out=c)
+            np.divide(1.0, c, out=c)
+            np.multiply(t, c, out=s)
+            np.multiply(c_s, phase, out=products)
+            np.matmul(coefficients.T, pattern, out=k_live)
+
+            # ``take`` copies, so each product can write straight into aw.
+            aw.take(gather, axis=1, out=rows, mode="clip")
+            np.matmul(k_rows, rows_blocks, out=aw_blocks)
+            # The rows of (R†A)† are the conjugated columns of R†A.
+            a_columns.take(gather, axis=0, out=columns, mode="clip")
+            np.matmul(k_columns, columns_blocks, out=a_blocks)
+            # The transformed 2x2 blocks are known in closed form; writing
+            # them directly keeps the diagonal real and each pivot zero:
+            # a[p,p] - t·r and a[q,q] + t·r.
+            np.multiply(t, r, out=scratch)
+            np.multiply(_SHIFT_SIGNS, scratch, out=shifts)
+            np.add(old_diagonals, shifts, out=new_diagonals)
+            flat[written] = values
+
+    return sweep
 
 
 def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEigen:
@@ -498,15 +577,11 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     # can overflow.
     a, exponent = _scaled_to_unit(a)
     a = _real_valued((a + a.conj().T) / 2.0)
-    size = n + n % 2
-    last, position, steps, blocks = _layouts(n)
-    live = n // 2  # pairs per step that are not odd n's dummy pair
+    last, position, steps, written = _layouts(n, 1 if a.dtype == np.float64 else 2)
     # A (padded with a zero dummy row and column for odd n) and W = I,
-    # both stored in the layout a sweep starts from, in A's own dtype.
-    aw = np.zeros((2, size, size), dtype=a.dtype)
-    aw[0, :n, :n] = a
-    aw[0] = aw[0][last][:, last]
-    aw[1] = np.eye(size)[last]
+    # in the layout a sweep starts from, one plane for real A, two else.
+    aw = _work_array(a, last)
+    sweep = _sweeper(aw, written, n // 2)  # n // 2 pairs per step are not odd n's dummy
     target = ToleranceConfig.eigen_convergence_tol * float(np.linalg.norm(a))
     sweeps = 0
     off = _off_diagonal_norm(aw[0])
@@ -518,24 +593,22 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
                 sweeps=sweeps,
                 off_norm=float(np.ldexp(off, exponent)),
             )
-        _sweep(aw, steps, blocks, live)
+        sweep(steps)
         sweeps += 1
         off = _off_diagonal_norm(aw[0])
     # One polish sweep after the target is met takes the quadratically
     # shrinking remainder to about zero, unless the sweeps are used up or
     # every pair is already negligible; it rotates only the steps that
     # hold a pair that is not.
-    diagonal = np.diagonal(aw[0])
-    off_diagonal = aw[0] - np.diag(diagonal)
-    diagonal = diagonal.real
-    if sweeps < cfg.max_sweeps and not _negligible(off_diagonal, diagonal[:, None], diagonal):
-        _sweep(aw, steps, blocks, live, True)  # polish
+    diagonal = np.diagonal(aw[0, :, 0])
+    if sweeps < cfg.max_sweeps and not _negligible(_off_diagonal_moduli(aw[0]), diagonal[:, None], diagonal):
+        sweep(steps, True)  # polish
         sweeps += 1
     position = position[:n]  # of each index in the final layout; drops the dummy
-    diag = np.real(np.diagonal(aw[0]))[position]
+    diag = np.diagonal(aw[0, :, 0])[position]
     order = np.argsort(-diag, kind="stable")
     eigenvalues = np.ldexp(diag[order], exponent)
-    eigenvectors = apply_phase_convention(aw[1][position[order], :n].conj().T)
+    eigenvectors = apply_phase_convention(_from_planes(aw[1][position[order], :, :n]).conj().T)
     return HermitianEigen(eigenvalues=eigenvalues, eigenvectors=eigenvectors, sweeps=sweeps)
 
 

@@ -8,8 +8,8 @@ Newton polish steps.  Matrix-power references use LAPACK
 (``numpy.linalg.eigh``), and the Gram metric V†V is formed directly.
 Only ``principal_components`` runs the Jacobi solver, and on a matrix
 the metric path never builds: S = V·V† reduced by its own QR, so its
-components check Λ by a second route.  ``jacobi_sweep_by_steps`` is the
-solver's sweep written one step at a time, the reference its
+components check Λ by a second route.  ``jacobi_sweeper_by_steps`` is
+the solver's sweep written one step at a time, the reference its
 preallocated form must match bit for bit.
 """
 
@@ -153,74 +153,73 @@ def jacobi_rotations(a, w, pairs):
     return adjoint @ a @ rotation, adjoint @ np.asarray(w, dtype=np.complex128)
 
 
-def jacobi_sweep_by_steps(aw, steps, blocks, live, polish=False):
-    """``linalg._sweep`` one step at a time, allocating every temporary afresh.
+def jacobi_sweeper_by_steps(aw, written, live):
+    """``linalg._sweeper`` one step at a time, allocating every temporary afresh.
 
-    The same arithmetic in the same order, written as plain expressions:
-    substituted for ``_sweep``, it must leave every ``hermitian_eigen``
-    result unchanged bit for bit.  ``live`` is ignored: every pair of a
-    step is rotated, odd n's dummy pair too, whose zero pivot takes the
-    dead-pivot arithmetic and the identity rotation.
+    Returns ``sweep(steps, polish=False)``, which does the same arithmetic
+    in the same order, written as plain expressions: substituted for
+    ``_sweeper``, it must leave every ``hermitian_eigen`` result unchanged
+    bit for bit.  Every pair of a step is rotated, odd n's dummy pair too,
+    whose zero pivot takes the dead-pivot arithmetic and the identity
+    rotation; only the writes of the closed-form entries are cut to the
+    ``live`` pairs, which ``written`` covers.  Each pair's real block K is
+    written entry by entry here, not through ``_block_pattern``.
     """
-    for step in steps:
-        _jacobi_step(aw, step, blocks, polish)
+
+    def sweep(steps, polish=False):
+        for step in steps:
+            _jacobi_step(aw, step, written, live, polish)
+
+    return sweep
 
 
-def _jacobi_step(aw, step, blocks, polish):
-    gather, entries = step
-    half = gather.shape[0] // 2
-    diagonal_p, diagonal_q, pivots = blocks
-    entries = aw.take(entries)
-    apq = entries[:half]
-    app = entries[half : 2 * half].real
-    aqq = entries[2 * half :].real
-    if polish and _negligible(apq, app, aqq):
+def _jacobi_step(aw, step, written, live, polish):
+    gather, offsets = step
+    size, planes = aw.shape[1], aw.shape[2]
+    half, width = size // 2, 2 * planes
+    zeros, diagonal_p, diagonal_q = np.split(written, [written.size - 2 * live, written.size - live])
+    entries = aw.take(offsets).reshape(planes + 2, half)
+    apq = np.zeros((2, half))  # Im a_pq, Re a_pq: a real aw has no Im
+    apq[2 - planes :] = entries[:planes]
+    app, aqq = entries[planes], entries[planes + 1]
+    r = np.hypot(apq[1], apq[0])
+    a = aw[0]
+    flat = a.reshape(-1)
+    if polish and _negligible(r, app, aqq):
         rows = aw.take(gather, axis=1)
         aw[1] = rows[1]
-        rows[0].take(gather, axis=1, out=aw[0], mode="clip")
-        aw[0].reshape(-1)[pivots] = 0.0
+        rows[0].take(gather, axis=2, out=a, mode="clip")
+        flat[zeros] = 0.0
         return
-    r = np.abs(apq)
     dead = r < np.finfo(np.float64).tiny
     r[dead] = 0.0
-    phase = np.where(dead, 1.0, apq) / np.where(dead, 1.0, r)
+    sin, cos = np.where(dead, [[0.0], [1.0]], apq) / np.where(dead, 1.0, r)
     gap = aqq - app
     r2 = r + r
     t = np.copysign(r2, gap) / (np.abs(gap) + np.hypot(gap, r2) + dead)
     c = 1.0 / np.hypot(1.0, t)
     s = t * c
-    real = aw.dtype == np.float64
-    g = np.empty((half, 2, 2))
-    g[:, 0, 0] = c
-    g[:, 0, 1] = -s
-    g[:, 1, 0] = s
-    g[:, 1, 1] = c
-    if real:
-        g[:, :, 1] *= phase[:, None]
-    phase = phase[:, None]
+    # K = [[c·I, -s·R], [s·I, c·R]], R = [[cos φ, -sin φ], [sin φ, cos φ]]
+    # cut to the planes; the columns get K·D, D negating the Im planes.
+    k = np.zeros((half, width, width))
+    for i in range(planes):
+        k[:, i, i] = c
+        k[:, planes + i, i] = s
+    c_rotation = [[c * cos, -(c * sin)], [c * sin, c * cos]]
+    s_rotation = [[s * cos, -(s * sin)], [s * sin, s * cos]]
+    for i in range(planes):
+        for j in range(planes):
+            k[:, i, planes + j] = -s_rotation[i][j]
+            k[:, planes + i, planes + j] = c_rotation[i][j]
+    conjugate = np.tile([1.0, -1.0][:planes], 2)
     rows = aw.take(gather, axis=1)
-    if not real:
-        rows[:, 1::2] *= phase
-    np.matmul(
-        g,
-        rows.view(np.float64).reshape(2, half, 2, -1),
-        out=aw.view(np.float64).reshape(2, half, 2, -1),
-    )
-    a = aw[0]
-    rows = a.T.take(gather, axis=0)
-    if not real:
-        np.conjugate(rows, out=rows)
-        rows[1::2] *= phase
-    np.matmul(
-        g,
-        rows.view(np.float64).reshape(half, 2, -1),
-        out=a.view(np.float64).reshape(half, 2, -1),
-    )
-    flat = a.reshape(-1)
-    shift = t * r
-    flat[diagonal_p] = app - shift
-    flat[diagonal_q] = aqq + shift
-    flat[pivots] = 0.0
+    np.matmul(k, rows.reshape(2, half, width, size), out=aw.reshape(2, half, width, size))
+    columns = a.transpose(2, 1, 0).take(gather, axis=0)
+    np.matmul(k * conjugate, columns.reshape(half, width, size), out=a.reshape(half, width, size))
+    shift = (t * r)[:live]
+    flat[diagonal_p] = app[:live] - shift
+    flat[diagonal_q] = aqq[:live] + shift
+    flat[zeros] = 0.0
 
 
 def format_matrix_by_entry(a, precision=17, fmt="csv"):

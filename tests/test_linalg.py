@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import lowdin as lo
 import lowdin.linalg
 from lowdin.errors import DimensionMismatch, NoConvergence, NotHermitian, SingularMetric
-from lowdin.linalg import _layouts, _schedule, _sweep
+from lowdin.linalg import _from_planes, _layouts, _schedule, _sweeper, _to_planes, _work_array
 from lowdin.ortho import UNITARY_TOL
 
 from conftest import random_full_rank, random_matrix, random_unitary
@@ -21,7 +21,7 @@ from oracles import (
     gram_metric,
     hermitian_2x2_power,
     jacobi_rotations,
-    jacobi_sweep_by_steps,
+    jacobi_sweeper_by_steps,
     phase_convention_by_columns,
 )
 
@@ -190,14 +190,14 @@ class TestRoundRobinSchedule:
 
 
 class TestLayoutCache:
+    @pytest.mark.parametrize("planes", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 7, 16])
-    def test_repeat_call_returns_the_same_read_only_tables(self, n):
-        last, position, steps, blocks = _layouts(n)
-        again = _layouts(n)
-        assert again[0] is last and again[1] is position
+    def test_repeat_call_returns_the_same_read_only_tables(self, n, planes):
+        last, position, steps, written = _layouts(n, planes)
+        again = _layouts(n, planes)
+        assert again[0] is last and again[1] is position and again[3] is written
         assert all(a is b for pair in zip(again[2], steps) for a, b in zip(*pair))
-        assert all(a is b for a, b in zip(again[3], blocks))
-        tables = [last, position, *blocks] + [t for step in steps for t in step]
+        tables = [last, position, written] + [t for step in steps for t in step]
         for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -285,29 +285,30 @@ class TestPolishRule:
         assert lo.max_abs((u * d) @ u.conj().T - h) <= 1e-13 * n * scale
 
 
-class TestKernelDtype:
-    """The Jacobi work array keeps the dtype of the (symmetrized) input."""
+class TestKernelPlanes:
+    """The Jacobi work array has one real plane for real (symmetrized) input, two otherwise."""
 
     @staticmethod
     def spy_on_sweeps(monkeypatch):
         seen = []
-        sweep = lowdin.linalg._sweep
+        sweeper = lowdin.linalg._sweeper
 
         def spy(aw, *args):
-            seen.append(aw.dtype)
-            sweep(aw, *args)
+            seen.append(aw.shape[2])
+            return sweeper(aw, *args)
 
-        monkeypatch.setattr(lowdin.linalg, "_sweep", spy)
+        monkeypatch.setattr(lowdin.linalg, "_sweeper", spy)
         return seen
 
-    def test_real_input_stays_float64(self, rng, monkeypatch):
+    def test_real_input_has_one_plane(self, rng, monkeypatch):
         seen = self.spy_on_sweeps(monkeypatch)
         a = random_matrix(rng, 9, 9)
         assert lo.hermitian_eigen((a + a.T) / 2.0).eigenvectors.dtype == np.complex128
         lo.factorize(random_full_rank(rng, 8, 5)).residuals()
-        assert seen and set(seen) == {np.dtype(np.float64)}
+        lo.hermitian_eigen(((a + a.T) / 2.0).astype(complex))
+        assert seen and set(seen) == {1}
 
-    def test_one_imaginary_pair_runs_complex(self, rng, monkeypatch):
+    def test_one_imaginary_pair_runs_on_two_planes(self, rng, monkeypatch):
         n = 9
         a = random_matrix(rng, n, n)
         h = (a + a.T) / 2.0 + 0j
@@ -315,12 +316,24 @@ class TestKernelDtype:
         h[6, 2] -= 0.25j
         seen = self.spy_on_sweeps(monkeypatch)
         eigen = lo.hermitian_eigen(h)
-        assert seen and set(seen) == {np.dtype(np.complex128)}
+        assert seen and set(seen) == {2}
         reference = np.linalg.eigh(h)[0][::-1]
         scale = np.max(np.abs(reference))
         assert lo.max_abs(eigen.eigenvalues - reference) <= 1e-13 * n * scale
         u = eigen.eigenvectors
         assert lo.max_abs((u * eigen.eigenvalues) @ u.conj().T - h) <= 1e-13 * n * scale
+
+    @pytest.mark.parametrize("n", [2, 9, 33, 64])
+    def test_conjugate_input_gives_conjugate_eigenvectors_bitwise(self, rng, n):
+        # Conjugating M negates its imaginary planes and every sin φ exactly,
+        # and each entry of a pair's block is a coefficient that is even or
+        # odd in φ, so every product and sum is the same up to exact signs.
+        a = random_matrix(rng, n, n, complex_=True)
+        for h in (a @ a.conj().T, (a + a.conj().T) / 2.0):
+            eigen, conjugate = lo.hermitian_eigen(h), lo.hermitian_eigen(h.conj())
+            assert np.array_equal(conjugate.eigenvalues, eigen.eigenvalues)
+            assert np.array_equal(conjugate.eigenvectors, eigen.eigenvectors.conj())
+            assert conjugate.sweeps == eigen.sweeps
 
     def test_real_and_complex_typed_input_are_bitwise_equal(self, rng):
         a = random_matrix(rng, 11, 11)
@@ -345,7 +358,7 @@ class TestJacobiStep:
         size = n + n % 2
         schedule = _schedule(n)
         orders = schedule.reshape(size - 1, size)
-        steps, blocks = _layouts(n)[2:]
+        steps, written = _layouts(n, 2 if complex_ else 1)[2:]
         eps = np.finfo(float).eps
         for k in range(size - 1):
             x = random_matrix(rng, n, n, complex_)
@@ -353,11 +366,12 @@ class TestJacobiStep:
             a[:n, :n] = (x + x.conj().T) / 2.0
             w = random_unitary(rng, size, complex_)
             before, after = orders[k - 1], orders[k]  # step -1 is the sweep's last
-            aw = np.stack((a[before][:, before], w[before]))
-            _sweep(aw, steps[k : k + 1], blocks, n // 2)
+            aw = _to_planes(np.stack((a[before][:, before], w[before])))
+            _sweeper(aw, written, n // 2)(steps[k : k + 1])
             a_ref, w_ref = jacobi_rotations(a, w, schedule[k])
-            assert lo.max_abs(aw[0] - a_ref[after][:, after]) <= 8 * eps * lo.max_abs(a)
-            assert lo.max_abs(aw[1] - w_ref[after]) <= 8 * eps * lo.max_abs(w)
+            a_new, w_new = _from_planes(aw)
+            assert lo.max_abs(a_new - a_ref[after][:, after]) <= 8 * eps * lo.max_abs(a)
+            assert lo.max_abs(w_new - w_ref[after]) <= 8 * eps * lo.max_abs(w)
 
 
 def _oracle_cases(rng, n, complex_):
@@ -396,7 +410,7 @@ def _solve_outcome(h, cfg):
 
 
 class TestSweepMatchesPerStepOracle:
-    """``_sweep`` does the per-step kernel's arithmetic in the same order."""
+    """``_sweeper``'s sweeps do the per-step kernel's arithmetic in the same order."""
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("n", [*range(1, 20), 33, 63, 64, 65])
@@ -404,7 +418,7 @@ class TestSweepMatchesPerStepOracle:
         cases = _oracle_cases(rng, n, complex_)
         configs = (lo.DEFAULT_TOLERANCES, lo.ToleranceConfig(max_sweeps=2))
         swept = {(name, k): _solve_outcome(h, cfg) for name, h in cases.items() for k, cfg in enumerate(configs)}
-        monkeypatch.setattr(lowdin.linalg, "_sweep", jacobi_sweep_by_steps)
+        monkeypatch.setattr(lowdin.linalg, "_sweeper", jacobi_sweeper_by_steps)
         for (name, k), outcome in swept.items():
             assert _solve_outcome(cases[name], configs[k]) == outcome, (name, configs[k].max_sweeps)
 
@@ -414,7 +428,7 @@ class _DeadPivotBranch(Exception):
 
 
 class _NumpyWithoutWhere:
-    """numpy, except that ``where``, which only the dead-pivot branch of ``_sweep`` uses, raises."""
+    """numpy, except that ``where``, which only the dead-pivot branch of a sweep uses, raises."""
 
     def __getattr__(self, name):
         if name == "where":
@@ -427,18 +441,14 @@ class TestDeadPivotBranch:
 
     @staticmethod
     def sweep_once(h, monkeypatch):
-        """One ``_sweep`` over h from the layout ``hermitian_eigen`` starts in, without ``np.where``."""
+        """One sweep over h from the layout ``hermitian_eigen`` starts in, without ``np.where``."""
         n = h.shape[0]
-        size = n + n % 2
-        last, _, steps, blocks = _layouts(n)
         a = lowdin.linalg._real_valued(h)
-        aw = np.zeros((2, size, size), dtype=a.dtype)
-        aw[0, :n, :n] = a
-        aw[0] = aw[0][last][:, last]
-        aw[1] = np.eye(size)[last]
+        last, _, steps, written = _layouts(n, 1 if a.dtype == np.float64 else 2)
+        sweep = _sweeper(_work_array(a, last), written, n // 2)
         with monkeypatch.context() as patch:
             patch.setattr(lowdin.linalg, "np", _NumpyWithoutWhere())
-            _sweep(aw, steps, blocks, n // 2)
+            sweep(steps)
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("n", [3, 5, 9, 17, 33, 63, 65])
