@@ -20,8 +20,10 @@ The two trees are then compared file by file.  A run whose exit status changed c
 different set of factor files; files found in one tree only are listed
 by run directory, and the files both trees hold are still compared.  For
 the factor files that differ it prints the worst entrywise
-|new - old| / max|old|, and it counts the runs whose exit status
-changed.
+|new - old| / max|old|; for the ``report.json`` files that differ, the
+worst |new - old| and |new - old| / |old| of each numeric report key
+(each residual, d, σ, ``error.off_norm`` and so on, list positions
+merged); and it counts the runs whose exit status changed.
 
 Exits 0 when both trees hold the same files, all byte-identical, and 1
 otherwise.  Give the same checkout twice to check that runs are
@@ -33,7 +35,9 @@ Usage:
 
 import filecmp
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter, defaultdict
@@ -157,6 +161,39 @@ def differing_keys(a: Path, b: Path) -> list:
     return sorted(k for k in x.keys() | y.keys() if x.get(k) != y.get(k))
 
 
+def numeric_leaves(value, path=""):
+    """(path, number) for every int or float leaf of a parsed report.json."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from numeric_leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from numeric_leaves(item, f"{path}[{i}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, float(value)
+
+
+def report_drift(a: Path, b: Path) -> dict:
+    """Per report key, the worst |new - old| and |new - old| / |old| over its numbers.
+
+    Numbers are paired by their full path; the key drops list positions,
+    so every eigenvalue counts under ``eigenvalues``.  A relative drift
+    from 0 is inf.
+    """
+    old, new = (dict(numeric_leaves(json.loads(p.read_text()))) for p in (a, b))
+    worst = {}
+    for path in old.keys() & new.keys():
+        x, y = old[path], new[path]
+        if x == y:
+            continue
+        absolute = abs(y - x)
+        relative = absolute / abs(x) if x else math.inf
+        key = re.sub(r"\[\d+\]", "", path)
+        entry = worst.setdefault(key, [0.0, 0.0])
+        entry[0], entry[1] = max(entry[0], absolute), max(entry[1], relative)
+    return worst
+
+
 def compare_trees(old: Path, new: Path) -> int:
     """Compare two output trees and print the summary; 1 if they differ in any way, else 0."""
     trees = {"old": old, "new": new}
@@ -185,6 +222,18 @@ def compare_trees(old: Path, new: Path) -> int:
                    for k in differing_keys(old / p, new / p))
     if keys:
         print(f"  report.json keys that differ: {dict(sorted(keys.items()))}")
+    drift = {}  # report key -> [reports, worst |new - old|, worst |new - old| / |old|]
+    for p in differ:
+        if p.name == "report.json":
+            for key, (absolute, relative) in report_drift(old / p, new / p).items():
+                entry = drift.setdefault(key, [0, 0.0, 0.0])
+                entry[0] += 1
+                entry[1], entry[2] = max(entry[1], absolute), max(entry[2], relative)
+    if drift:
+        print("worst numeric drift in report.json, per key:")
+        for key, (count, absolute, relative) in sorted(drift.items()):
+            print(f"  {key}: {count} reports, |new - old| {absolute:.2e}, "
+                  f"|new - old| / |old| {relative:.2e}")
     factors = [p for p in differ if p.suffix in (".csv", ".tsv")]
     if factors:
         drift, worst = max((relative_drift(old / p, new / p), p) for p in factors)

@@ -244,15 +244,30 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--output-dir", default=".", help="directory for factor files and report.json"
     )
-    parser.add_argument("--format", choices=("csv", "tsv"), default="csv")
+    parser.add_argument(
+        "--format", choices=("csv", "tsv"), default="csv", help="input and output files (default: csv)"
+    )
     parser.add_argument(
         "--precision",
         type=_precision_arg,
         default=17,
         help="significant digits in output files (17 = shortest round trip)",
     )
-    parser.add_argument("--rank-tol", type=float, default=None)
-    parser.add_argument("--max-sweeps", type=int, default=None)
+    # Unset options keep ToleranceConfig's defaults, so only given ones override.
+    defaults = ToleranceConfig()
+    parser.add_argument(
+        "--rank-tol",
+        type=float,
+        default=None,
+        help="relative eigenvalue cutoff below which the metric counts as singular, "
+        f"in (0, 1) (default: {defaults.rank_tol:g})",
+    )
+    parser.add_argument(
+        "--max-sweeps",
+        type=int,
+        default=None,
+        help=f"Jacobi sweep limit, an integer >= 1 (default: {defaults.max_sweeps})",
+    )
     return parser
 
 

@@ -518,6 +518,19 @@ class TestParserReuse:
         for name, command in COMMANDS.items():
             assert f"  {name:<11} {command.help}" in out
 
+    def test_help_gives_the_range_and_default_of_each_numerical_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # the wrapping follows the terminal
+        for line in (
+            "--rank-tol RANK_TOL relative eigenvalue cutoff below which the metric counts as "
+            "singular, in (0, 1) (default: 1e-12)",
+            "--max-sweeps MAX_SWEEPS Jacobi sweep limit, an integer >= 1 (default: 64)",
+            "--format {csv,tsv} input and output files (default: csv)",
+        ):
+            assert line in text
+
     def test_missing_command_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["--input", str(FIXTURES / "identity_2x2.csv"), "--output-dir", str(tmp_path)])

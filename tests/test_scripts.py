@@ -91,3 +91,26 @@ def test_compare_outputs_passes_identical_trees(tmp_path, capsys):
         (run / "svd_sigma.csv").write_text("3.0\n2.0\n")
     assert load_script("compare_outputs").compare_trees(tmp_path / "old", tmp_path / "new") == 0
     assert "differing files: 0" in capsys.readouterr().out
+
+
+def test_compare_outputs_prints_the_worst_drift_of_each_report_key(tmp_path, capsys):
+    # Numbers are paired by position; list positions merge under one key,
+    # and keys whose numbers all match are not listed.
+    reports = {
+        "old": {"residuals": {"orthonormality": 1e-15, "svd_reconstruction": 2e-16},
+                "eigenvalues": [4.0, 2.0], "error": None, "rows": 2},
+        "new": {"residuals": {"orthonormality": 1.5e-15, "svd_reconstruction": 2e-16},
+                "eigenvalues": [4.0, 2.000000002], "error": None, "rows": 2},
+    }
+    for side, report in reports.items():
+        run = tmp_path / side / "r000.csv" / "default" / "svd"
+        run.mkdir(parents=True)
+        (run / "exit").write_text("0\n")
+        (run / "report.json").write_text(json.dumps(report))
+    assert load_script("compare_outputs").compare_trees(tmp_path / "old", tmp_path / "new") == 1
+    drift = capsys.readouterr().out.split("worst numeric drift in report.json, per key:\n")[1]
+    assert drift.splitlines()[:2] == [
+        "  eigenvalues: 1 reports, |new - old| 2.00e-09, |new - old| / |old| 1.00e-09",
+        "  residuals.orthonormality: 1 reports, |new - old| 5.00e-16, |new - old| / |old| 5.00e-01",
+    ]
+    assert "svd_reconstruction" not in drift and "rows" not in drift
