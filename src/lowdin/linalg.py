@@ -22,7 +22,10 @@ the dummy's), get no rotation and are set to zero.  Once the
 off-diagonal norm meets its target, one polish sweep follows, and it
 rotates only the steps that still hold a pair failing the relative test
 |a_pq| <= ε·√|a_pp·a_qq| (Demmel & Veselić, SIMAX 13, 1992); when
-every pair passes, it does not run at all.
+every pair passes, it does not run at all.  Further polish sweeps
+follow while a pair whose diagonal entries both clear the rank floor,
+``rank_tol``·max|a_ii|, fails |a_pq| <= √n·ε·√|a_pp·a_qq| (``_settled``),
+so the small eigenvalues converge relative to themselves too.
 
 Matrices are plain ``numpy`` arrays; ``as_matrix`` gives them
 ``complex128`` entries, and eigenvectors are returned as ``complex128``.
@@ -79,7 +82,8 @@ class ToleranceConfig:
                          sweeps stop, after one more polish sweep unless
                          every pair already has |a_pq| <= ε·√|a_pp·a_qq|;
                          the polish rotates only the steps holding a pair
-                         that does not
+                         that does not, and repeats while a pair above the
+                         rank floor has |a_pq| > √n·ε·√|a_pp·a_qq|
     """
 
     orthonormality_tol: ClassVar[float] = 1e-10
@@ -109,8 +113,10 @@ class HermitianEigen(NamedTuple):
     ``eigenvalues`` is real and descending; ``eigenvectors`` is unitary
     with column j paired to eigenvalue j and phase-fixed by the package
     convention.  ``sweeps`` is the number of Jacobi sweeps the solver
-    ran, the polish sweep included: the sweeps that met the target, plus
-    one unless every pair already passed the relative test then.
+    ran, the polish sweeps included: the sweeps that met the target, plus
+    one unless every pair already passed the relative test then, plus
+    any that followed while the pairs above the rank floor had not
+    settled.
     """
 
     eigenvalues: np.ndarray
@@ -290,6 +296,23 @@ def _off_diagonal_moduli(a: np.ndarray) -> np.ndarray:
     moduli = np.hypot.reduce(a, axis=1, initial=0.0)  # hypot(0, x) = |x| for one plane
     np.fill_diagonal(moduli, 0.0)
     return moduli
+
+
+def _settled(a: np.ndarray, n: int, rank_tol: float) -> bool:
+    """Whether every pair above the rank floor has |a_pq| <= √n·ε·√|a_pp·a_qq|.
+
+    ``a`` is a work matrix stored as planes, of n indices plus odd n's
+    dummy.  A pair with min(|a_pp|, |a_qq|) <= rank_tol·max|a_ii| is
+    exempt: it holds an eigenvalue the rank cutoff rejects, whose
+    rounding noise must not keep the solver sweeping.  √n·ε is the
+    threshold of LAPACK's xGESVJ (Drmač & Veselić, SIMAX 29, 2008); with
+    ε alone, repeated sweeps do not settle on ε-sized noise.
+    """
+    magnitudes = np.abs(np.diagonal(a[:, 0]))
+    above = np.flatnonzero(magnitudes > rank_tol * magnitudes.max())
+    d = magnitudes[above]
+    moduli = _off_diagonal_moduli(a)[np.ix_(above, above)]
+    return bool(np.all(moduli <= math.sqrt(n) * _EPS * np.sqrt(d[:, None] * d)))
 
 
 def _schedule(n: int) -> np.ndarray:
@@ -546,15 +569,20 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     |a_pq| <= ε·√|a_pp·a_qq|, which is checked once over the whole
     matrix.  In the polish sweep a step whose pairs all pass it rotates
     nothing: it only moves the matrix to the step's layout and zeroes
-    the pivots.  So ``sweeps`` is the number that met the target or one
-    more, and an input already diagonal to that test takes none.
+    the pivots.  Polish sweeps then repeat, up to the sweep limit, while
+    a pair fails |a_pq| <= √n·ε·√|a_pp·a_qq|, except pairs with
+    min(|a_pp|, |a_qq|) <= ``cfg.rank_tol``·max|a_ii|, which hold
+    eigenvalues the rank cutoff rejects.  So ``sweeps`` is the number
+    that met the target, or more, and an input already diagonal to the
+    relative test takes none.
 
     Parameters
     ----------
     m : array_like
         Square matrix within HERMITICITY_TOL·max|M| of M†.
     cfg : ToleranceConfig
-        Supplies the sweep limit; the convergence target is the fixed
+        Supplies the sweep limit and the rank floor of the repeated
+        polish; the convergence target is the fixed
         ``ToleranceConfig.eigen_convergence_tol`` times ‖M‖_F.
 
     Returns
@@ -603,6 +631,11 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     diagonal = np.diagonal(aw[0, :, 0])
     if sweeps < cfg.max_sweeps and not _negligible(_off_diagonal_moduli(aw[0]), diagonal[:, None], diagonal):
         sweep(steps, True)  # polish
+        sweeps += 1
+    # The global target can stop before the block of small eigenvalues
+    # has converged relative to itself: polish again while it has not.
+    while sweeps < cfg.max_sweeps and not _settled(aw[0], n, cfg.rank_tol):
+        sweep(steps, True)
         sweeps += 1
     position = position[:n]  # of each index in the final layout; drops the dummy
     diag = np.diagonal(aw[0, :, 0])[position]

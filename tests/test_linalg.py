@@ -16,7 +16,7 @@ from lowdin.errors import DimensionMismatch, NoConvergence, NotHermitian, Singul
 from lowdin.linalg import _from_planes, _layouts, _schedule, _sweeper, _to_planes, _work_array
 from lowdin.ortho import UNITARY_TOL
 
-from conftest import random_full_rank, random_matrix, random_unitary
+from conftest import load_script, random_full_rank, random_matrix, random_unitary
 from oracles import (
     gram_metric,
     hermitian_2x2_power,
@@ -283,6 +283,35 @@ class TestPolishRule:
         assert lo.max_abs(d - reference) <= 1e-13 * scale
         assert lo.max_abs(u.conj().T @ u - np.eye(n)) <= UNITARY_TOL * n
         assert lo.max_abs((u * d) @ u.conj().T - h) <= 1e-13 * n * scale
+
+
+class TestRelativeStop:
+    """After the first polish decision, polish sweeps repeat while a pair above the
+    rank floor fails |a_pq| <= √n·ε·√|a_pp·a_qq|."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_polishes_until_the_small_eigenvalues_have_converged(self, complex_):
+        # The global target and one polish leave these 64 x 64 V at cond(M) =
+        # 1e18 with orthonormality 5.5e-10 (real) and 1.1e-11 (complex) after
+        # 4 sweeps: the block of small eigenvalues had not converged relative
+        # to itself.  One more polish sweep takes it to rounding.
+        seed = 27 if complex_ else 0
+        v = load_script("accuracy").controlled_matrix(np.random.default_rng(seed), (64, 64), 1e18, complex_)
+        f = lo.factorize(v, lo.ToleranceConfig(rank_tol=1e-300))
+        assert f.eigen.sweeps == 5
+        assert max(f.residuals("phi_orthonormality", "lambda_orthonormality").values()) <= 1e-13
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [5, 12, 33, 64])
+    def test_a_rank_deficient_input_takes_no_more_sweeps(self, rng, monkeypatch, n, complex_):
+        # Its zero eigenvalues lie below the default rank floor, so the pairs
+        # that hold their rounding noise are exempt, and the solve takes the
+        # sweeps of the global stop and one polish decision alone.
+        b = random_matrix(rng, n, max(1, n // 3), complex_)
+        h = b @ b.conj().T
+        sweeps = lo.hermitian_eigen(h).sweeps
+        monkeypatch.setattr(lowdin.linalg, "_settled", lambda *args: True)
+        assert sweeps == lo.hermitian_eigen(h).sweeps
 
 
 class TestKernelPlanes:

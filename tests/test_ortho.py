@@ -240,7 +240,9 @@ class TestMetricSolve:
 
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [8, 32, 64])
-    @pytest.mark.parametrize("metric_condition", [1e12, 1e16], ids=["1e12", "1e16"])
+    @pytest.mark.parametrize(
+        "metric_condition", [1e12, 1e16, 1e20, 1e28], ids=["1e12", "1e16", "1e20", "1e28"]
+    )
     def test_orthonormal_to_rounding_at_any_admitted_condition(self, n, complex_, metric_condition):
         # Λ is assembled from the QR factors of 2^-e·V and the eigenvectors
         # of T, never from V itself, so orthonormality does not grow as
