@@ -411,11 +411,7 @@ def _block_pattern(planes: int) -> np.ndarray:
     return np.array(rows)
 
 
-# Per plane count: the pattern, and the blocks I and D of c = 1, s = 0, φ = 0.
-_BLOCK_PATTERNS = {
-    planes: (pattern, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]) @ pattern)
-    for planes, pattern in ((p, _block_pattern(p)) for p in (1, 2))
-}
+_BLOCK_PATTERNS = {planes: _block_pattern(planes) for planes in (1, 2)}
 _NO_PHASE = np.array([[0.0], [1.0]])  # (sin φ, cos φ) of a dead pivot
 _SHIFT_SIGNS = np.array([[-1.0], [1.0]])  # of t·r, on a[p,p] and a[q,q]
 
@@ -480,9 +476,9 @@ def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
     zeros = written[: written.size - 2 * live]
     values = np.zeros(written.size)  # what a step writes there
     new_diagonals = values[zeros.size :].reshape(2, live)
-    pattern, identity = _BLOCK_PATTERNS[planes]
+    pattern = _BLOCK_PATTERNS[planes]
     k = np.empty((half, pattern.shape[1]))
-    k[live:] = identity  # odd n's dummy pair
+    k[live:] = pattern[0] + pattern[3]  # c = c·cos φ = 1, s = 0: odd n's dummy gets I and D
     k_live = k[:live]
     k_rows, k_columns = k.reshape(half, 2, width, width).transpose(1, 0, 2, 3)
     a = aw[0]
