@@ -395,20 +395,23 @@ def _block_pattern(planes: int) -> np.ndarray:
     Row j holds, flattened, the blocks (K, K·D) of the coefficient vector
     e_j, for coefficients (c, s, c·sin φ, c·cos φ, s·sin φ, s·cos φ).
     K = [[c·I, -s·R_φ], [s·I, c·R_φ]] acts on a pair's 2·planes rows,
-    where R_φ = [[cos φ, -sin φ], [sin φ, cos φ]] multiplies by e^{iφ}
-    (with one plane, R_φ = cos φ = ±1), and D negates the imaginary
-    planes, so K·D conjugates the rows it rotates.  Every entry of
-    ``coefficients @ pattern`` is one coefficient, negated or not, or
-    zero, so it is exact.
+    where R_φ = cos φ·I + sin φ·J = [[cos φ, -sin φ], [sin φ, cos φ]]
+    multiplies by e^{iφ} (with one plane, R_φ = cos φ = ±1), and D negates
+    the imaginary planes, so K·D conjugates the rows it rotates.  Every
+    entry of ``coefficients @ pattern`` is one coefficient, negated or
+    not, or zero, so it is exact.
     """
-    eye, conjugate = np.eye(planes), np.tile((1.0, -1.0)[:planes], 2)
-    rows = []
-    for c, s, c_sin, c_cos, s_sin, s_cos in np.eye(6):
-        c_phase = np.array([[c_cos, -c_sin], [c_sin, c_cos]])[:planes, :planes]
-        s_phase = np.array([[s_cos, -s_sin], [s_sin, s_cos]])[:planes, :planes]
-        k = np.block([[c * eye, -s_phase], [s * eye, c_phase]])
-        rows.append(np.stack((k, k * conjugate)).ravel())
-    return np.array(rows)
+    unit = np.eye(2)[:planes, :planes]
+    turn = np.array([[0.0, -1.0], [1.0, 0.0]])[:planes, :planes]  # J
+    # Each coefficient is I or J times one signed 2 x 2 block position of K.
+    where = np.zeros((6, 2, 2))
+    where[0, 0, 0] = where[1, 1, 0] = 1.0
+    where[2:4, 1, 1] = 1.0
+    where[4:, 0, 1] = -1.0
+    what = np.stack((unit, unit, turn, unit, turn, unit))
+    k = (where[:, :, None, :, None] * what[:, None, :, None, :]).reshape(6, 2 * planes, 2 * planes)
+    conjugate = np.tile((1.0, -1.0)[:planes], 2)
+    return np.stack((k, k * conjugate), axis=1).reshape(6, -1)
 
 
 _BLOCK_PATTERNS = {planes: _block_pattern(planes) for planes in (1, 2)}
