@@ -631,11 +631,12 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     if sweeps < cfg.max_sweeps and not _negligible(_off_diagonal_moduli(aw[0]), diagonal[:, None], diagonal):
         sweep(steps, True)  # polish
         sweeps += 1
-    # The global target can stop before the block of small eigenvalues
-    # has converged relative to itself: polish again while it has not.
-    while sweeps < cfg.max_sweeps and not _settled(aw[0], n, cfg.rank_tol):
-        sweep(steps, True)
-        sweeps += 1
+        # The global target can stop before the block of small eigenvalues
+        # has converged relative to itself: polish again while it has not.
+        # (Pairs that passed the ε test above pass this √n·ε one too.)
+        while sweeps < cfg.max_sweeps and not _settled(aw[0], n, cfg.rank_tol):
+            sweep(steps, True)
+            sweeps += 1
     position = position[:n]  # of each index in the final layout; drops the dummy
     diag = np.diagonal(aw[0, :, 0])[position]
     order = np.argsort(-diag, kind="stable")
