@@ -44,7 +44,6 @@ from .ortho import (
     require_unitary,
     verify_orthonormal,
 )
-from .pca import projection_square_sums
 
 
 class PolarFactors(NamedTuple):
@@ -125,6 +124,17 @@ class Factorization:
         """
         return apply_phase_convention(self.lam.matrix)
 
+    @cached_property
+    def _sscp_product(self) -> tuple:
+        """(F, G, ρ, σ_T) with F = 2^-e·V, G = F†·Λ, ρ_j = ‖g_j‖², σ_T = 2^-e·σ.
+
+        Both PCA residuals read this one product of the scaled domain.
+        """
+        scaled, exponent = _scaled_to_unit(self.v)
+        g = scaled.conj().T @ self.lam.matrix
+        rho = np.sum(np.abs(g) ** 2, axis=0)
+        return scaled, g, rho, np.ldexp(self.sigma, -exponent)
+
     def residuals(self, *names: str) -> dict:
         """The named residuals, or all of them when none is named.
 
@@ -135,11 +145,11 @@ class Factorization:
         relative, max|product - V| / max|V|, so 2^k·V reads what V does;
         the relations are max|Λ - Φ·U| and max|Φ - W·U†|, the second 0 by
         construction because Φ is built as Λ·U† and W is Λ;
-        ``projection_sum_gap`` is the largest relative gap between d and
-        the projection-square sums of V on Λ, and ``sscp_eigenpair`` the
-        eigenpair backward error of Λ's columns as eigenvectors of
-        S = V·V†.  Together they check the principal components and their
-        scores d.
+        ``projection_sum_gap`` is max_j |ρ_j - σ_T,j²| / (σ_T,1·σ_T,j), with
+        ρ_j = ‖F†λ_j‖² for F = 2^-e·V and σ_T = 2^-e·σ, and
+        ``sscp_eigenpair`` the eigenpair backward error of Λ's columns as
+        eigenvectors of S = V·V†.  Together they check the principal
+        components and their scores d = σ², from one product F†·Λ.
         """
         return {name: _RESIDUALS[name][0](self) for name in names or _RESIDUALS}
 
@@ -153,8 +163,12 @@ def _v_gap(f: Factorization, product: np.ndarray) -> float:
 
 
 def _projection_sum_gap(f: Factorization) -> float:
-    d = f.eigen.eigenvalues
-    return float(np.max(np.abs(projection_square_sums(f.v, f.lam) - d) / d))
+    """σ_j² against λ_j's Rayleigh quotient, in the units σ_1·σ_j by which a
+    normwise change of V moves σ_j² (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002), so ill-conditioning does not inflate it.
+    """
+    _, _, rho, sigma = f._sscp_product
+    return float(np.max(np.abs(rho - sigma**2) / (sigma[0] * sigma)))
 
 
 def _sscp_eigenpair(f: Factorization) -> float:
@@ -166,19 +180,14 @@ def _sscp_eigenpair(f: Factorization) -> float:
     largest eigenvalue.  It is computed from F and Λ alone, so 2^k·V
     reads the same value bit for bit, also where d is subnormal.
     """
-    scaled, _ = _scaled_to_unit(f.v)
-    lam = f.lam.matrix
-    g = scaled.conj().T @ lam
-    rho = np.sum(np.abs(g) ** 2, axis=0)
-    return max_abs(scaled @ g - lam * rho) / float(np.max(rho))
+    scaled, g, rho, _ = f._sscp_product
+    return max_abs(scaled @ g - f.lam.matrix * rho) / float(np.max(rho))
 
 
-# Bounds of the residuals that ToleranceConfig does not name: the
-# analytic relations and the SSCP eigenpair residual are exact identities
-# up to a few ulps, the projection-sum match holds to roundoff amplified
-# by conditioning.
+# Bound of the residuals that ToleranceConfig does not name: the
+# analytic relations and both SSCP residuals are exact identities up to
+# a few ulps.
 RELATION_TOL = 1e-12
-PROJECTION_SUM_TOL = 1e-9
 _ORTHONORMALITY_TOL = ToleranceConfig.orthonormality_tol
 _RECONSTRUCTION_TOL = ToleranceConfig.reconstruction_tol
 
@@ -193,7 +202,7 @@ _RESIDUALS = {
         lambda f: max_abs(f.phi.matrix - symmetric_from_svd(f.svd).matrix),
         RELATION_TOL,
     ),
-    "projection_sum_gap": (_projection_sum_gap, PROJECTION_SUM_TOL),
+    "projection_sum_gap": (_projection_sum_gap, RELATION_TOL),
     "sscp_eigenpair": (_sscp_eigenpair, RELATION_TOL),
 }
 

@@ -7,10 +7,11 @@ For a full-column-rank V, S·Λ = V·(V†V)·U·d^{-1/2} = Λ·diag(d): the
 columns of Λ = V·U·d^{-1/2} are S's principal components and the metric
 eigenvalues d their scores, so no second eigendecomposition is needed.
 ``Factorization.components`` is Λ phase-fixed, and two of its residuals
-check the claim: ``sscp_eigenpair`` is the eigenpair backward error of
-Λ for S, and ``projection_sum_gap`` compares d with the
-projection-square sums of V's columns on Λ, which are the Rayleigh
-quotients λ_j†·S·λ_j.
+check the claim from one product G = F†·Λ with F = 2^-e·V:
+``sscp_eigenpair`` is the eigenpair backward error of Λ for S, and
+``projection_sum_gap`` compares σ² = d, scaled alike, with the
+projection-square sums ‖g_j‖², which are the Rayleigh quotients
+λ_j†·S·λ_j.  ``projection_square_sums`` computes such sums on any basis.
 """
 
 from __future__ import annotations

@@ -10,11 +10,14 @@ Only ``principal_components`` runs the Jacobi solver, and on a matrix
 the metric path never builds: S = V·V† reduced by its own QR, so its
 components check Λ by a second route.  ``jacobi_sweeper_by_steps`` is
 the solver's sweep written one step at a time, the reference its
-preallocated form must match bit for bit.
+preallocated form must match bit for bit.  ``decimal_singular_values``
+is a one-sided Jacobi SVD in 50-digit ``decimal`` arithmetic, the
+reference for relative accuracy on graded V.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from typing import NamedTuple
 
@@ -116,6 +119,39 @@ def principal_components(v) -> SscpResult:
         components=lo.apply_phase_convention(q @ reduced.eigenvectors),
         component_scores=np.ldexp(reduced.eigenvalues, 2 * exponent),
     )
+
+
+def decimal_singular_values(v) -> list:
+    """Singular values of a real V, descending, as ``decimal.Decimal`` at 50 digits.
+
+    One-sided (Hestenes) Jacobi: each pair of columns x, y is rotated
+    until x·y ≤ 1e-45·‖x‖·‖y‖, and σ is then the column norms
+    (Demmel & Veselić, SIMAX 13, 1992).  Every float64 entry is exact in
+    ``decimal``, so only the working precision rounds.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        cols = [[decimal.Decimal(float(x)) for x in col] for col in np.asarray(v, dtype=float).T]
+        tol = decimal.Decimal("1e-45")
+        rotated = True
+        while rotated:
+            rotated = False
+            for p in range(len(cols)):
+                for q in range(p + 1, len(cols)):
+                    x, y = cols[p], cols[q]
+                    alpha = sum(a * a for a in x)
+                    beta = sum(b * b for b in y)
+                    gamma = sum(a * b for a, b in zip(x, y))
+                    if abs(gamma) <= tol * (alpha * beta).sqrt():
+                        continue
+                    rotated = True
+                    zeta = (beta - alpha) / (2 * gamma)
+                    t = (1 if zeta >= 0 else -1) / (abs(zeta) + (1 + zeta * zeta).sqrt())
+                    c = 1 / (1 + t * t).sqrt()
+                    s = c * t
+                    cols[p] = [c * a - s * b for a, b in zip(x, y)]
+                    cols[q] = [s * a + c * b for a, b in zip(x, y)]
+        return sorted((sum(a * a for a in col).sqrt() for col in cols), reverse=True)
 
 
 def lapack_inverse_sqrt_route(v) -> np.ndarray:

@@ -1,5 +1,6 @@
 """CLI behavior: dispatch, files, report schema, and exit codes."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -16,8 +17,9 @@ import lowdin as lo
 import lowdin.matrixio
 from conftest import random_matrix
 from lowdin.cli import COMMANDS, _build_parser, main
-from lowdin.decompositions import PROJECTION_SUM_TOL
+from lowdin.decompositions import RELATION_TOL
 from lowdin.matrixio import format_matrix, parse_matrix_file, write_matrix_file
+from lowdin.ortho import OrthonormalBasis
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -385,21 +387,42 @@ class TestErrorsAndExitCodes:
         assert excinfo.value.code == 2
         assert not (tmp_path / "report.json").exists()
 
-    def test_a_residual_past_its_bound_fails_the_run_without_numeric_error(self, tmp_path):
-        # On 2^-524·[[1, 2], [3, -1], [5, 1]] d is subnormal, and d₂'s
-        # projection sum lies one float from it, so projection_sum_gap reads
-        # the spacing of the floats there, 2.7e-9 (README, Report).  polar
-        # checks no projection sum, and its reconstruction is relative to
-        # max|V|.
+    def test_a_subnormal_d_passes_every_check(self, tmp_path):
+        # On 2^-524·[[1, 2], [3, -1], [5, 1]] d is subnormal, yet every
+        # residual reads the scaled domain, so projection_sum_gap reads
+        # what V itself does, 1.2e-15 (README, Report).
         source = tmp_path / "tiny.csv"
         write_matrix_file(source, np.ldexp([[1.0, 2.0], [3.0, -1.0], [5.0, 1.0]], -524))
-        for command, code in (("verify", 1), ("pca", 1), ("polar", 0)):
-            assert run_cli(command, source, tmp_path / command) == code
+        for command in ("verify", "pca", "polar"):
+            assert run_cli(command, source, tmp_path / command) == 0
             report = load_report(tmp_path / command)
-            assert report["pass"] is (code == 0)
+            assert report["pass"] is True
             assert report["error"] is None
-            if code:
-                assert report["residuals"]["projection_sum_gap"] > PROJECTION_SUM_TOL
+            if command != "polar":
+                assert report["residuals"]["projection_sum_gap"] <= 2e-15
+
+    def test_a_residual_past_its_bound_fails_the_run_without_numeric_error(
+        self, tmp_path, monkeypatch
+    ):
+        # A solve that returned Λ with two columns swapped: the columns are
+        # still S's eigenvectors, but no longer paired with d, so
+        # projection_sum_gap reads about 1 and the run exits 1, with its
+        # report and every factor file written and no error.
+        def swapped(v, cfg):
+            f = lo.factorize(v, cfg)
+            lam = OrthonormalBasis(f.lam.matrix[:, [1, 0]], f.lam.method, f.lam.source_eigen)
+            return dataclasses.replace(f, lam=lam)
+
+        monkeypatch.setattr("lowdin.cli.factorize", swapped)
+        for command in ("verify", "pca"):
+            out = tmp_path / command
+            assert run_cli(command, FIXTURES / "shear_2x2.csv", out) == 1
+            report = load_report(out)
+            assert report["pass"] is False
+            assert report["error"] is None
+            assert report["residuals"]["projection_sum_gap"] > RELATION_TOL
+            files = ["report.json"] + [f"{command}_{view}.csv" for view in COMMANDS[command].views]
+            assert sorted(p.name for p in out.iterdir()) == sorted(files)
 
     def test_rank_tol_flag_changes_the_cutoff(self, tmp_path):
         # with a huge rank cutoff even a well-conditioned metric is

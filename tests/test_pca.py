@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 import lowdin as lo
 from lowdin.decompositions import RELATION_TOL
-from lowdin.errors import DimensionMismatch
+from lowdin.errors import DimensionMismatch, SingularMetric
 
 from conftest import random_full_rank, random_matrix, random_unitary
 from oracles import gram_metric, hermitian_2x2_eigenvalues, principal_components
@@ -218,6 +218,30 @@ class TestSscpEigenpair:
         left, right = random_unitary(rng, 40, complex_), random_unitary(rng, 12, complex_)
         v = (left[:, :12] * np.geomspace(1.0, cond**-0.5, 12)) @ right.conj().T
         assert sscp_eigenpair(v, RANK_TOL_1E_300) <= 12 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_scores_are_the_checked_sigma_squared(complex_):
+    # pca writes d as its scores, while projection_sum_gap reads σ; the
+    # metric solve derives both from one d_T, as 2^2e·d_T and 2^e·√d_T,
+    # so wherever d_j is a normal number it is σ_j² to the rounding of
+    # one square root and one square.
+    rng = np.random.default_rng(7 + complex_)
+    eps, normal = np.finfo(float).eps, np.finfo(float).tiny
+    checked = 0
+    for _ in range(150):
+        n = int(rng.integers(1, 9))
+        v = random_full_rank(rng, n, int(rng.integers(1, n + 1)), complex_=complex_)
+        k = int(rng.integers(-1000, 1001))
+        try:
+            f = lo.factorize(np.ldexp(1.0, k) * v, RANK_TOL_1E_300)
+        except (OverflowError, SingularMetric):
+            continue
+        d = f.eigen.eigenvalues
+        kept = d >= normal
+        assert np.all(np.abs(d - f.sigma**2)[kept] <= 2 * eps * d[kept]), k
+        checked += int(np.count_nonzero(kept))
+    assert checked >= 150
 
 
 class TestProjectionSquareSums:
