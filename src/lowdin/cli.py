@@ -24,16 +24,10 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from .decompositions import factorize
 from .errors import LinalgError
 from .linalg import ToleranceConfig
 from .matrixio import MatrixFileError, parse_matrix_file, write_matrix_file
-
-_METRIC_SPECTRUM = (("eigenvalues", "d"), ("condition_estimate", "condition"))
-_WITH_SIGMA = _METRIC_SPECTRUM + (("singular_values", "sigma"),)
-
 
 class Command(NamedTuple):
     """One CLI command, as a view of ``factorize``'s ``Factorization``.
@@ -42,13 +36,13 @@ class Command(NamedTuple):
     names every one), each checked against its ``Factorization.bounds``
     entry; the per-basis orthonormality ones are reported as their
     worst, ``orthonormality``.  Each of ``views`` is written as
-    ``<command>_<view>``, and ``spectrum`` maps report fields to views.
+    ``<command>_<view>``.  Every command reports the same spectrum: the
+    metric eigenvalues d, the singular values σ and cond(M).
     """
 
     help: str
     residuals: tuple = ()
     views: tuple = ()
-    spectrum: tuple = _METRIC_SPECTRUM
 
 
 COMMANDS = {
@@ -69,27 +63,17 @@ COMMANDS = {
         "reduced singular value decomposition V = W diag(sigma) U†",
         ("lambda_orthonormality", "svd_reconstruction"),
         ("W", "sigma", "Udagger"),
-        (("singular_values", "sigma"), ("condition_estimate", "condition")),
     ),
     "pca": Command(
         "principal components of the SSCP matrix V V†",
-        ("projection_sum_gap", "sscp_eigenpair"),
+        ("lambda_orthonormality", "projection_sum_gap", "sscp_eigenpair"),
         ("components", "scores"),
-        (("eigenvalues", "scores"), ("condition_estimate", "condition")),
     ),
-    "verify": Command(
-        "run every factorization and report all residuals", spectrum=_WITH_SIGMA
-    ),
+    "verify": Command("run every factorization and report all residuals"),
     "relations": Command(
-        "emit Phi by three routes and check the inter-basis identities",
-        (
-            "phi_orthonormality",
-            "lambda_orthonormality",
-            "relation_lambda_phi_u",
-            "relation_phi_w_udagger",
-        ),
+        "emit Phi, Lambda, U and the basis conversions; check Lambda = Phi U",
+        ("phi_orthonormality", "lambda_orthonormality", "relation_lambda_phi_u"),
         ("Phi", "Lambda", "U", "Lambda_from_Phi", "Phi_from_Lambda", "Phi_from_svd"),
-        _WITH_SIGMA,
     ),
 }
 
@@ -110,8 +94,6 @@ _VIEWS = {
     "Phi_from_svd": lambda f: f.phi.matrix,
     "components": lambda f: f.components,
     "scores": lambda f: f.eigen.eigenvalues,
-    "d": lambda f: f.eigen.eigenvalues,
-    "condition": lambda f: f.eigen.condition_estimate(),
 }
 
 # Exit status per exception: an unreadable or malformed input file is 2;
@@ -133,11 +115,6 @@ def _json_number(value):
     if math.isfinite(value):
         return value
     return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
-
-
-def _json(value):
-    """A report value: a number, or a list of numbers for an array."""
-    return [_json_number(x) for x in value] if np.ndim(value) else _json_number(value)
 
 
 def _describe_error(exc: Exception) -> dict:
@@ -176,7 +153,11 @@ def run(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
         f = factorize(v, cfg)
         values = f.residuals(*command.residuals)
         files = {f"{args.command}_{view}": _VIEWS[view](f) for view in command.views}
-        report.update({name: _json(_VIEWS[view](f)) for name, view in command.spectrum})
+        report.update(
+            eigenvalues=[_json_number(x) for x in f.eigen.eigenvalues],
+            singular_values=[_json_number(x) for x in f.sigma],
+            condition_estimate=_json_number(f.eigen.condition_estimate()),
+        )
     except tuple(_EXIT_CODES) as exc:
         code = next(c for kind, c in _EXIT_CODES.items() if isinstance(exc, kind))
         report["error"] = _describe_error(exc)

@@ -5,7 +5,8 @@ factor is a view of that one eigendecomposition M = U·diag(d)·U† and
 the canonical basis built with it.  The solve never forms M: QR/LQ
 rounds give 2^-e·V = P·L·Q†, Jacobi diagonalizes T = L†·L, a unitary
 similarity of 2^-2e·M, and Λ is assembled from P, L and T's
-eigenvectors, never from V itself (``ortho._metric_solve``).
+eigenvectors, never from V itself (``ortho._metric_solve``, which only
+``factorize`` calls; the orthogonalizers of ``ortho`` return its Φ and Λ).
 
 * canonical basis Λ = V·U·d^{-1/2} and symmetric basis Φ = Λ·U†;
 * polar: V = Φ·H with H = M^{1/2} = U·diag(σ)·U†;
@@ -91,7 +92,7 @@ class Factorization:
 
     @cached_property
     def phi(self) -> OrthonormalBasis:
-        """Symmetric basis Φ = Λ·U† = V·M^{-1/2}."""
+        """Symmetric basis Φ = Λ·U† = V·M^{-1/2}; ``symmetric_orthogonalize`` returns it."""
         return OrthonormalBasis(
             matrix=self.lam.matrix @ self.eigen.eigenvectors.conj().T,
             method=Method.SYMMETRIC,
@@ -140,11 +141,10 @@ class Factorization:
 
         Names: phi_orthonormality, lambda_orthonormality,
         polar_reconstruction, svd_reconstruction, relation_lambda_phi_u,
-        relation_phi_w_udagger, projection_sum_gap, sscp_eigenpair.
+        projection_sum_gap, sscp_eigenpair.
         Orthonormality is max|Z†Z - I| of Φ or Λ; reconstructions are
         relative, max|product - V| / max|V|, so 2^k·V reads what V does;
-        the relations are max|Λ - Φ·U| and max|Φ - W·U†|, the second 0 by
-        construction because Φ is built as Λ·U† and W is Λ;
+        the relation is max|Λ - Φ·U|;
         ``projection_sum_gap`` is max_j |ρ_j - σ_T,j²| / (σ_T,1·σ_T,j), with
         ρ_j = ‖F†λ_j‖² for F = 2^-e·V and σ_T = 2^-e·σ, and
         ``sscp_eigenpair`` the eigenpair backward error of Λ's columns as
@@ -185,7 +185,7 @@ def _sscp_eigenpair(f: Factorization) -> float:
 
 
 # Bound of the residuals that ToleranceConfig does not name: the
-# analytic relations and both SSCP residuals are exact identities up to
+# analytic relation and both SSCP residuals are exact identities up to
 # a few ulps.
 RELATION_TOL = 1e-12
 _ORTHONORMALITY_TOL = ToleranceConfig.orthonormality_tol
@@ -198,10 +198,6 @@ _RESIDUALS = {
     "polar_reconstruction": (lambda f: _v_gap(f, reconstruct_polar(f.polar)), _RECONSTRUCTION_TOL),
     "svd_reconstruction": (lambda f: _v_gap(f, reconstruct_svd(f.svd)), _RECONSTRUCTION_TOL),
     "relation_lambda_phi_u": (lambda f: max_abs(f.lam.matrix - f.lambda_from_phi), RELATION_TOL),
-    "relation_phi_w_udagger": (
-        lambda f: max_abs(f.phi.matrix - symmetric_from_svd(f.svd).matrix),
-        RELATION_TOL,
-    ),
     "projection_sum_gap": (_projection_sum_gap, RELATION_TOL),
     "sscp_eigenpair": (_sscp_eigenpair, RELATION_TOL),
 }

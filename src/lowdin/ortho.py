@@ -7,10 +7,11 @@ that treats all input vectors democratically; B = U, the eigenvector
 matrix of M, gives the canonical basis Λ = V·U·d^{-1/2} aligned with
 the metric's eigenstructure.
 
-Both come from one factorization of V, with Φ assembled as Λ·U†.
-That expression equals V·M^{-1/2} exactly and keeps the analytic
-identities Λ = Φ·U and Φ = Λ·U† tight to a few ulps regardless of how
-ill-conditioned the metric is.
+Both are views of the one factorization ``decompositions.factorize``
+builds from ``_metric_solve``: Λ is its canonical basis and Φ is
+assembled as Λ·U†.  That expression equals V·M^{-1/2} exactly and keeps
+the analytic identities Λ = Φ·U and Φ = Λ·U† tight to a few ulps
+regardless of how ill-conditioned the metric is.
 
 M itself is never formed, and Λ never multiplies V: three QR/LQ rounds
 on 2^-e·V (Stewart's QLP step, each an unshifted QR-iteration step on
@@ -150,7 +151,7 @@ def _metric_solve(v: np.ndarray, cfg: ToleranceConfig) -> tuple:
 def symmetric_orthogonalize(
     v, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> OrthonormalBasis:
-    """Symmetric orthogonalization Φ = V·M^{-1/2}.
+    """Symmetric orthogonalization Φ = V·M^{-1/2}: ``factorize(v, cfg).phi``.
 
     Parameters
     ----------
@@ -160,28 +161,27 @@ def symmetric_orthogonalize(
     Returns
     -------
     OrthonormalBasis
-        Φ with ``method=SYMMETRIC`` and the metric eigendecomposition
-        attached.
+        Φ = Λ·U† with ``method=SYMMETRIC`` and the metric
+        eigendecomposition attached.
 
     Raises
     ------
     SingularMetric
         If the metric fails the rank cutoff, with condition diagnostics.
     """
-    v = as_matrix(v)
-    eigen, lam, _ = _metric_solve(v, cfg)
-    phi = lam @ eigen.eigenvectors.conj().T
-    return OrthonormalBasis(matrix=phi, method=Method.SYMMETRIC, source_eigen=eigen)
+    from .decompositions import factorize
+
+    return factorize(v, cfg).phi
 
 
 def canonical_orthogonalize(
     v, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> OrthonormalBasis:
-    """Canonical orthogonalization Λ = V·U·d^{-1/2}.
+    """Canonical orthogonalization Λ = V·U·d^{-1/2}: ``factorize(v, cfg).lam``.
 
     Column j of Λ pairs with the j-th largest metric eigenvalue; the
     (U, d) used are attached as ``source_eigen``.
     """
-    v = as_matrix(v)
-    eigen, lam, _ = _metric_solve(v, cfg)
-    return OrthonormalBasis(matrix=lam, method=Method.CANONICAL, source_eigen=eigen)
+    from .decompositions import factorize
+
+    return factorize(v, cfg).lam

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import lowdin as lo
 import lowdin.matrixio
-from conftest import random_matrix
+from conftest import load_script, random_matrix
 from lowdin.cli import COMMANDS, _build_parser, main
 from lowdin.decompositions import RELATION_TOL
 from lowdin.matrixio import format_matrix, parse_matrix_file, write_matrix_file
@@ -159,7 +159,33 @@ class TestPcaCommand:
         assert np.all(np.diff(scores) <= 0.0)
         report = load_report(tmp_path)
         assert report["residuals"]["sscp_eigenpair"] <= 1e-12
-        assert report["residuals"]["projection_sum_gap"] <= 1e-9
+        assert report["residuals"]["projection_sum_gap"] <= RELATION_TOL
+        assert report["residuals"]["orthonormality"] <= 1e-10
+
+    def test_a_mis_normalized_component_fails_the_run(self, tmp_path, monkeypatch):
+        # Λ's last column 1 + 1e-8 long, on a 40 x 12 V at cond(M) = 1e10,
+        # which the default cutoff admits: projection_sum_gap (2e-13) and
+        # sscp_eigenpair pass it, and Λ's orthonormality (2e-8 against its
+        # bound 1e-10) fails the run.
+        v = load_script("accuracy").controlled_matrix(np.random.default_rng(0), (40, 12), 1e10)
+        source = tmp_path / "v.csv"
+        write_matrix_file(source, v)
+
+        def stretched(v, cfg):
+            f = lo.factorize(v, cfg)
+            matrix = f.lam.matrix.copy()
+            matrix[:, -1] *= 1.0 + 1e-8
+            return dataclasses.replace(f, lam=f.lam._replace(matrix=matrix))
+
+        monkeypatch.setattr("lowdin.cli.factorize", stretched)
+        out = tmp_path / "out"
+        assert run_cli("pca", source, out) == 1
+        report = load_report(out)
+        assert report["pass"] is False
+        assert report["error"] is None
+        assert report["residuals"]["orthonormality"] > 1e-10
+        assert report["residuals"]["projection_sum_gap"] <= RELATION_TOL
+        assert report["residuals"]["sscp_eigenpair"] <= RELATION_TOL
 
 
 class TestRelationsCommand:
@@ -178,7 +204,6 @@ class TestRelationsCommand:
             assert (tmp_path / f"relations_Phi_from_{route}.csv").read_bytes() == phi_bytes
         report = load_report(tmp_path)
         assert report["residuals"]["relation_lambda_phi_u"] <= 1e-12
-        assert report["residuals"]["relation_phi_w_udagger"] <= 1e-12
 
     @pytest.mark.parametrize("fmt", ["csv", "tsv"])
     def test_each_distinct_array_is_formatted_once(self, tmp_path, monkeypatch, fmt):
@@ -212,7 +237,6 @@ class TestVerifyCommand:
             "polar_reconstruction",
             "svd_reconstruction",
             "relation_lambda_phi_u",
-            "relation_phi_w_udagger",
             "projection_sum_gap",
             "sscp_eigenpair",
         }
@@ -280,7 +304,6 @@ class TestOneFactorization:
             "polar_reconstruction": "polar",
             "svd_reconstruction": "svd",
             "relation_lambda_phi_u": "relations",
-            "relation_phi_w_udagger": "relations",
             "projection_sum_gap": "pca",
             "sscp_eigenpair": "pca",
         }
@@ -291,6 +314,14 @@ class TestOneFactorization:
         assert set(residuals["verify"]) == set(owners)
         for name, owner in owners.items():
             assert residuals["verify"][name] == residuals[owner][name], name
+
+    def test_every_command_reports_the_whole_spectrum(self, tmp_path):
+        f = lo.factorize(parse_matrix_file(FIXTURES / "rand_4x3.csv"))
+        for command in COMMANDS:
+            assert run_cli(command, FIXTURES / "rand_4x3.csv", tmp_path / command) == 0
+            report = load_report(tmp_path / command)
+            assert report["eigenvalues"] == f.eigen.eigenvalues.tolist(), command
+            assert report["singular_values"] == f.sigma.tolist(), command
 
     @pytest.mark.parametrize("seed", [*range(10), pytest.param(None, id="near-singular")])
     def test_every_command_reports_one_condition_estimate(self, tmp_path, seed):

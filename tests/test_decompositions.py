@@ -164,7 +164,6 @@ class TestFactorizationResiduals:
         "polar_reconstruction",
         "svd_reconstruction",
         "relation_lambda_phi_u",
-        "relation_phi_w_udagger",
         "projection_sum_gap",
         "sscp_eigenpair",
     }
@@ -237,7 +236,7 @@ class TestFactorizationResiduals:
         assert bounds["phi_orthonormality"] == bounds["lambda_orthonormality"] == 1e-10
         assert bounds["polar_reconstruction"] == bounds["svd_reconstruction"] == 1e-9
         assert bounds["relation_lambda_phi_u"] == bounds["sscp_eigenpair"] == RELATION_TOL
-        assert bounds["relation_phi_w_udagger"] == bounds["projection_sum_gap"] == RELATION_TOL
+        assert bounds["projection_sum_gap"] == RELATION_TOL
 
     def test_every_residual_is_bitwise_scale_invariant_wherever_it_factors(self):
         # Φ, Λ, U and the scaled-domain F are those of V bit for bit, and

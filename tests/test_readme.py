@@ -3,8 +3,10 @@
 import re
 from pathlib import Path
 
+import numpy as np
+
 import lowdin as lo
-from lowdin.cli import _build_parser
+from lowdin.cli import COMMANDS, _build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,3 +36,31 @@ def test_cli_synopsis_lists_exactly_the_parser_options():
     defined = {option for action in _build_parser()._actions for option in action.option_strings}
     assert len(listed) == len(set(listed))
     assert set(listed) == defined - {"-h", "--help"}
+
+
+def reported_residuals(command):
+    """The ``residuals`` keys a command's report holds."""
+    names = command.residuals or lo.factorize(np.eye(2)).bounds()
+    return {"orthonormality" if n.endswith("_orthonormality") else n for n in names}
+
+
+def test_cli_table_matches_the_command_table():
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \| (.*) \|$", section("CLI"), flags=re.MULTILINE)
+    table = {name: (files, residuals) for name, files, residuals in rows}
+    assert len(table) == len(rows)
+    assert set(table) == set(COMMANDS)
+    for name, (files, residuals) in table.items():
+        command = COMMANDS[name]
+        assert re.findall(r"`(\w+)`", files) == [f"{name}_{view}" for view in command.views], name
+        if residuals == "all of the above":
+            listed = set().union(*(table[other][1].split(", ") for other in table if other != name))
+        else:
+            listed = set(residuals.split(", "))
+        assert listed == reported_residuals(command), name
+
+
+def test_report_lists_exactly_the_reported_residual_keys():
+    stable = re.search(r"`residuals` keys are stable: (.*?)\.\n", section("CLI"), flags=re.DOTALL)[1]
+    keys = re.findall(r"`(\w+)`", stable)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set().union(*(reported_residuals(c) for c in COMMANDS.values()))

@@ -47,6 +47,18 @@ def test_accuracy_writes_every_residual_against_its_bound(tmp_path):
             assert entry["worst"] <= entry["bound"], (c["shape"], c["dtype"], c["cond"], name)
 
 
+def test_committed_accuracy_table_holds_every_residual_within_its_bound():
+    # The committed table, not a rerun: a deleted or renamed residual, or
+    # a moved bound, shows here until ACCURACY.json is written again.
+    table = json.loads((ROOT / "ACCURACY.json").read_text(encoding="utf-8"))
+    bounds = lo.factorize(np.eye(2)).bounds()
+    assert len(table["cells"]) == 210
+    for c in table["cells"]:
+        assert {name: entry["bound"] for name, entry in c["residuals"].items()} == bounds
+        for name, entry in c["residuals"].items():
+            assert entry["worst"] <= entry["bound"], (c["shape"], c["dtype"], c["cond"], name)
+
+
 def test_a_3x3_takes_no_sweep_from_cond_1e14():
     # cond 1: T = L†·L is the identity to rounding, and some of those
     # rounding-size pairs still fail |a_pq| <= ε·√|a_pp·a_qq|, so the
