@@ -5,10 +5,12 @@ factor is a view of that one eigendecomposition M = U·diag(d)·U† and
 the canonical basis built with it.  The solve never forms M: QR/LQ
 rounds give 2^-e·V = P·L·Q†, Jacobi diagonalizes T = L†·L, a unitary
 similarity of 2^-2e·M, and Λ is assembled from P, L and T's
-eigenvectors, never from V itself (``ortho._metric_solve``, which only
-``factorize`` calls; the orthogonalizers of ``ortho`` return its Φ and Λ).
+eigenvectors, never from V itself (``factorize`` gives the details;
+the orthogonalizers of ``ortho`` return its Φ and Λ).
 
-* canonical basis Λ = V·U·d^{-1/2} and symmetric basis Φ = Λ·U†;
+* canonical basis Λ = V·U·d^{-1/2} and symmetric basis Φ = Λ·U†, which
+  equals V·M^{-1/2} exactly and keeps Λ = Φ·U tight to a few ulps
+  however ill-conditioned M is;
 * polar: V = Φ·H with H = M^{1/2} = U·diag(σ)·U†;
 * reduced SVD: V = W·diag(σ)·U† with W = Λ and σ = d^{1/2} descending,
   taken from the scaled domain as 2^e·√d_T, so it keeps the bits a
@@ -28,23 +30,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SingularMetric
 from .linalg import (
     DEFAULT_TOLERANCES,
     HermitianEigen,
     ToleranceConfig,
+    _phase_fixed,
+    _real_valued,
     _scaled_to_unit,
     apply_phase_convention,
     as_matrix,
+    hermitian_eigen,
     max_abs,
 )
-from .ortho import (
-    Method,
-    OrthonormalBasis,
-    _metric_solve,
-    require_unitary,
-    verify_orthonormal,
-)
+from .ortho import Method, OrthonormalBasis, require_unitary, verify_orthonormal
 
 
 class PolarFactors(NamedTuple):
@@ -203,16 +202,85 @@ _RESIDUALS = {
 }
 
 
-def factorize(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
-    """Diagonalize and check the metric of a full-column-rank V once.
+# QR/LQ rounds that precondition the metric solve.  Each round is one
+# unshifted QR-iteration step on M and costs two QRs; on the
+# benchmark's solves (m 8-64, cond(M) 1-1e10) three rounds took fewer
+# Jacobi sweeps than two at a net gain, and a fourth gained nothing more.
+_QLP_ROUNDS = 3
 
-    Raises SingularMetric with diagnostics when M fails the rank cutoff,
-    NoConvergence when the eigensolver runs out of sweeps.
+
+def factorize(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
+    """Diagonalize and check the metric M = V†V of a full-column-rank V once.
+
+    M is never formed.  V is scaled by 2^-e (e the ``frexp`` exponent of
+    its largest real or imaginary part) to F = 2^-e·V, and
+    ``numpy.linalg.qr`` runs ``_QLP_ROUNDS`` rounds of Stewart's QLP step
+    (SISC 20, 1999), keeping both sides: F = P_i·R_i, the LQ
+    factorization R_i = L_i·Q_i† comes from the QR of R_i† (complete, so
+    Q_i is m x m), and F ← L_i.  After the last round
+    F = P·L₃·Q† with P = P₁·P₂·P₃ (orthonormal columns) and
+    Q = Q₁·Q₂·Q₃, so 2^-2e·M = Q·T·Q† with T = L₃†·L₃.  The Jacobi
+    solver diagonalizes T = Y·diag(d_T)·Y†: M's eigenvectors are
+    U = Q·Y, phase-fixed, and its eigenvalues d = 2^2e·d_T.  Each round is
+    an unshifted QR-iteration step on M that moves its spectrum toward
+    T's diagonal, so Jacobi needs fewer sweeps.
+
+    Λ = V·U·d^{-1/2} = P·(L₃·Y)·diag(f_j/‖L₃·y_j‖), where f_j is the
+    phase factor the convention put on column j of Q·Y; assembling the
+    left vectors from the QR factors and the triangular factor's
+    eigenvectors is Drmač & Veselić's route (SIMAX 29, 2008).  Λ never
+    multiplies V itself, so its orthonormality does not grow as
+    ε·cond(V).  A real-valued V is factored in float64.  Everything but d is
+    computed from F, so 2^k·V gives the same U and Λ bit for bit, and
+    only d itself can overflow or underflow.
+
+    The singular values σ = d^{1/2} of V are kept as 2^e·√d_T, also
+    from the scaled domain: where d is normal that is √d bit for bit,
+    and where d is subnormal (V near 1e-160) it keeps the bits d lost,
+    so σ(2^k·V) is 2^k·σ(V) bit for bit wherever both are computed.
+
+    Raises OverflowError, quoting max|V|, when d leaves the float64
+    range; SingularMetric, with the first index at or below the cutoff
+    ``rank_tol``·d_1, its value and the condition estimate, when M fails
+    the rank cutoff; NoConvergence when the eigensolver runs out of
+    sweeps.
     """
     v = as_matrix(v)
-    eigen, lam, sigma = _metric_solve(v, cfg)
-    lam = OrthonormalBasis(matrix=lam, method=Method.CANONICAL, source_eigen=eigen)
-    return Factorization(v=v, lam=lam, sigma=sigma)
+    scaled, exponent = _scaled_to_unit(v)
+    factor, left, right = _real_valued(scaled), [], None
+    for _ in range(_QLP_ROUNDS):
+        p, r = np.linalg.qr(factor)
+        q, l_adjoint = np.linalg.qr(r.conj().T, mode="complete")
+        left.append(p)
+        right = q if right is None else right @ q
+        factor = l_adjoint.conj().T
+    # T = L†·L as computed; hermitian_eigen symmetrizes it.  The Frobenius
+    # norm of L is that of 2^-e·V, below √(2nm), so no entry of T reaches 2nm.
+    reduced = hermitian_eigen(l_adjoint @ factor, cfg)
+    eigenvectors, phases = _phase_fixed(right @ reduced.eigenvectors)
+    # The checks come before Λ, whose column norms are zero for a zero d_T.
+    with np.errstate(over="ignore"):
+        d = np.ldexp(reduced.eigenvalues, 2 * exponent)
+    if not np.all(np.isfinite(d)):
+        raise OverflowError(f"V†V overflows float64 (max|V| = {max_abs(v):.3e})")
+    eigen = HermitianEigen(eigenvalues=d, eigenvectors=eigenvectors, sweeps=reduced.sweeps)
+    cutoff = cfg.rank_tol * float(d[0])
+    bad = np.nonzero(d <= cutoff)[0]
+    if bad.size:
+        index, condition = int(bad[0]), eigen.condition_estimate()
+        raise SingularMetric(
+            f"eigenvalue {index} = {float(d[index]):.6e} is at or below the "
+            f"rank cutoff {cutoff:.6e} (condition estimate {condition:.3e})",
+            eigenvalue_index=index,
+            eigenvalue=float(d[index]),
+            condition=condition,
+        )
+    w = factor @ reduced.eigenvectors
+    w *= phases / np.linalg.norm(w, axis=0)
+    for p in reversed(left):
+        w = p @ w
+    lam = OrthonormalBasis(matrix=w, method=Method.CANONICAL, source_eigen=eigen)
+    return Factorization(v=v, lam=lam, sigma=np.ldexp(np.sqrt(reduced.eigenvalues), exponent))
 
 
 def polar_decompose(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PolarFactors:

@@ -1,10 +1,10 @@
 """Dense complex matrix core.
 
-Everything downstream is built from the handful of primitives here: a
-Jacobi eigensolver for Hermitian matrices and the Hermitian product a·a†
-that forms the matrices it diagonalizes.  No factor forms the Gram
-metric M = V†V itself: ``ortho`` diagonalizes L†·L after QR/LQ rounds
-on V instead.
+Everything downstream is built from the handful of primitives here,
+chief among them a Jacobi eigensolver for Hermitian matrices.  No factor
+forms the Gram metric M = V†V itself: ``decompositions.factorize``
+diagonalizes L†·L after QR/LQ rounds on V instead, and its docstring
+describes that route.
 
 The eigensolver sweeps in round-robin order (Brent & Luk, SIAM J. Sci.
 Stat. Comput. 6(1), 1985): each sweep is n - 1 steps (n for odd n),
@@ -61,7 +61,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, SingularMetric
+from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 
 @dataclass(frozen=True)
@@ -154,17 +154,6 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-def _hermitian_product(a: np.ndarray) -> np.ndarray:
-    """The re-symmetrized product a·a†.
-
-    Callers pass a triangular factor from QRs of 2^-e·V
-    (``_scaled_to_unit``) for an n x m V.  Its Frobenius norm is that of
-    2^-e·V, below √(2nm), so no entry of the product reaches 2nm.
-    """
-    p = a @ a.conj().T
-    return (p + p.conj().T) / 2.0
-
-
 def _scaled_to_unit(a: np.ndarray) -> tuple:
     """(2^-e·a, e), with e the ``frexp`` exponent of a's largest real or imaginary part.
 
@@ -175,18 +164,6 @@ def _scaled_to_unit(a: np.ndarray) -> tuple:
     parts = np.ascontiguousarray(a).view(np.float64)
     exponent = math.frexp(max_abs(parts))[1]
     return np.ldexp(parts, -exponent).view(np.complex128), exponent
-
-
-def _scaled_back(d: np.ndarray, exponent: int, v: np.ndarray) -> np.ndarray:
-    """2^2e·d: eigenvalues of V†V from those of 2^-e·V's metric.
-
-    Raises OverflowError, quoting max|V|, if one leaves the float64 range.
-    """
-    with np.errstate(over="ignore"):
-        d = np.ldexp(d, 2 * exponent)
-    if not np.all(np.isfinite(d)):
-        raise OverflowError(f"V†V overflows float64 (max|V| = {max_abs(v):.3e})")
-    return d
 
 
 def _real_valued(a: np.ndarray) -> np.ndarray:
@@ -644,26 +621,3 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     eigenvectors = apply_phase_convention(_from_planes(aw[1][position[order], :, :n]).conj().T)
     return HermitianEigen(eigenvalues=eigenvalues, eigenvectors=eigenvectors, sweeps=sweeps)
 
-
-def _require_positive_definite(
-    eigen: HermitianEigen, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> None:
-    """Raise SingularMetric unless all eigenvalues clear the rank cutoff.
-
-    The cutoff is ``rank_tol`` times the largest eigenvalue; the error
-    reports the first offending index, its value, and the condition
-    estimate.
-    """
-    d = eigen.eigenvalues
-    cutoff = cfg.rank_tol * float(d[0])
-    bad = np.nonzero(d <= cutoff)[0]
-    if bad.size:
-        index = int(bad[0])
-        raise SingularMetric(
-            f"eigenvalue {index} = {float(d[index]):.6e} is at or below the "
-            f"rank cutoff {cutoff:.6e} (condition estimate "
-            f"{eigen.condition_estimate():.3e})",
-            eigenvalue_index=index,
-            eigenvalue=float(d[index]),
-            condition=eigen.condition_estimate(),
-        )

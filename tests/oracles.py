@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 import lowdin as lo
-from lowdin.linalg import _hermitian_product, _negligible, _real_valued, _scaled_to_unit
+from lowdin.linalg import _negligible, _real_valued, _scaled_to_unit
 
 
 def _abs2(z: complex) -> float:
@@ -114,7 +114,7 @@ def principal_components(v) -> SscpResult:
     v = lo.as_matrix(v)
     scaled, exponent = _scaled_to_unit(v)
     q, r = np.linalg.qr(_real_valued(scaled))
-    reduced = lo.hermitian_eigen(_hermitian_product(r))
+    reduced = lo.hermitian_eigen(r @ r.conj().T)
     return SscpResult(
         components=lo.apply_phase_convention(q @ reduced.eigenvectors),
         component_scores=np.ldexp(reduced.eigenvalues, 2 * exponent),

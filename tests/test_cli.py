@@ -268,6 +268,7 @@ class TestOneFactorization:
     }
 
     def test_solver_runs_per_command(self, tmp_path, monkeypatch):
+        import lowdin.decompositions
         import lowdin.linalg
         import lowdin.ortho
         import lowdin.pca
@@ -279,7 +280,7 @@ class TestOneFactorization:
             calls.append(1)
             return original(*args, **kwargs)
 
-        for module in (lowdin.linalg, lowdin.ortho, lowdin.pca):
+        for module in (lowdin.linalg, lowdin.ortho, lowdin.pca, lowdin.decompositions):
             monkeypatch.setattr(module, "hermitian_eigen", counting)
         counts = {}
         for command in self.SOLVES:

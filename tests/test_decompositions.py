@@ -270,6 +270,41 @@ class TestFactorizationResiduals:
                 assert value == pytest.approx(1e-4, rel=1e-6), (k, name)
 
 
+class TestFactorizeCheckOrder:
+    """The overflow check, then the rank check, then Λ, whose column norms a zero d_T zeroes.
+
+    Run under the suite's ``error::RuntimeWarning`` filter, so assembling
+    Λ from a singular metric would fail here with a division warning.
+    """
+
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 1)])
+    def test_a_zero_v_fails_the_rank_check_at_its_first_eigenvalue(self, shape):
+        with pytest.raises(SingularMetric) as caught:
+            lo.factorize(np.zeros(shape))
+        assert caught.value.eigenvalue_index == 0
+        assert caught.value.eigenvalue == 0.0
+        assert caught.value.condition == math.inf
+        assert str(caught.value) == (
+            "eigenvalue 0 = 0.000000e+00 is at or below the rank cutoff "
+            "0.000000e+00 (condition estimate inf)"
+        )
+
+    def test_a_zero_column_fails_the_rank_check_at_its_index(self):
+        with pytest.raises(SingularMetric) as caught:
+            lo.factorize([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        assert caught.value.eigenvalue_index == 1
+        assert caught.value.condition == math.inf
+        assert str(caught.value) == (
+            "eigenvalue 1 = 0.000000e+00 is at or below the rank cutoff "
+            "1.000000e-12 (condition estimate inf)"
+        )
+
+    def test_overflow_is_checked_before_the_rank(self):
+        # d = [inf, 0]: singular too, but the overflow is what it reports.
+        with pytest.raises(OverflowError, match=r"^V†V overflows float64 \(max\|V\| = 1\.000e\+200\)$"):
+            lo.factorize([[1e200, 0.0], [0.0, 0.0]])
+
+
 class TestConversions:
     def test_canonical_from_symmetric_identity(self):
         phi = lo.symmetric_orthogonalize(np.eye(2))

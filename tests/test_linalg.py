@@ -579,6 +579,33 @@ class TestPowerOfTwoScaling:
         assert scaled.value.off_norm == np.ldexp(base.value.off_norm, 400)
 
 
+class TestSymmetrizesItsInput:
+    """``factorize`` passes T = L†·L as computed; ``hermitian_eigen`` symmetrizes it.
+
+    So T and (T + T†)/2 must give the same solve bit for bit, including
+    the products that come out of ``matmul`` not exactly Hermitian.
+    """
+
+    def test_unsymmetrized_products_solve_as_their_symmetrized_form(self):
+        rng = np.random.default_rng(24)
+        draws = [(n, c) for n in (1, 2, 3, 9, 33, 64) for c in (False, True) for _ in range(4)]
+        asymmetric = 0
+        for n, complex_ in draws:
+            v = random_matrix(rng, n + 3, n, complex_=complex_)
+            for k in (0, -250, 250):
+                r = np.linalg.qr(np.ldexp(1.0, k) * v)[1]
+                l_adjoint = np.linalg.qr(r.conj().T, mode="complete")[1]
+                t = l_adjoint @ l_adjoint.conj().T
+                symmetrized = (t + t.conj().T) / 2.0
+                asymmetric += not np.array_equal(t, symmetrized)
+                got, expected = lo.hermitian_eigen(t), lo.hermitian_eigen(symmetrized)
+                case = (n, complex_, k)
+                assert np.array_equal(got.eigenvalues, expected.eigenvalues), case
+                assert np.array_equal(got.eigenvectors, expected.eigenvectors), case
+                assert got.sweeps == expected.sweeps, case
+        assert asymmetric > 0
+
+
 # V†V = [[2, 1], [1, 2]], whose powers have a closed form.
 TALL_2X2_METRIC = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 

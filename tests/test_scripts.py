@@ -1,5 +1,7 @@
 """The experiment scripts run against the library and write what they report."""
 
+import ast
+import importlib
 import json
 import os
 import shlex
@@ -124,3 +126,35 @@ def test_compare_outputs_prints_the_worst_drift_of_each_report_key(tmp_path, cap
         "  residuals.orthonormality: 1 reports, |new - old| 5.00e-16, |new - old| / |old| 5.00e-01",
     ]
     assert "svd_reconstruction" not in drift and "rows" not in drift
+
+
+def _library_functions() -> dict:
+    """``LIBRARY_FUNCTIONS`` of perfbench/run.py, read without importing the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LIBRARY_FUNCTIONS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no LIBRARY_FUNCTIONS")
+
+
+def test_the_names_the_benchmark_reads_stay_bound():
+    # perfbench/run.py calls each library function through lowdin.<module>,
+    # perfbench/check.py reads these attributes of its result, and the
+    # tracer wraps hermitian_eigen in every module that binds it.
+    v = np.random.default_rng(0).standard_normal((5, 3))
+    functions = _library_functions()
+    assert functions
+    for command, (module, name) in functions.items():
+        result = getattr(importlib.import_module(f"lowdin.{module}"), name)(v)
+        if command == "svd":
+            assert result.left.shape == (5, 3) and result.right.shape == (3, 3)
+            assert result.singular_values.shape == (3,)
+        else:
+            assert result.matrix.shape == (5, 3)
+            assert result.source_eigen.eigenvalues.shape == (3,)
+            assert result.source_eigen.eigenvectors.shape == (3, 3)
+    for module in ("ortho", "pca", "decompositions"):
+        bound = importlib.import_module(f"lowdin.{module}").hermitian_eigen
+        assert bound is lo.linalg.hermitian_eigen, module
+    assert lo.linalg.DEFAULT_TOLERANCES.orthonormality_tol == 1e-10
+    assert lo.linalg.DEFAULT_TOLERANCES.reconstruction_tol == 1e-9
