@@ -10,8 +10,8 @@ a tall 3 x 2 V of entries near 1e-158), all csv, plus tsv copies of the
 fixtures and of the first 20 random inputs.  Every command runs on every
 csv input with default flags, and on the hostile files, the fixtures
 whose names do not start with "r" and the first 20 random inputs also
-with ``--max-sweeps 2``, ``--rank-tol 1e-30`` and ``--precision 5``; on
-every tsv input it runs once, with ``--format tsv``: 1869 runs in all.
+with ``--max-sweeps 2`` and with ``--rank-tol 1e-30``; on every tsv
+input it runs once, with ``--format tsv``: 1624 runs in all.
 Each checkout runs the corpus in its own interpreter, with its own
 ``src`` first on ``PYTHONPATH`` and without writing bytecode into it,
 and stores the factor files, ``report.json`` (with ``elapsed_ms``
@@ -66,8 +66,7 @@ import contextlib, io, json, sys
 from pathlib import Path
 from lowdin import cli
 corpus, out = Path(sys.argv[1]), Path(sys.argv[2])
-flags = {"default": [], "sweeps2": ["--max-sweeps", "2"], "ranktiny": ["--rank-tol", "1e-30"],
-         "p5": ["--precision", "5"]}
+flags = {"default": [], "sweeps2": ["--max-sweeps", "2"], "ranktiny": ["--rank-tol", "1e-30"]}
 for path in sorted(corpus.iterdir()):
     if path.suffix == ".tsv":
         variants = {"tsv": ["--format", "tsv"]}

@@ -80,7 +80,8 @@ COMMANDS = {
 
 # Views of a Factorization f, each a cached attribute or its transpose;
 # S = V·V†'s components are Λ phase-fixed and its scores are d.  Both
-# ``Phi_from_*`` files are Φ itself: Φ is built as Λ·U†, and W is Λ.
+# ``Phi_from_*`` files are Φ itself: ``symmetric_from_svd`` builds Φ once,
+# as W·U† with W = Λ, so it is also Λ·U†.
 _VIEWS = {
     "Phi": lambda f: f.phi.matrix,
     "Lambda": lambda f: f.lam.matrix,
@@ -129,8 +130,10 @@ def _describe_error(exc: Exception) -> dict:
 def run(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
     """Execute one parsed command line and write its factor files and report.
 
-    ``args`` is what ``_build_parser`` parsed, so the command, format and
-    precision are already valid.
+    ``args`` is what ``_build_parser`` parsed, so the command and format
+    are already valid.  Each factor file holds the shortest round-trip
+    decimals of its array, so it parses back to exactly the array whose
+    residuals the report certifies.
     """
     started = time.perf_counter()
     command = COMMANDS[args.command]
@@ -180,7 +183,7 @@ def run(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
             if id(matrix) in written:  # another view of the same array: same bytes
                 shutil.copyfile(written[id(matrix)], path)
                 continue
-            write_matrix_file(path, matrix, fmt=args.format, precision=args.precision)
+            write_matrix_file(path, matrix, fmt=args.format)
             written[id(matrix)] = path
     except OSError as exc:
         # An output path that cannot be written is a usage error, unless
@@ -199,13 +202,6 @@ def run(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
     if report["error"] is not None:
         print(f"error: {report['error']['type']}: {report['error']['message']}", file=sys.stderr)
     return code
-
-
-def _precision_arg(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= 17:
-        raise argparse.ArgumentTypeError("precision must be between 1 and 17")
-    return value
 
 
 @functools.cache
@@ -227,12 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format", choices=("csv", "tsv"), default="csv", help="input and output files (default: csv)"
-    )
-    parser.add_argument(
-        "--precision",
-        type=_precision_arg,
-        default=17,
-        help="significant digits in output files (17 = shortest round trip)",
     )
     # Unset options keep ToleranceConfig's defaults, so only given ones override.
     defaults = ToleranceConfig()

@@ -91,17 +91,16 @@ class Factorization:
 
     @cached_property
     def phi(self) -> OrthonormalBasis:
-        """Symmetric basis Φ = Λ·U† = V·M^{-1/2}; ``symmetric_orthogonalize`` returns it."""
-        return OrthonormalBasis(
-            matrix=self.lam.matrix @ self.eigen.eigenvectors.conj().T,
-            method=Method.SYMMETRIC,
-            source_eigen=self.eigen,
-        )
+        """Symmetric basis Φ = W·U† = Λ·U† = V·M^{-1/2}, by ``symmetric_from_svd``.
+
+        ``symmetric_orthogonalize`` returns it.
+        """
+        return symmetric_from_svd(self.svd)._replace(source_eigen=self.eigen)
 
     @cached_property
     def lambda_from_phi(self) -> np.ndarray:
-        """Φ·U, which should give back Λ."""
-        return self.phi.matrix @ self.eigen.eigenvectors
+        """Φ·U by ``canonical_from_symmetric``, which should give back Λ."""
+        return canonical_from_symmetric(self.phi, self.eigen.eigenvectors).matrix
 
     @cached_property
     def polar(self) -> PolarFactors:

@@ -6,8 +6,10 @@ decimal or a complex literal ``a+bi`` / ``a-bi`` with no spaces and an
 ``i`` suffix, e.g. ``1.5``, ``-2e-3``, ``0+1i``, ``3.25-0.5i``.  A token
 whose value overflows float64, such as ``1e999``, is a parse error.
 
-At the default precision of 17 significant digits values are written in
-shortest-round-trip form, so ``parse(write(A)) == A`` exactly.
+Every value is written as the shortest decimal that reads back as the
+same float64 (``repr``), so ``parse(write(A)) == A`` exactly: a factor
+file holds exactly the array whose residuals its report certifies.  A
+UTF-8 byte-order mark at the start of a file is skipped.
 
 ``parse_token`` is the one definition of the grammar and of the errors.
 A row is converted by the builtin ``float`` or ``complex`` when, on the
@@ -177,21 +179,19 @@ def _parse_tokens(text: str, delimiter: str) -> np.ndarray:
 
 
 def parse_matrix_file(path, fmt: str = "csv") -> np.ndarray:
-    return parse_matrix_text(Path(path).read_text(encoding="utf-8"), fmt)
+    # utf-8-sig drops the byte-order mark spreadsheet "CSV UTF-8" exports
+    # start with; a mark anywhere else stays part of its token.
+    return parse_matrix_text(Path(path).read_text(encoding="utf-8-sig"), fmt)
 
 
-def format_value(value, precision: int = 17) -> str:
-    """Render one entry in the grammar this module parses."""
-    return format_matrix([[value]], precision)[:-1]
-
-
-def format_matrix(a, precision: int = 17, fmt: str = "csv") -> str:
+def format_matrix(a, fmt: str = "csv") -> str:
     """Render a matrix (1-D input becomes a column) as delimited text.
 
-    An entry with a zero imaginary part (either sign) is written as its
-    real part alone; any other as ``a+bi`` or ``a-bi``.  The rows are
-    built from ``tolist()`` of the real and imaginary parts, so an entry
-    costs the formatting of its parts and no Python call besides.
+    Each part is its shortest round-trip ``repr``.  An entry with a zero
+    imaginary part (either sign) is written as its real part alone; any
+    other as ``a+bi`` or ``a-bi``.  The rows are built from ``tolist()``
+    of the real and imaginary parts, so an entry costs the formatting of
+    its parts and no Python call besides.
     """
     delimiter = delimiter_for(fmt)
     arr = np.asarray(a, dtype=np.complex128)
@@ -199,14 +199,13 @@ def format_matrix(a, precision: int = 17, fmt: str = "csv") -> str:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise ValueError(f"expected a 1-D or 2-D array, got ndim={arr.ndim}")
-    real = repr if precision >= 17 else f"{{:.{precision}g}}".format
     if not np.any(arr.imag):
-        lines = [delimiter.join(map(real, row)) for row in arr.real.tolist()]
+        lines = [delimiter.join(map(repr, row)) for row in arr.real.tolist()]
     else:
         lines = [
             delimiter.join(
                 [
-                    real(x) if y == 0.0 else f"{real(x)}{'+' if y > 0.0 else '-'}{real(abs(y))}i"
+                    repr(x) if y == 0.0 else f"{x!r}{'+' if y > 0.0 else '-'}{abs(y)!r}i"
                     for x, y in zip(xs, ys)
                 ]
             )
@@ -215,5 +214,5 @@ def format_matrix(a, precision: int = 17, fmt: str = "csv") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_matrix_file(path, a, fmt: str = "csv", precision: int = 17) -> None:
-    Path(path).write_text(format_matrix(a, precision, fmt), encoding="utf-8", newline="\n")
+def write_matrix_file(path, a, fmt: str = "csv") -> None:
+    Path(path).write_text(format_matrix(a, fmt), encoding="utf-8", newline="\n")

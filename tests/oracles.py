@@ -258,16 +258,15 @@ def _jacobi_step(aw, step, written, live, polish):
     flat[zeros] = 0.0
 
 
-def format_matrix_by_entry(a, precision=17, fmt="csv"):
+def format_matrix_by_entry(a, fmt="csv"):
     """The matrix file text, one entry at a time through ``complex(entry)``.
 
-    Each part is ``repr(float)`` at precision 17 and up, else
-    ``format(x, ".{precision}g")``; an entry with a zero imaginary part
-    is its real part alone, any other ``a+bi`` or ``a-bi`` with |b|.
+    Each part is ``repr(float)``; an entry with a zero imaginary part is
+    its real part alone, any other ``a+bi`` or ``a-bi`` with |b|.
     """
 
     def part(x):
-        return repr(float(x)) if precision >= 17 else format(float(x), f".{precision}g")
+        return repr(float(x))
 
     def token(value):
         z = complex(value)

@@ -18,7 +18,7 @@ import lowdin.matrixio
 from conftest import load_script, random_matrix
 from lowdin.cli import COMMANDS, _build_parser, main
 from lowdin.decompositions import RELATION_TOL
-from lowdin.matrixio import format_matrix, parse_matrix_file, write_matrix_file
+from lowdin.matrixio import delimiter_for, format_matrix, parse_matrix_file, write_matrix_file
 from lowdin.ortho import OrthonormalBasis
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -198,7 +198,8 @@ class TestRelationsCommand:
         lam_from_phi = parse_matrix_file(tmp_path / "relations_Lambda_from_Phi.csv")
         assert lo.max_abs(lam - lam_from_phi) <= 1e-12
         assert lo.max_abs(lam - phi @ u) <= 1e-12
-        # Φ is built as Λ·U† and W is Λ, so both other routes are Φ itself.
+        # symmetric_from_svd builds Φ once, as W·U† with W = Λ, so both
+        # other routes are Φ itself.
         phi_bytes = (tmp_path / "relations_Phi.csv").read_bytes()
         for route in ("Lambda", "svd"):
             assert (tmp_path / f"relations_Phi_from_{route}.csv").read_bytes() == phi_bytes
@@ -385,10 +386,14 @@ class TestErrorsAndExitCodes:
             main(["frobnicate", "--input", "x.csv"])
         assert excinfo.value.code == 2
 
-    def test_bad_precision_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_precision_is_not_an_option(self, tmp_path, command):
+        # Every factor file is the shortest round trip of its array; there
+        # is no lossy output to ask for.
         with pytest.raises(SystemExit) as excinfo:
-            run_cli("symmetric", FIXTURES / "identity_2x2.csv", tmp_path, "--precision", "0")
+            run_cli(command, FIXTURES / "rand_4x3.csv", tmp_path, "--precision", "3")
         assert excinfo.value.code == 2
+        assert not (tmp_path / "report.json").exists()
 
     def test_bad_format_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -539,19 +544,13 @@ class TestOutputOptions:
         assert code == 0
         assert (out / "svd_sigma.tsv").read_text() == "3.0\n2.0\n"
 
-    def test_precision_flag(self, tmp_path):
-        code = run_cli(
-            "symmetric",
-            FIXTURES / "shear_2x2.csv",
-            tmp_path,
-            "--precision",
-            "3",
-        )
-        assert code == 0
-        text = (tmp_path / "symmetric_Phi.csv").read_text()
-        for token in text.replace("\n", ",").split(","):
-            if token:
-                assert len(token.lstrip("-").replace(".", "").lstrip("0")) <= 3
+    def test_a_leading_byte_order_mark_changes_no_output(self, tmp_path):
+        body = (FIXTURES / "rand_4x3.csv").read_bytes()
+        (tmp_path / "bom.csv").write_bytes("\ufeff".encode() + body)
+        assert run_cli("relations", FIXTURES / "rand_4x3.csv", tmp_path / "plain") == 0
+        assert run_cli("relations", tmp_path / "bom.csv", tmp_path / "bom") == 0
+        for path in (tmp_path / "plain").glob("relations_*.csv"):
+            assert (tmp_path / "bom" / path.name).read_bytes() == path.read_bytes()
 
     def test_default_output_dir_is_cwd(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -559,6 +558,40 @@ class TestOutputOptions:
         assert code == 0
         assert (tmp_path / "symmetric_Phi.csv").exists()
         assert (tmp_path / "report.json").exists()
+
+
+def _round_trip_inputs():
+    inputs = {path.stem: path.read_text() for path in sorted(FIXTURES.glob("*.csv"))}
+    v = random_matrix(np.random.default_rng(25), 7, 4, complex_=True)
+    inputs["complex_7x4"] = format_matrix(v)
+    return inputs
+
+
+class TestFactorFilesRoundTrip:
+    """Each factor file parses back to exactly the array it was written from."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    @pytest.mark.parametrize("name", sorted(_round_trip_inputs()))
+    def test_every_factor_file_parses_to_its_array(self, tmp_path, monkeypatch, name, fmt):
+        source = tmp_path / f"{name}.{fmt}"
+        source.write_text(_round_trip_inputs()[name].replace(",", delimiter_for(fmt)))
+        formatted = {}  # text -> the array it was formatted from
+
+        def recording(a, *args, **kwargs):
+            text = format_matrix(a, *args, **kwargs)
+            formatted[text] = a
+            return text
+
+        monkeypatch.setattr(lowdin.matrixio, "format_matrix", recording)
+        for command in COMMANDS:
+            out = tmp_path / command
+            code = run_cli(command, source, out, "--format", fmt)
+            files = sorted(out.glob(f"{command}_*.{fmt}"))
+            assert len(files) == (len(COMMANDS[command].views) if code in (0, 1) else 0)
+            for path in files:
+                a = np.asarray(formatted[path.read_text()])
+                parsed = parse_matrix_file(path, fmt)
+                assert np.array_equal(parsed, a.reshape(len(a), -1)), (command, path.name)
 
 
 class TestParserReuse:

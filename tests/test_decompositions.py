@@ -377,6 +377,39 @@ class TestConversions:
             lo.canonical_from_symmetric(phi, np.eye(3))
 
 
+class TestFactorizationUsesTheRelations:
+    """Φ and the relation product come from the public conversions, once each."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        import lowdin.decompositions
+
+        original, calls = getattr(lowdin.decompositions, name), []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lowdin.decompositions, name, counting)
+        return calls
+
+    def test_phi_is_symmetric_from_svd(self, rng, monkeypatch):
+        calls = self._count(monkeypatch, "symmetric_from_svd")
+        f = lo.factorize(random_full_rank(rng, 6, 4, complex_=True))
+        phi = f.phi
+        assert f.phi is phi and len(calls) == 1
+        assert phi.method is Method.SYMMETRIC and phi.source_eigen is f.eigen
+        assert np.array_equal(phi.matrix, f.lam.matrix @ f.eigen.eigenvectors.conj().T)
+
+    def test_relation_reads_canonical_from_symmetric(self, rng, monkeypatch):
+        calls = self._count(monkeypatch, "canonical_from_symmetric")
+        f = lo.factorize(random_full_rank(rng, 6, 4))
+        residual = f.residuals("relation_lambda_phi_u")["relation_lambda_phi_u"]
+        assert np.array_equal(f.lambda_from_phi, f.phi.matrix @ f.eigen.eigenvectors)
+        assert residual == lo.max_abs(f.lam.matrix - f.lambda_from_phi)
+        assert len(calls) == 1
+
+
 class TestSymmetricFromSvd:
     def test_identity(self):
         factors = lo.SvdFactors(

@@ -13,7 +13,6 @@ from lowdin.matrixio import (
     _parse_tokens,
     delimiter_for,
     format_matrix,
-    format_value,
     parse_matrix_file,
     parse_matrix_text,
     parse_token,
@@ -183,21 +182,19 @@ class TestRowConversionsMatchTokenGrammar:
 
 class TestFormat:
     def test_real_shortest_round_trip(self):
-        assert format_value(0.1) == "0.1"
-        assert format_value(1.0) == "1.0"
-        assert format_value(-1e-05) == "-1e-05"
+        assert format_matrix([[0.1]]) == "0.1\n"
+        assert format_matrix([[1.0]]) == "1.0\n"
+        assert format_matrix([[-1e-05]]) == "-1e-05\n"
+        assert format_matrix([[1.0 / 3.0]]) == "0.3333333333333333\n"
 
     def test_complex_rendering(self):
-        assert format_value(complex(1.5, 2.0)) == "1.5+2.0i"
-        assert format_value(complex(1.5, -2.0)) == "1.5-2.0i"
-        assert format_value(complex(0.0, 1.0)) == "0.0+1.0i"
+        assert format_matrix([[complex(1.5, 2.0)]]) == "1.5+2.0i\n"
+        assert format_matrix([[complex(1.5, -2.0)]]) == "1.5-2.0i\n"
+        assert format_matrix([[complex(0.0, 1.0)]]) == "0.0+1.0i\n"
 
     def test_zero_imaginary_written_as_real(self):
-        assert format_value(complex(3.0, 0.0)) == "3.0"
-        assert format_value(complex(3.0, -0.0)) == "3.0"
-
-    def test_reduced_precision(self):
-        assert format_value(1.0 / 3.0, precision=3) == "0.333"
+        assert format_matrix([[complex(3.0, 0.0)]]) == "3.0\n"
+        assert format_matrix([[complex(3.0, -0.0)]]) == "3.0\n"
 
     def test_vector_becomes_column(self):
         assert format_matrix(np.array([3.0, 2.0])) == "3.0\n2.0\n"
@@ -208,7 +205,7 @@ class TestFormat:
 
 
 # Values whose text is easy to get wrong: signed zeros, subnormals, the
-# ends of the float64 range and numbers that round at low precision.
+# ends of the float64 range and numbers with no short exact decimal.
 AWKWARD = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
            0.1, -1.0 / 3.0, 123456.789, 1e-05, 2.5, 1e16, 9.999999e22]
 
@@ -234,29 +231,65 @@ def _awkward_arrays():
 
 class TestFormatMatrixAgainstPerEntryOracle:
     @pytest.mark.parametrize("fmt", ["csv", "tsv"])
-    @pytest.mark.parametrize("precision", [1, 6, 17])
     @pytest.mark.parametrize("name", sorted(_awkward_arrays()))
-    def test_byte_identical(self, name, precision, fmt):
+    def test_byte_identical(self, name, fmt):
         a = _awkward_arrays()[name]
-        assert format_matrix(a, precision, fmt) == format_matrix_by_entry(a, precision, fmt)
+        assert format_matrix(a, fmt) == format_matrix_by_entry(a, fmt)
 
     @settings(max_examples=100, deadline=None)
     @given(
         real=st.lists(finite_floats, min_size=6, max_size=6),
         imag=st.lists(finite_floats, min_size=6, max_size=6),
-        precision=st.sampled_from([1, 6, 17]),
     )
-    def test_any_finite_complex_matrix_byte_identical(self, real, imag, precision):
+    def test_any_finite_complex_matrix_byte_identical(self, real, imag):
         a = (np.array(real) + 1j * np.array(imag)).reshape(3, 2)
-        assert format_matrix(a, precision) == format_matrix_by_entry(a, precision)
+        assert format_matrix(a) == format_matrix_by_entry(a)
 
     def test_rejects_more_than_two_dimensions(self):
         with pytest.raises(ValueError):
             format_matrix(np.zeros((2, 2, 2)))
 
-    def test_format_value_is_a_one_entry_matrix(self):
+    def test_one_entry_matrices(self):
         for value in AWKWARD + [complex(1.5, -0.0), complex(-0.0, 2.5), complex(3.0, -1e-300)]:
-            assert format_value(value) + "\n" == format_matrix_by_entry([[value]])
+            assert format_matrix([[value]]) == format_matrix_by_entry([[value]])
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write, starts a file."""
+
+    BOM = "\ufeff".encode()
+
+    @pytest.mark.parametrize(
+        "text, fmt",
+        [
+            ("1,0.5\n-2e-3,3.25-0.5i\n", "csv"),
+            ("1\t2\n3\t4\n", "tsv"),
+            ("# exported\n1,2\n", "csv"),
+            ("\n1.5\n", "csv"),
+        ],
+    )
+    def test_a_leading_mark_parses_as_the_file_without_it(self, tmp_path, text, fmt):
+        plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(self.BOM + text.encode())
+        got, expected = parse_matrix_file(marked, fmt), parse_matrix_file(plain, fmt)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("1,2\n\ufeff3,4\n", 2, 1),
+            ("1,\ufeff2\n3,4\n", 1, 2),
+            ("\ufeff1,2\n", 1, 1),  # a second mark after the one skipped
+        ],
+    )
+    def test_a_mark_anywhere_else_is_a_parse_error(self, tmp_path, text, line, column):
+        path = tmp_path / "m.csv"
+        path.write_bytes(self.BOM + text.encode())
+        with pytest.raises(ParseError) as excinfo:
+            parse_matrix_file(path)
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
+        assert "\ufeff" in excinfo.value.token
 
 
 class TestRoundTrip:
@@ -293,8 +326,3 @@ class TestRoundTrip:
         a = (np.array(real) + 1j * np.array(imag)).reshape(2, 2)
         parsed = parse_matrix_text(format_matrix(a))
         assert np.array_equal(parsed, a)
-
-    def test_reduced_precision_is_lossy_but_parses(self):
-        a = np.array([[1.0 / 3.0]])
-        parsed = parse_matrix_text(format_matrix(a, precision=5))
-        assert parsed[0, 0].real == pytest.approx(1.0 / 3.0, abs=1e-5)
