@@ -305,6 +305,18 @@ class TestRoundTrip:
         write_matrix_file(path, a, fmt="tsv")
         assert np.array_equal(parse_matrix_file(path, fmt="tsv"), a)
 
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    @pytest.mark.parametrize("name", sorted(set(_awkward_arrays()) - {"empty"}))
+    def test_awkward_file_parses_back_exactly(self, tmp_path, name, fmt):
+        # Signed zeros, subnormals and the float64 extremes survive the file.
+        a = _awkward_arrays()[name]
+        a = a.reshape(len(a), -1)
+        path = tmp_path / f"m.{fmt}"
+        write_matrix_file(path, a, fmt)
+        parsed = parse_matrix_file(path, fmt)
+        assert parsed.shape == a.shape and np.array_equal(parsed, a)
+        assert np.array_equal(np.signbit(parsed.real), np.signbit(a.real))
+
     @settings(max_examples=100, deadline=None)
     @given(
         values=st.lists(finite_floats, min_size=1, max_size=12),
