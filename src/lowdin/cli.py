@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import shutil
 import sys
 import time
@@ -253,5 +254,23 @@ def main(argv=None) -> int:
     return run(args, cfg)
 
 
+def console() -> None:
+    """Program entry of ``lowdin`` and ``python -m lowdin.cli``.
+
+    Runs ``main``, flushes stdout and stderr and ends the process with
+    ``os._exit``, skipping interpreter teardown.  Its garbage collection
+    passes over numpy's and lowdin's objects and its module clean-up took
+    about 14 ms of a 126 ms ``verify`` process, and buy nothing: every
+    file ``main`` writes is closed before it returns.  atexit handlers
+    therefore do not run.  An exception that escapes ``main``, and
+    argparse's ``SystemExit`` (``--help``, a bad flag), take the normal
+    exit path.
+    """
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console()

@@ -492,7 +492,9 @@ def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
                 flat[zeros] = 0.0
                 continue
             dead = None
-            if r.min() < _TINY:
+            # Not r.min(): its Python-level wrapper costs 1.0 µs a step
+            # against 0.3 µs for argmin, which has none.
+            if r[r.argmin()] < _TINY:
                 # A pivot that is zero or subnormal gets the identity
                 # rotation (and is zeroed below): a subnormal r is too
                 # coarse for a_pq/r to be a unit number, or even finite.

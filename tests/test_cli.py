@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -672,3 +673,86 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert (out / "svd_sigma.csv").read_text() == "3.0\n2.0\n"
+
+
+class TestProgramEntry:
+    """``python -m lowdin.cli`` runs ``console``, which ends the process with
+    ``os._exit``: the process must exit, write and print as ``main`` does.
+
+    The children run with buffered output, as they would without
+    PYTHONUNBUFFERED, so that what ``console`` fails to flush is lost.
+    """
+
+    @staticmethod
+    def child(*args):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+    def process(self, *argv):
+        return self.child("-m", "lowdin.cli", *argv)
+
+    @staticmethod
+    def outputs(out):
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "report.json"}
+        report = load_report(out)
+        report["elapsed_ms"] = 0
+        return files, report
+
+    @pytest.mark.parametrize(
+        "fixture, status",
+        [("rand_4x3.csv", 0), ("missing.csv", 2), ("rank_deficient_2x2.csv", 3)],
+    )
+    def test_process_matches_main(self, tmp_path, capsys, fixture, status):
+        def argv(out):
+            return ["relations", "--input", str(FIXTURES / fixture), "--output-dir", str(out)]
+
+        assert main(argv(tmp_path / "main")) == status
+        in_process = capsys.readouterr()
+        proc = self.process(*argv(tmp_path / "process"))
+        assert proc.returncode == status
+        assert (proc.stdout, proc.stderr) == (in_process.out, in_process.err)
+        files, report = self.outputs(tmp_path / "process")
+        assert (files, report) == self.outputs(tmp_path / "main")
+        assert bool(files) == (status == 0)
+        if status == 0:
+            assert proc.stderr == ""
+        else:
+            error = report["error"]
+            assert proc.stderr == f"error: {error['type']}: {error['message']}\n"
+
+    @pytest.mark.parametrize("argv, status", [(["--help"], 0), (["nonsense", "--input", "x"], 2)])
+    def test_argparse_exit_matches_main(self, monkeypatch, capsys, argv, status):
+        monkeypatch.setenv("COLUMNS", "80")  # the help's width, in both
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == status
+        in_process = capsys.readouterr()
+        proc = self.process(*argv)
+        assert proc.returncode == status
+        assert (proc.stdout, proc.stderr) == (in_process.out, in_process.err)
+        assert (proc.stdout if status == 0 else proc.stderr).startswith("usage: lowdin COMMAND")
+
+    @pytest.mark.parametrize(
+        "body, status, stdout, stderr_end",
+        [
+            # Unterminated lines sit in the buffers until console flushes them,
+            # and the atexit handler does not run.
+            ("print('out', end=''); print('err', end='', file=sys.stderr); return 3", 3, "out", "err"),
+            # An escaping exception takes the normal exit: traceback, atexit, 1.
+            ("raise RuntimeError('boom')", 1, "atexit ran\n", "RuntimeError: boom\n"),
+        ],
+        ids=["return", "raise"],
+    )
+    def test_console_flushes_then_skips_teardown(self, body, status, stdout, stderr_end):
+        code = (
+            "import atexit, sys\n"
+            "import lowdin.cli\n"
+            "atexit.register(print, 'atexit ran')\n"
+            f"def main():\n    {body}\n"
+            "lowdin.cli.main = main\n"
+            "lowdin.cli.console()\n"
+        )
+        proc = self.child("-c", code)
+        assert proc.returncode == status
+        assert proc.stdout == stdout
+        assert proc.stderr.endswith(stderr_end)
