@@ -23,7 +23,7 @@ import shutil
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .decompositions import factorize
 from .errors import LinalgError
@@ -254,21 +254,22 @@ def main(argv=None) -> int:
     return run(args, cfg)
 
 
-def console() -> None:
+def console() -> NoReturn:
     """Program entry of ``lowdin`` and ``python -m lowdin.cli``.
 
     Runs ``main``, flushes stdout and stderr and ends the process with
-    ``os._exit``, skipping interpreter teardown.  Its garbage collection
-    passes over numpy's and lowdin's objects and its module clean-up took
-    about 14 ms of a 126 ms ``verify`` process, and buy nothing: every
-    file ``main`` writes is closed before it returns.  atexit handlers
-    therefore do not run.  An exception that escapes ``main``, and
+    ``os._exit``, skipping interpreter teardown: the garbage collection
+    passes over numpy's and lowdin's objects and the module clean-up,
+    about 14 ms of a 126 ms ``verify`` process.  They buy nothing, as
+    every file ``main`` writes is closed before it returns.  atexit
+    handlers do not run.  An exception that escapes ``main``, and
     argparse's ``SystemExit`` (``--help``, a bad flag), take the normal
     exit path.
     """
     status = main()
-    sys.stdout.flush()
-    sys.stderr.flush()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when its descriptor was closed at start
+            stream.flush()
     os._exit(status)
 
 

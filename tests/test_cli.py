@@ -740,8 +740,10 @@ class TestProgramEntry:
             ("print('out', end=''); print('err', end='', file=sys.stderr); return 3", 3, "out", "err"),
             # An escaping exception takes the normal exit: traceback, atexit, 1.
             ("raise RuntimeError('boom')", 1, "atexit ran\n", "RuntimeError: boom\n"),
+            # Started with stdout closed (``lowdin ... >&-``), sys.stdout is None.
+            ("sys.stdout = None; return 0", 0, "", ""),
         ],
-        ids=["return", "raise"],
+        ids=["return", "raise", "no-stdout"],
     )
     def test_console_flushes_then_skips_teardown(self, body, status, stdout, stderr_end):
         code = (
