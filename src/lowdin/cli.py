@@ -238,7 +238,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-sweeps",
         type=int,
         default=None,
-        help=f"Jacobi sweep limit, an integer >= 1 (default: {defaults.max_sweeps})",
+        help=f"Jacobi sweep limit, an integer >= 1 (default: {defaults.max_sweeps}); "
+        "exit 3 with NoConvergence if a pair still fails the solver's relative "
+        "test after that many sweeps",
     )
     return parser
 

@@ -69,7 +69,7 @@ class SvdFactors(NamedTuple):
     right: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Factorization:
     """V with the one checked eigendecomposition of its metric.
 
@@ -79,6 +79,10 @@ class Factorization:
     reduced SVD, the relation product Φ·U and the principal components of
     S = V·V† are views of it, computed on first use and cached; none of
     them diagonalizes M again.  Build one with ``factorize``.
+
+    Two factorizations are equal only when they are the same object
+    (``eq=False``): the generated ``==`` and hash would compare or hash
+    the array fields, which raises.
     """
 
     v: np.ndarray

@@ -23,7 +23,7 @@ class NotUnitary(LinalgError):
 
 
 class NoConvergence(LinalgError):
-    """Eigensolver did not reach the target off-diagonal norm."""
+    """Eigensolver used up its sweeps before every pair passed its relative test."""
 
     def __init__(self, message, sweeps=None, off_norm=None):
         super().__init__(message)

@@ -18,14 +18,14 @@ scaled by an exact power of two, so entries up to the overflow
 threshold are diagonalized, and the eigenvectors of 2^k·M are those of
 M bit for bit while the entries of 2^k·M stay normal numbers.  Pivots
 below the normal range, zero or subnormal entries of M itself (never
-the dummy's), get no rotation and are set to zero.  Once the
-off-diagonal norm meets its target, one polish sweep follows, and it
-rotates only the steps that still hold a pair failing the relative test
-|a_pq| <= ε·√|a_pp·a_qq| (Demmel & Veselić, SIMAX 13, 1992); when
-every pair passes, it does not run at all.  Further polish sweeps
-follow while a pair whose diagonal entries both clear the rank floor,
-``rank_tol``·max|a_ii|, fails |a_pq| <= √n·ε·√|a_pp·a_qq| (``_settled``),
-so the small eigenvalues converge relative to themselves too.
+the dummy's), get no rotation and are set to zero.  The solver stops on
+one rule, checked before every sweep (``_settled``): every pair passes
+the relative test |a_pq| <= √n·ε·√(d'_p·d'_q) of LAPACK's xGESVJ
+(Drmač & Veselić, SIMAX 29, 2008; Demmel & Veselić, SIMAX 13, 1992),
+where d'_i = |a_ii|, or max|a_ii| for a diagonal entry at or below the
+rank floor ``rank_tol``·max|a_ii|, so the small eigenvalues converge
+relative to themselves and the rounding noise of a rejected one cannot
+keep the solver sweeping.
 
 Matrices are plain ``numpy`` arrays; ``as_matrix`` gives them
 ``complex128`` entries, and eigenvectors are returned as ``complex128``.
@@ -78,12 +78,11 @@ class ToleranceConfig:
 
     orthonormality_tol   bound on ``max|Z†Z - I|`` for orthonormal bases
     reconstruction_tol   relative bound on factorization round trips
-    eigen_convergence_tol  relative off-diagonal norm at which the Jacobi
-                         sweeps stop, after one more polish sweep unless
-                         every pair already has |a_pq| <= ε·√|a_pp·a_qq|;
-                         the polish rotates only the steps holding a pair
-                         that does not, and repeats while a pair above the
-                         rank floor has |a_pq| > √n·ε·√|a_pp·a_qq|
+    eigen_convergence_tol  1e-14, the relative off-diagonal norm the Jacobi
+                         sweeps once stopped at; the solver no longer reads
+                         it (``hermitian_eigen`` stops on the relative test
+                         alone), and it stays only because the benchmark's
+                         sweep counter still reads it
     """
 
     orthonormality_tol: ClassVar[float] = 1e-10
@@ -113,10 +112,8 @@ class HermitianEigen(NamedTuple):
     ``eigenvalues`` is real and descending; ``eigenvectors`` is unitary
     with column j paired to eigenvalue j and phase-fixed by the package
     convention.  ``sweeps`` is the number of Jacobi sweeps the solver
-    ran, the polish sweeps included: the sweeps that met the target, plus
-    one unless every pair already passed the relative test then, plus
-    any that followed while the pairs above the rank floor had not
-    settled.
+    ran: the fewest after which every pair passed the relative test, so
+    it is also the smallest ``max_sweeps`` that raises no NoConvergence.
     """
 
     eigenvalues: np.ndarray
@@ -268,28 +265,29 @@ def _off_diagonal_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def _off_diagonal_moduli(a: np.ndarray) -> np.ndarray:
-    """|a_ij| of a work matrix stored as planes, with the diagonal set to zero."""
-    moduli = np.hypot.reduce(a, axis=1, initial=0.0)  # hypot(0, x) = |x| for one plane
-    np.fill_diagonal(moduli, 0.0)
-    return moduli
-
-
 def _settled(a: np.ndarray, n: int, rank_tol: float) -> bool:
-    """Whether every pair above the rank floor has |a_pq| <= √n·ε·√|a_pp·a_qq|.
+    """Whether every pair has |a_pq| <= √n·ε·√(d'_p·d'_q).
 
     ``a`` is a work matrix stored as planes, of n indices plus odd n's
-    dummy.  A pair with min(|a_pp|, |a_qq|) <= rank_tol·max|a_ii| is
-    exempt: it holds an eigenvalue the rank cutoff rejects, whose
-    rounding noise must not keep the solver sweeping.  √n·ε is the
-    threshold of LAPACK's xGESVJ (Drmač & Veselić, SIMAX 29, 2008); with
-    ε alone, repeated sweeps do not settle on ε-sized noise.
+    dummy.  d'_i = |a_ii| above the rank floor ``rank_tol``·max|a_ii|,
+    and max|a_ii| at or below it: such an entry holds an eigenvalue the
+    rank cutoff rejects, whose rounding noise is tested normwise so it
+    cannot keep the solver sweeping.  √n·ε is the threshold of LAPACK's
+    xGESVJ (Drmač & Veselić, SIMAX 29, 2008); with ε alone, sweeps do
+    not settle on ε-sized noise.  The test is scale-invariant, so 2^k·M
+    gets the verdicts of M.
     """
     magnitudes = np.abs(np.diagonal(a[:, 0]))
-    above = np.flatnonzero(magnitudes > rank_tol * magnitudes.max())
-    d = magnitudes[above]
-    moduli = _off_diagonal_moduli(a)[np.ix_(above, above)]
-    return bool(np.all(moduli <= math.sqrt(n) * _EPS * np.sqrt(d[:, None] * d)))
+    largest = magnitudes.max()
+    threshold = math.sqrt(n) * _EPS
+    # Every pair passing implies ‖off(A)‖_F <= √n·ε·Σd' <= √n·ε·size·max|a_ii|,
+    # so one norm rejects a matrix far from diagonal without the pairwise test.
+    if _off_diagonal_norm(a) > threshold * magnitudes.size * largest:
+        return False
+    roots = np.sqrt(np.where(magnitudes > rank_tol * largest, magnitudes, largest))
+    moduli = np.hypot.reduce(a, axis=1, initial=0.0)  # hypot(0, x) = |x| for one plane
+    np.fill_diagonal(moduli, 0.0)
+    return bool(np.all(moduli <= threshold * np.outer(roots, roots)))
 
 
 def _schedule(n: int) -> np.ndarray:
@@ -396,27 +394,15 @@ _NO_PHASE = np.array([[0.0], [1.0]])  # (sin φ, cos φ) of a dead pivot
 _SHIFT_SIGNS = np.array([[-1.0], [1.0]])  # of t·r, on a[p,p] and a[q,q]
 
 
-def _negligible(apq: np.ndarray, app: np.ndarray, aqq: np.ndarray) -> bool:
-    """Whether every pivot passes |a_pq| <= ε·√|a_pp·a_qq|.
-
-    This is Demmel & Veselić's relative test (SIMAX 13, 1992).  Zeroing
-    a pivot that passes it is a perturbation as small, relative to
-    √|a_pp·a_qq|, as rounding a_pp and a_qq, so it is as good as
-    rotating it.  The test is scale-invariant, so 2^k·M gets the same
-    verdicts as M.
-    """
-    return bool(np.all(np.abs(apq) <= _EPS * np.sqrt(np.abs(app * aqq))))
-
-
 def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
     """The sweep function of one solve, with its buffers allocated once.
 
     ``aw`` is the work array of ``_work_array``: the working matrix A and
     W = U†, the conjugate transpose of the accumulated basis, stacked,
     each stored as real planes; it is updated in place.  ``written``
-    comes from ``_layouts``.  Returns ``sweep(steps, polish=False)``,
-    which runs round-robin ``steps`` (all of a sweep's, or a slice of
-    them) in order, rotating all pairs of a step at once.
+    comes from ``_layouts``.  Returns ``sweep(steps)``, which runs
+    round-robin ``steps`` (all of a sweep's, or a slice of them) in
+    order, rotating all pairs of a step at once.
 
     Each pair (p, q) gets the complex plane rotation R with R[p,p]=c,
     R[p,q]=s, R[q,p]=-s·e^{-iφ}, R[q,q]=c·e^{-iφ}, where a[p,q]=r·e^{iφ}.
@@ -442,10 +428,6 @@ def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
     for it (``written`` leaves it out).  The dead-pivot branch then runs
     only where one of A's own pivots is zero or subnormal.
 
-    In the ``polish`` sweep a step whose pivots are all ``_negligible``
-    rotates nothing: it only moves aw to its layout, with two ``take``s,
-    and zeroes its pivots, as the rotations would have.
-
     Every step has the same shapes, so the gather buffers, the blocks and
     the rotation parameters are allocated here, once per solve, and each
     step writes into them with ``out=``.  They belong to this solve alone,
@@ -453,9 +435,8 @@ def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
     """
     size, planes = aw.shape[1], aw.shape[2]
     half, width = size // 2, 2 * planes  # pairs per step, rows per pair
-    zeros = written[: written.size - 2 * live]
-    values = np.zeros(written.size)  # what a step writes there
-    new_diagonals = values[zeros.size :].reshape(2, live)
+    values = np.zeros(written.size)  # what a step writes there: zeros, then the diagonals
+    new_diagonals = values[written.size - 2 * live :].reshape(2, live)
     pattern = _BLOCK_PATTERNS[planes]
     k = np.empty((half, pattern.shape[1]))
     k[live:] = pattern[0] + pattern[3]  # c = c·cos φ = 1, s = 0: odd n's dummy gets I and D
@@ -479,18 +460,12 @@ def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
     r, r2, gap, t, scratch = np.empty((5, live))
     shifts = np.empty((2, live))
 
-    def sweep(steps: tuple, polish: bool = False) -> None:
+    def sweep(steps: tuple) -> None:
         for gather, offsets in steps:
             # Every index is in range, so "clip" lets ``take`` write into
             # its output directly instead of through a buffer.
             aw.take(offsets, out=taken, mode="clip")
             np.hypot(apq[1], apq[0], out=r)
-            if polish and _negligible(r, app, aqq):
-                aw.take(gather, axis=1, out=rows, mode="clip")
-                aw[1] = rows[1]
-                rows[0].take(gather, axis=2, out=a, mode="clip")
-                flat[zeros] = 0.0
-                continue
             dead = None
             # Not r.min(): its Python-level wrapper costs 1.0 µs a step
             # against 0.3 µs for argmin, which has none.
@@ -541,27 +516,20 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
 
     Each sweep visits every off-diagonal pair once, in the round-robin
     order of Brent & Luk: n - 1 steps (n for odd n) of n // 2 disjoint
-    rotations applied together.  After the off-diagonal norm first meets
-    the target, one more sweep polishes the result, unless the sweeps are
-    used up or every off-diagonal pair already passes the relative test
-    |a_pq| <= ε·√|a_pp·a_qq|, which is checked once over the whole
-    matrix.  In the polish sweep a step whose pairs all pass it rotates
-    nothing: it only moves the matrix to the step's layout and zeroes
-    the pivots.  Polish sweeps then repeat, up to the sweep limit, while
-    a pair fails |a_pq| <= √n·ε·√|a_pp·a_qq|, except pairs with
-    min(|a_pp|, |a_qq|) <= ``cfg.rank_tol``·max|a_ii|, which hold
-    eigenvalues the rank cutoff rejects.  So ``sweeps`` is the number
-    that met the target, or more, and an input already diagonal to the
-    relative test takes none.
+    rotations applied together.  Before each sweep every pair is tested
+    against |a_pq| <= √n·ε·√(d'_p·d'_q), with d'_i = |a_ii|, or
+    max|a_ii| where |a_ii| <= ``cfg.rank_tol``·max|a_ii|, since such an
+    entry holds an eigenvalue the rank cutoff rejects; the sweeps stop
+    once every pair passes.  So an input already diagonal to that test
+    takes no sweep, and ``sweeps`` is the smallest sweep limit that does
+    not raise.
 
     Parameters
     ----------
     m : array_like
         Square matrix within HERMITICITY_TOL·max|M| of M†.
     cfg : ToleranceConfig
-        Supplies the sweep limit and the rank floor of the repeated
-        polish; the convergence target is the fixed
-        ``ToleranceConfig.eigen_convergence_tol`` times ‖M‖_F.
+        Supplies the sweep limit and the rank floor of the test.
 
     Returns
     -------
@@ -574,8 +542,9 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     NotHermitian
         If the input deviates from M† beyond HERMITICITY_TOL·max|M|.
     NoConvergence
-        If the relative off-diagonal norm is still above
-        ``eigen_convergence_tol`` after ``cfg.max_sweeps`` sweeps.
+        If a pair still fails the test after ``cfg.max_sweeps`` sweeps;
+        it carries the sweeps run and the off-diagonal norm ‖off(M)‖_F
+        they left.
     """
     a = _check_hermitian(m)
     n = a.shape[0]
@@ -588,34 +557,17 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     # in the layout a sweep starts from, one plane for real A, two else.
     aw = _work_array(a, last)
     sweep = _sweeper(aw, written, n // 2)  # n // 2 pairs per step are not odd n's dummy
-    target = ToleranceConfig.eigen_convergence_tol * float(np.linalg.norm(a))
     sweeps = 0
-    off = _off_diagonal_norm(aw[0])
-    while off > target:
+    while not _settled(aw[0], n, cfg.rank_tol):
         if sweeps == cfg.max_sweeps:
+            off = float(np.ldexp(_off_diagonal_norm(aw[0]), exponent))
             raise NoConvergence(
-                f"off-diagonal norm {np.ldexp(off, exponent):.3e} above target "
-                f"{np.ldexp(target, exponent):.3e} after {sweeps} sweeps",
+                f"off-diagonal norm {off:.3e} still fails the relative test after {sweeps} sweeps",
                 sweeps=sweeps,
-                off_norm=float(np.ldexp(off, exponent)),
+                off_norm=off,
             )
         sweep(steps)
         sweeps += 1
-        off = _off_diagonal_norm(aw[0])
-    # One polish sweep after the target is met takes the quadratically
-    # shrinking remainder to about zero, unless the sweeps are used up or
-    # every pair is already negligible; it rotates only the steps that
-    # hold a pair that is not.
-    diagonal = np.diagonal(aw[0, :, 0])
-    if sweeps < cfg.max_sweeps and not _negligible(_off_diagonal_moduli(aw[0]), diagonal[:, None], diagonal):
-        sweep(steps, True)  # polish
-        sweeps += 1
-        # The global target can stop before the block of small eigenvalues
-        # has converged relative to itself: polish again while it has not.
-        # (Pairs that passed the ε test above pass this √n·ε one too.)
-        while sweeps < cfg.max_sweeps and not _settled(aw[0], n, cfg.rank_tol):
-            sweep(steps, True)
-            sweeps += 1
     position = position[:n]  # of each index in the final layout; drops the dummy
     diag = np.diagonal(aw[0, :, 0])[position]
     order = np.argsort(-diag, kind="stable")

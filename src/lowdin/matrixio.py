@@ -27,14 +27,16 @@ from pathlib import Path
 import numpy as np
 
 _DEC = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_TOKEN_RE = re.compile(rf"^(?P<re>[+-]?{_DEC})(?:(?P<im>[+-]{_DEC})i)?$")
+# The grammar of one token.  Only the per-token path reads it, so ``re``
+# compiles it on first use (and caches it), not at import.
+_TOKEN = rf"^(?P<re>[+-]?{_DEC})(?:(?P<im>[+-]{_DEC})i)?$"
 
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
 
 # Per delimiter: the characters of a row that ``float`` converts token by
 # token, and the form, under ``re.ASCII``, of a whole row plus one more
 # delimiter that ``complex`` converts token by token once each ``i`` is a
-# ``j``.  Within these, a builtin accepts exactly the tokens ``_TOKEN_RE``
+# ``j``.  Within these, a builtin accepts exactly the tokens ``_TOKEN``
 # matches (with ASCII digits, and blanks other than the delimiter around
 # them) and gives them the same values.  ``re`` compiles a form on first
 # use and caches it, so a process that reads no complex row skips that.
@@ -84,7 +86,7 @@ def delimiter_for(fmt: str) -> str:
 
 def parse_token(token: str) -> complex:
     """The value of one token; ValueError if it is malformed or not finite."""
-    match = _TOKEN_RE.match(token)
+    match = re.match(_TOKEN, token)
     if match is None:
         raise ValueError(f"bad numeric token {token!r}")
     real = float(match.group("re"))

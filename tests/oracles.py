@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 import lowdin as lo
-from lowdin.linalg import _negligible, _real_valued, _scaled_to_unit
+from lowdin.linalg import _real_valued, _scaled_to_unit
 
 
 def _abs2(z: complex) -> float:
@@ -192,7 +192,7 @@ def jacobi_rotations(a, w, pairs):
 def jacobi_sweeper_by_steps(aw, written, live):
     """``linalg._sweeper`` one step at a time, allocating every temporary afresh.
 
-    Returns ``sweep(steps, polish=False)``, which does the same arithmetic
+    Returns ``sweep(steps)``, which does the same arithmetic
     in the same order, written as plain expressions: substituted for
     ``_sweeper``, it must leave every ``hermitian_eigen`` result unchanged
     bit for bit.  Every pair of a step is rotated, odd n's dummy pair too,
@@ -202,14 +202,14 @@ def jacobi_sweeper_by_steps(aw, written, live):
     written entry by entry here, not through ``_block_pattern``.
     """
 
-    def sweep(steps, polish=False):
+    def sweep(steps):
         for step in steps:
-            _jacobi_step(aw, step, written, live, polish)
+            _jacobi_step(aw, step, written, live)
 
     return sweep
 
 
-def _jacobi_step(aw, step, written, live, polish):
+def _jacobi_step(aw, step, written, live):
     gather, offsets = step
     size, planes = aw.shape[1], aw.shape[2]
     half, width = size // 2, 2 * planes
@@ -221,12 +221,6 @@ def _jacobi_step(aw, step, written, live, polish):
     r = np.hypot(apq[1], apq[0])
     a = aw[0]
     flat = a.reshape(-1)
-    if polish and _negligible(r, app, aqq):
-        rows = aw.take(gather, axis=1)
-        aw[1] = rows[1]
-        rows[0].take(gather, axis=2, out=a, mode="clip")
-        flat[zeros] = 0.0
-        return
     dead = r < np.finfo(np.float64).tiny
     r[dead] = 0.0
     sin, cos = np.where(dead, [[0.0], [1.0]], apq) / np.where(dead, 1.0, r)

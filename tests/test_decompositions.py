@@ -227,6 +227,16 @@ class TestFactorizationResiduals:
         assert f.components is f.components
         assert f.polar is f.polar
 
+    def test_equality_and_hash_are_identity(self):
+        # The array fields cannot decide == or a hash, so a factorization
+        # equals itself alone, and a copy by ``replace`` is another object.
+        f, g = lo.factorize(SHEAR), lo.factorize(SHEAR)
+        copy = dataclasses.replace(f)
+        assert f == f and f != g and f != copy
+        assert hash(f) == hash(f)
+        assert {f, g, copy, f} == {f, g, copy} and len({f, g, copy, f}) == 3
+        assert np.array_equal(copy.lam.matrix, f.lam.matrix)
+
     def test_bounds_are_the_fixed_constants(self):
         # The config a V is factored with moves the rank cutoff and the
         # sweep limit, never a bound.

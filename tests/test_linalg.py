@@ -147,19 +147,16 @@ class TestHermitianEigen:
         assert excinfo.value.sweeps == 1
         assert excinfo.value.off_norm > 0.0
 
-    def test_polish_sweep_is_counted(self):
+    def test_sweeps_is_the_smallest_limit_that_converges(self):
+        # One test decides every sweep, so a limit of ``sweeps`` returns the
+        # same solve and one sweep fewer raises.
         m = NO_CONVERGENCE_4X4
-        needed = 1
-        while True:
-            try:
-                lo.hermitian_eigen(m, lo.ToleranceConfig(max_sweeps=needed))
-                break
-            except NoConvergence:
-                needed += 1
-        # Met on the last allowed sweep: no polish.  With sweeps to spare,
-        # exactly one more sweep runs after the target is met.
-        assert lo.hermitian_eigen(m, lo.ToleranceConfig(max_sweeps=needed)).sweeps == needed
-        assert lo.hermitian_eigen(m).sweeps == needed + 1
+        sweeps = lo.hermitian_eigen(m).sweeps
+        assert lo.hermitian_eigen(m, lo.ToleranceConfig(max_sweeps=sweeps)).sweeps == sweeps
+        with pytest.raises(NoConvergence) as excinfo:
+            lo.hermitian_eigen(m, lo.ToleranceConfig(max_sweeps=sweeps - 1))
+        assert excinfo.value.sweeps == sweeps - 1
+        assert excinfo.value.off_norm > 0.0
 
     def test_accepts_tiny_asymmetry_and_symmetrizes(self):
         m = np.array([[1.0, 1.0 + 1e-13], [1.0, 2.0]])
@@ -238,24 +235,24 @@ class TestAgainstLapack:
                 assert first.sweeps == second.sweeps
 
 
-def _sweeps_needed(m):
+def _sweeps_needed(m, cfg=lo.DEFAULT_TOLERANCES):
     """The smallest ``max_sweeps`` at which the solve does not raise."""
     needed = 1
     while True:
         try:
-            lo.hermitian_eigen(m, lo.ToleranceConfig(max_sweeps=needed))
+            lo.hermitian_eigen(m, dataclasses.replace(cfg, max_sweeps=needed))
             return needed
         except NoConvergence:
             needed += 1
 
 
 class TestPolishRule:
-    """The polish sweep runs only while a pair fails |a_pq| <= ε·√|a_pp·a_qq|."""
+    """An input diagonal to the relative test takes no sweep, and no solve sweeps past it."""
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_diagonal_to_relative_eps_takes_no_sweep(self, complex_):
-        # Every pivot is below ε·√(a_pp·a_qq) >= 1.5e-16.  The target is met
-        # before any sweep, and no pair needs the polish either.
+        # Every pivot is below ε·√(a_pp·a_qq) >= 1.5e-16, so every pair
+        # passes the √n·ε test before any sweep.
         d = np.array([1.0, 3.0, 0.5, 2.0])
         off = 1e-17 * (1.0 + 1.0j) if complex_ else 1e-17
         m = np.diag(d) + np.triu(np.full((4, 4), off), 1) + np.tril(np.full((4, 4), np.conj(off)), -1)
@@ -286,15 +283,32 @@ class TestPolishRule:
 
 
 class TestRelativeStop:
-    """After the first polish decision, polish sweeps repeat while a pair above the
-    rank floor fails |a_pq| <= √n·ε·√|a_pp·a_qq|."""
+    """Sweeps run while a pair fails |a_pq| <= √n·ε·√(d'_p·d'_q), with d'_i =
+    max|a_ii| for a diagonal entry at or below the rank floor."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 24),
+        kind=st.sampled_from(["psd", "indefinite", "rank_deficient"]),
+        complex_=st.booleans(),
+        rank_tol=st.sampled_from([1e-12, 1e-30]),
+    )
+    def test_sweeps_equals_the_smallest_limit_that_does_not_raise(self, seed, n, kind, complex_, rank_tol):
+        # No sweep is run past the rule or cut off silently by the limit
+        # (which is at least 1, so an input that takes no sweep needs 1).
+        rng = np.random.default_rng(seed)
+        a = random_matrix(rng, n, n if kind != "rank_deficient" else int(rng.integers(1, n + 1)), complex_)
+        h = (a + a.conj().T) / 2.0 if kind == "indefinite" else a @ a.conj().T
+        cfg = lo.ToleranceConfig(rank_tol=rank_tol)
+        assert max(lo.hermitian_eigen(h, cfg).sweeps, 1) == _sweeps_needed(h, cfg)
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_polishes_until_the_small_eigenvalues_have_converged(self, complex_):
-        # The global target and one polish leave these 64 x 64 V at cond(M) =
-        # 1e18 with orthonormality 5.5e-10 (real) and 1.1e-11 (complex) after
-        # 4 sweeps: the block of small eigenvalues had not converged relative
-        # to itself.  One more polish sweep takes it to rounding.
+        # A global off-diagonal target left these 64 x 64 V at cond(M) = 1e18
+        # with orthonormality 5.5e-10 (real) and 1.1e-11 (complex) after 4
+        # sweeps: the block of small eigenvalues had not converged relative
+        # to itself.  The relative test takes one more sweep, to rounding.
         seed = 27 if complex_ else 0
         v = load_script("accuracy").controlled_matrix(np.random.default_rng(seed), (64, 64), 1e18, complex_)
         f = lo.factorize(v, lo.ToleranceConfig(rank_tol=1e-300))
@@ -303,15 +317,17 @@ class TestRelativeStop:
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("n", [5, 12, 33, 64])
-    def test_a_rank_deficient_input_takes_no_more_sweeps(self, rng, monkeypatch, n, complex_):
+    def test_a_rank_deficient_input_takes_no_more_sweeps(self, rng, n, complex_):
         # Its zero eigenvalues lie below the default rank floor, so the pairs
-        # that hold their rounding noise are exempt, and the solve takes the
-        # sweeps of the global stop and one polish decision alone.
+        # that hold their rounding noise are tested against max|a_ii|: the
+        # solve takes no more sweeps than at a floor that admits that noise,
+        # and its eigenvalues are as accurate.
         b = random_matrix(rng, n, max(1, n // 3), complex_)
         h = b @ b.conj().T
-        sweeps = lo.hermitian_eigen(h).sweeps
-        monkeypatch.setattr(lowdin.linalg, "_settled", lambda *args: True)
-        assert sweeps == lo.hermitian_eigen(h).sweeps
+        eigen = lo.hermitian_eigen(h)
+        assert eigen.sweeps <= lo.hermitian_eigen(h, lo.ToleranceConfig(rank_tol=1e-30)).sweeps
+        reference = np.linalg.eigh(h)[0][::-1]
+        assert lo.max_abs(eigen.eigenvalues - reference) <= 1e-13 * reference[0]
 
 
 class TestKernelPlanes:

@@ -195,8 +195,7 @@ class TestMetricSolve:
         assert lo.hermitian_eigen(gram_metric(v)).sweeps == 16
 
     def test_sweep_count_on_an_ill_conditioned_complex_64x64(self):
-        # 5 sweeps meet the target and leave every pair within
-        # |a_pq| <= ε·√|a_pp·a_qq|, so no polish sweep runs (6 when it always ran).
+        # 5 sweeps leave every pair within |a_pq| <= √n·ε·√(d'_p·d'_q).
         assert lo.factorize(_ill_conditioned_64x64(complex_=True)).eigen.sweeps == 5
 
     @pytest.mark.parametrize("complex_", [False, True])

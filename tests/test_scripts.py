@@ -62,14 +62,14 @@ def test_committed_accuracy_table_holds_every_residual_within_its_bound():
 
 
 def test_a_3x3_takes_no_sweep_from_cond_1e14():
-    # cond 1: T = L†·L is the identity to rounding, and some of those
-    # rounding-size pairs still fail |a_pq| <= ε·√|a_pp·a_qq|, so the
-    # polish sweep runs.  From 1e14 on, the QR/LQ rounds alone leave T
-    # diagonal to that test: no sweep at all.
+    # cond 1: T = L†·L is the identity to rounding, which already passes
+    # |a_pq| <= √n·ε·√(d'_p·d'_q).  From 1e14 on, the QR/LQ rounds alone
+    # leave T diagonal to that test.  Only the cells between need sweeps.
     script = load_script("accuracy")
     rng = np.random.default_rng(0)
     sweeps = {k: script.cell(rng, (3, 3), False, 10.0**k, 2)["sweeps"] for k in range(0, 29, 2)}
-    assert sweeps[0] >= 1
+    assert sweeps[0] == 0
+    assert all(sweeps[k] >= 1 for k in range(2, 14, 2))
     assert all(sweeps[k] == 0 for k in range(14, 29, 2))
 
 
