@@ -206,9 +206,10 @@ _RESIDUALS = {
 
 
 # QR/LQ rounds that precondition the metric solve.  Each round is one
-# unshifted QR-iteration step on M and costs two QRs; on the
-# benchmark's solves (m 8-64, cond(M) 1-1e10) three rounds took fewer
-# Jacobi sweeps than two at a net gain, and a fourth gained nothing more.
+# unshifted QR-iteration step on M and costs two QRs.  Over one window
+# of the benchmark's solves (m 8-64, cond(M) 1-1e10), with sweeps that
+# open on the neighbour pairs, two rounds took 225 Jacobi sweeps and
+# more time, three 202, and four 184 but no time beyond the host's noise.
 _QLP_ROUNDS = 3
 
 
