@@ -7,9 +7,11 @@ exact, for each shape in SHAPES, real and complex, at cond(M) = 1, 1e2,
 is factored with rank_tol = 1e-300 (CONFIG).  For every key of
 ``Factorization.residuals()`` each cell records the worst value over
 its draws, the median and the bound ``Factorization.bounds()`` gives,
-plus the most Jacobi sweeps a metric solve took.  The file also holds
-the seed and the command line, its keys are sorted and it records no
-time, so the same command with one BLAS thread writes the same bytes
+plus the most Jacobi sweeps a metric solve took (``sweeps``) and the
+sweeps of all its draws together (``sweeps_total``), which shows the
+solver work a change saves and not only its worst draw.  The file also
+holds the seed and the command line, its keys are sorted and it records
+no time, so the same command with one BLAS thread writes the same bytes
 on the same host and numpy.
 
 Usage:
@@ -49,7 +51,10 @@ def controlled_matrix(rng, shape, metric_condition, complex_=False):
 
 
 def cell(rng, shape, complex_, metric_condition, trials):
-    """Worst, median and bound of every residual over ``trials`` draws, and the most sweeps."""
+    """Worst, median and bound of every residual over ``trials`` draws, and the sweeps.
+
+    ``sweeps`` is the most any draw took, ``sweeps_total`` their sum.
+    """
     draws = [
         lo.factorize(controlled_matrix(rng, shape, metric_condition, complex_), CONFIG)
         for _ in range(trials)
@@ -63,7 +68,8 @@ def cell(rng, shape, complex_, metric_condition, trials):
         }
         for name, bound in draws[0].bounds().items()
     }
-    return {"residuals": residuals, "sweeps": max(f.eigen.sweeps for f in draws)}
+    sweeps = [f.eigen.sweeps for f in draws]
+    return {"residuals": residuals, "sweeps": max(sweeps), "sweeps_total": sum(sweeps)}
 
 
 def main():

@@ -540,13 +540,13 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     rotations applied together, the first two of which rotate the
     neighbour pairs (i, i + 1), where the QR/LQ-preconditioned metric of
     ``decompositions.factorize`` holds most of its off-diagonal weight;
-    on generic dense input the labelling neither helps nor hurts.  Before each sweep every pair is tested
-    against |a_pq| <= √n·ε·√(d'_p·d'_q), with d'_i = |a_ii|, or
-    max|a_ii| where |a_ii| <= ``cfg.rank_tol``·max|a_ii|, since such an
-    entry holds an eigenvalue the rank cutoff rejects; the sweeps stop
-    once every pair passes.  So an input already diagonal to that test
-    takes no sweep, and ``sweeps`` is the smallest sweep limit that does
-    not raise.
+    on generic dense input the labelling neither helps nor hurts.
+    Before each sweep every pair is tested against
+    |a_pq| <= √n·ε·√(d'_p·d'_q), with d'_i = |a_ii|, or max|a_ii| where
+    |a_ii| <= ``cfg.rank_tol``·max|a_ii|, since such an entry holds an
+    eigenvalue the rank cutoff rejects; the sweeps stop once every pair
+    passes.  So an input already diagonal to that test takes no sweep,
+    and ``sweeps`` is the smallest sweep limit that does not raise.
 
     Parameters
     ----------

@@ -165,7 +165,7 @@ class TestHermitianEigen:
 
 
 class TestRoundRobinSchedule:
-    @pytest.mark.parametrize("n", range(1, 18))
+    @pytest.mark.parametrize("n", range(1, 65))
     def test_each_pair_once_per_sweep_in_disjoint_steps(self, n):
         steps = _schedule(n).tolist()
         size = n + n % 2
@@ -178,12 +178,19 @@ class TestRoundRobinSchedule:
         expected = [(p, q) for p in range(n) for q in range(p + 1, n)]
         assert sorted(seen) == expected
 
-    @pytest.mark.parametrize("n", range(1, 18, 2))
+    @pytest.mark.parametrize("n", range(1, 65, 2))
     def test_odd_n_puts_the_dummy_pair_last_in_every_step(self, n):
         # ``_sweep`` rotates the first n // 2 pairs of a step only.
         steps = _schedule(n)
         assert np.all(steps[:, -1, 1] == n)
         assert np.all(steps[:, :-1, 1] < n)
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_steps_0_and_1_hold_every_neighbour_pair(self, n):
+        # The QR/LQ rounds leave the largest pivots of L†·L next to its
+        # diagonal, so each sweep opens on them.
+        opening = {tuple(pair) for pair in _schedule(n)[:2].reshape(-1, 2).tolist()}
+        assert {(i, i + 1) for i in range(n - 1)} <= opening
 
 
 class TestLayoutCache:
@@ -246,7 +253,7 @@ def _sweeps_needed(m, cfg=lo.DEFAULT_TOLERANCES):
             needed += 1
 
 
-class TestPolishRule:
+class TestNoSweepPastTheRelativeTest:
     """An input diagonal to the relative test takes no sweep, and no solve sweeps past it."""
 
     @pytest.mark.parametrize("complex_", [False, True])
@@ -268,7 +275,7 @@ class TestPolishRule:
         kind=st.sampled_from(["psd", "indefinite", "rank_deficient"]),
         complex_=st.booleans(),
     )
-    def test_at_most_one_sweep_after_the_target(self, seed, n, kind, complex_):
+    def test_stops_once_every_pair_passes_the_relative_test(self, seed, n, kind, complex_):
         rng = np.random.default_rng(seed)
         a = random_matrix(rng, n, n if kind != "rank_deficient" else int(rng.integers(1, n)), complex_)
         h = (a + a.conj().T) / 2.0 if kind == "indefinite" else a @ a.conj().T
@@ -304,15 +311,16 @@ class TestRelativeStop:
         assert max(lo.hermitian_eigen(h, cfg).sweeps, 1) == _sweeps_needed(h, cfg)
 
     @pytest.mark.parametrize("complex_", [False, True])
-    def test_polishes_until_the_small_eigenvalues_have_converged(self, complex_):
-        # A global off-diagonal target left these 64 x 64 V at cond(M) = 1e18
-        # with orthonormality 5.5e-10 (real) and 1.1e-11 (complex) after 4
-        # sweeps: the block of small eigenvalues had not converged relative
-        # to itself.  The relative test takes one more sweep, to rounding.
+    def test_sweeps_until_the_small_eigenvalues_pass_the_relative_test(self, complex_):
+        # A global off-diagonal target once left these 64 x 64 V at
+        # cond(M) = 1e18 with orthonormality 5.5e-10 (real) and 1.1e-11
+        # (complex): the block of small eigenvalues had not converged
+        # relative to itself.  The relative test sweeps on until it has, to
+        # rounding.
         seed = 27 if complex_ else 0
         v = load_script("accuracy").controlled_matrix(np.random.default_rng(seed), (64, 64), 1e18, complex_)
         f = lo.factorize(v, lo.ToleranceConfig(rank_tol=1e-300))
-        assert f.eigen.sweeps == 5
+        assert f.eigen.sweeps == 4
         assert max(f.residuals("phi_orthonormality", "lambda_orthonormality").values()) <= 1e-13
 
     @pytest.mark.parametrize("complex_", [False, True])

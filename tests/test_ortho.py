@@ -189,14 +189,14 @@ class TestMetricSolve:
 
     def test_sweep_count_on_an_ill_conditioned_64x64(self):
         # cond(M) = 1e10: the solve on L†·L after three QR/LQ rounds takes 5
-        # sweeps (one QR of V† took 10), the Gram route 16.
+        # sweeps (one QR of V† took 10), a fraction of the Gram route's 18.
         v = _ill_conditioned_64x64(complex_=False)
         assert lo.factorize(v).eigen.sweeps == 5
-        assert lo.hermitian_eigen(gram_metric(v)).sweeps == 16
+        assert lo.hermitian_eigen(gram_metric(v)).sweeps == 18
 
     def test_sweep_count_on_an_ill_conditioned_complex_64x64(self):
-        # 5 sweeps leave every pair within |a_pq| <= √n·ε·√(d'_p·d'_q).
-        assert lo.factorize(_ill_conditioned_64x64(complex_=True)).eigen.sweeps == 5
+        # 4 sweeps leave every pair within |a_pq| <= √n·ε·√(d'_p·d'_q).
+        assert lo.factorize(_ill_conditioned_64x64(complex_=True)).eigen.sweeps == 4
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_accurate_on_an_ill_conditioned_64x64(self, complex_):

@@ -39,8 +39,9 @@ def test_accuracy_writes_every_residual_against_its_bound(tmp_path):
     assert grid == [(s, d, c) for s in shapes for d in ("real", "complex") for c in levels]
     bounds = lo.factorize(np.eye(2)).bounds()
     for c in table["cells"]:
-        assert set(c) == {"shape", "dtype", "cond", "residuals", "sweeps"}
+        assert set(c) == {"shape", "dtype", "cond", "residuals", "sweeps", "sweeps_total"}
         assert isinstance(c["sweeps"], int) and c["sweeps"] >= 0
+        assert c["sweeps_total"] == c["sweeps"]  # one draw per cell
         assert set(c["residuals"]) == set(bounds)
         for name, entry in c["residuals"].items():
             assert set(entry) == {"worst", "median", "bound"}
