@@ -3,13 +3,17 @@
 
 V is drawn with prescribed singular values, so cond(M) = cond(V†V) is
 exact, for each shape in SHAPES, real and complex, at cond(M) = 1, 1e2,
-..., 1e28.  The default rank cutoff would reject cond(M) >= 1e12, so V
-is factored with rank_tol = 1e-300 (CONFIG).  For every key of
-``Factorization.residuals()`` each cell records the worst value over
-its draws, the median and the bound ``Factorization.bounds()`` gives,
-plus the most Jacobi sweeps a metric solve took (``sweeps``) and the
-sweeps of all its draws together (``sweeps_total``), which shows the
-solver work a change saves and not only its worst draw.  The file also
+..., 1e28, and factored at the default config.  Each cell counts the
+draws the rank rule rejects (``rejected``): those whose smallest
+singular value is at most max(n, m)·ε times the largest, which at
+cond(M) = 1e28 (a ratio of 1e-14) are the draws of 64 x 64, 64 x 16 and
+128 x 32.  For every key of ``Factorization.residuals()`` each cell
+records the worst value over its admitted draws, the median and the
+bound ``Factorization.bounds()`` gives, plus the most Jacobi sweeps a
+metric solve took (``sweeps``) and the sweeps of all its admitted draws
+together (``sweeps_total``), which shows the solver work a change saves
+and not only its worst draw; a cell with no admitted draw has no
+residuals and 0 sweeps.  The file also
 holds the seed and the command line, its keys are sorted and it records
 no time, so the same command with one BLAS thread writes the same bytes
 on the same host and numpy.
@@ -30,8 +34,6 @@ import lowdin as lo
 SEED = 0
 SHAPES = ((3, 3), (8, 8), (32, 32), (64, 64), (40, 12), (64, 16), (128, 32))
 LEVELS = [10.0**k for k in range(0, 29, 2)]
-# rank_tol far below 1/1e28, so no level trips the rank cutoff.
-CONFIG = lo.ToleranceConfig(rank_tol=1e-300)
 
 
 def _orthonormal_columns(rng, n, m, complex_):
@@ -51,14 +53,17 @@ def controlled_matrix(rng, shape, metric_condition, complex_=False):
 
 
 def cell(rng, shape, complex_, metric_condition, trials):
-    """Worst, median and bound of every residual over ``trials`` draws, and the sweeps.
+    """Worst, median and bound of every residual over the admitted draws, the sweeps and the rejected.
 
-    ``sweeps`` is the most any draw took, ``sweeps_total`` their sum.
+    ``sweeps`` is the most any admitted draw took, ``sweeps_total`` their
+    sum, and ``rejected`` the number of draws that raised SingularMetric.
     """
-    draws = [
-        lo.factorize(controlled_matrix(rng, shape, metric_condition, complex_), CONFIG)
-        for _ in range(trials)
-    ]
+    draws, rejected = [], 0
+    for _ in range(trials):
+        try:
+            draws.append(lo.factorize(controlled_matrix(rng, shape, metric_condition, complex_)))
+        except lo.SingularMetric:
+            rejected += 1
     values = [f.residuals() for f in draws]
     residuals = {
         name: {
@@ -66,10 +71,15 @@ def cell(rng, shape, complex_, metric_condition, trials):
             "median": float(np.median([v[name] for v in values])),
             "bound": bound,
         }
-        for name, bound in draws[0].bounds().items()
+        for name, bound in (draws[0].bounds() if draws else {}).items()
     }
     sweeps = [f.eigen.sweeps for f in draws]
-    return {"residuals": residuals, "sweeps": max(sweeps), "sweeps_total": sum(sweeps)}
+    return {
+        "residuals": residuals,
+        "sweeps": max(sweeps, default=0),
+        "sweeps_total": sum(sweeps),
+        "rejected": rejected,
+    }
 
 
 def main():

@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Byte-compare every CLI output of two lowdin checkouts.
 
-Writes a corpus of 162 inputs to WORK/corpus: the test fixtures, 120
+Writes a corpus of 165 inputs to WORK/corpus: the test fixtures, 120
 random real and complex V (n <= 40, wide V among them, cond(V†V) up to
-1e12) and twelve hostile files (a bad token, a ragged row, an
-overflowing token, 1e200·I, 1e-200·I, a rank-deficient, a zero, a 1 x 1,
-a row and a column matrix, and two V whose d is subnormal: 1e-160·I and
-a tall 3 x 2 V of entries near 1e-158), all csv, plus tsv copies of the
-fixtures and of the first 20 random inputs.  Every command runs on every
-csv input with default flags, and on the hostile files, the fixtures
-whose names do not start with "r" and the first 20 random inputs also
-with ``--max-sweeps 2`` and with ``--rank-tol 1e-30``; on every tsv
-input it runs once, with ``--format tsv``: 1624 runs in all.
+1e12) and fifteen hostile files (a bad token, a ragged row, an
+overflowing token, 1e200·I, 1e160·I, 1e-200·I, [[1e300, 1], [1, 1e-300]],
+a rank-deficient, a zero, a 1 x 1, a row and a column matrix, and three
+V whose d is subnormal or underflows: 1e-160·I, a tall 3 x 2 V of
+entries near 1e-158 and [[1e-170], [1e-170]]), all csv, plus tsv copies
+of the fixtures and of the first 20 random inputs.  Every command runs
+on every csv input with default flags, and on the hostile files, the
+fixtures whose names do not start with "r" and the first 20 random
+inputs also with ``--max-sweeps 2``; on every tsv input it runs once,
+with ``--format tsv``: 1421 runs in all.
 Each checkout runs the corpus in its own interpreter, with its own
 ``src`` first on ``PYTHONPATH`` and without writing bytecode into it,
 and stores the factor files, ``report.json`` (with ``elapsed_ms``
@@ -50,7 +51,10 @@ HOSTILE = {
     "ragged": "1,2\n3\n",
     "inf": "1e999,0\n0,1\n",
     "big": "1e200,0\n0,1e200\n",
+    "big_d": "1e160,0\n0,1e160\n",
     "tiny": "1e-200,0\n0,1e-200\n",
+    "tiny_d": "1e-170\n1e-170\n",
+    "graded": "1e300,1\n1,1e-300\n",
     "subnormal_d": "1e-160,0\n0,1e-160\n",
     "subnormal_d_tall": "1e-158,2e-158\n3e-158,-1e-158\n5e-158,1e-158\n",
     "rankdef": "1,2\n2,4\n",
@@ -66,7 +70,7 @@ import contextlib, io, json, sys
 from pathlib import Path
 from lowdin import cli
 corpus, out = Path(sys.argv[1]), Path(sys.argv[2])
-flags = {"default": [], "sweeps2": ["--max-sweeps", "2"], "ranktiny": ["--rank-tol", "1e-30"]}
+flags = {"default": [], "sweeps2": ["--max-sweeps", "2"]}
 for path in sorted(corpus.iterdir()):
     if path.suffix == ".tsv":
         variants = {"tsv": ["--format", "tsv"]}

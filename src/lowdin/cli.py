@@ -160,7 +160,7 @@ def run(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
         report.update(
             eigenvalues=[_json_number(x) for x in f.eigen.eigenvalues],
             singular_values=[_json_number(x) for x in f.sigma],
-            condition_estimate=_json_number(f.eigen.condition_estimate()),
+            condition_estimate=_json_number(f.condition),
         )
     except tuple(_EXIT_CODES) as exc:
         code = next(c for kind, c in _EXIT_CODES.items() if isinstance(exc, kind))
@@ -213,7 +213,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lowdin",
         usage="%(prog)s COMMAND --input INPUT [options]",
-        description="Orthogonalize a matrix and verify the derived factorizations.",
+        description="Orthogonalize a matrix and verify the derived factorizations.\n\n"
+        "An n x m input V is rank deficient, and the run exits 3 with SingularMetric,\n"
+        "when a singular value of V is at most max(n, m)·ε·σ_max, the rule of\n"
+        "numpy.linalg.matrix_rank.",
         epilog=epilog,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -225,20 +228,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("csv", "tsv"), default="csv", help="input and output files (default: csv)"
     )
-    # Unset options keep ToleranceConfig's defaults, so only given ones override.
-    defaults = ToleranceConfig()
-    parser.add_argument(
-        "--rank-tol",
-        type=float,
-        default=None,
-        help="relative eigenvalue cutoff below which the metric counts as singular, "
-        f"in (0, 1) (default: {defaults.rank_tol:g})",
-    )
     parser.add_argument(
         "--max-sweeps",
         type=int,
-        default=None,
-        help=f"Jacobi sweep limit, an integer >= 1 (default: {defaults.max_sweeps}); "
+        default=ToleranceConfig.max_sweeps,
+        help=f"Jacobi sweep limit, an integer >= 1 (default: {ToleranceConfig.max_sweeps}); "
         "exit 3 with NoConvergence if a pair still fails the solver's relative "
         "test after that many sweeps",
     )
@@ -247,9 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {"rank_tol": args.rank_tol, "max_sweeps": args.max_sweeps}
     try:
-        cfg = ToleranceConfig(**{k: v for k, v in overrides.items() if v is not None})
+        cfg = ToleranceConfig(max_sweeps=args.max_sweeps)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

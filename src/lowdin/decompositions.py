@@ -24,6 +24,7 @@ using that shared eigendecomposition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -74,8 +75,10 @@ class Factorization:
     """V with the one checked eigendecomposition of its metric.
 
     ``lam`` is the canonical basis Λ with the (U, d) of M = V†V attached
-    as ``source_eigen``, and ``sigma`` the singular values d^{1/2} of V,
-    computed as 2^e·√d_T from the same solve.  Φ, the polar factors, the
+    as ``source_eigen``, ``sigma`` the singular values d^{1/2} of V,
+    computed as 2^e·√d_T from the same solve, and ``condition`` cond(M) =
+    (σ_1/σ_m)², read on the scaled σ_T so it is finite for every V
+    ``factorize`` admits.  Φ, the polar factors, the
     reduced SVD, the relation product Φ·U and the principal components of
     S = V·V† are views of it, computed on first use and cached; none of
     them diagonalizes M again.  Build one with ``factorize``.
@@ -88,6 +91,7 @@ class Factorization:
     v: np.ndarray
     lam: OrthonormalBasis
     sigma: np.ndarray
+    condition: float
 
     @property
     def eigen(self) -> HermitianEigen:
@@ -243,11 +247,13 @@ def factorize(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
     and where d is subnormal (V near 1e-160) it keeps the bits d lost,
     so σ(2^k·V) is 2^k·σ(V) bit for bit wherever both are computed.
 
-    Raises OverflowError, quoting max|V|, when d leaves the float64
-    range; SingularMetric, with the first index at or below the cutoff
-    ``rank_tol``·d_1, its value and the condition estimate, when M fails
-    the rank cutoff; NoConvergence when the eigensolver runs out of
-    sweeps.
+    Rank is decided once, on σ_T = √max(d_T, 0), by the rule of
+    ``numpy.linalg.matrix_rank``: SingularMetric, with the first failing
+    index j, d_j and condition ``inf``, when σ_T,j <= max(n, m)·ε·σ_T,1
+    (so a zero V too).  The rule reads the scaled domain, so 2^k·V gets
+    V's verdict.  Then OverflowError, quoting max|V|, when d = 2^2e·d_T
+    overflows; an underflowed d is kept as computed, as σ carries V's
+    scale.  NoConvergence when the eigensolver runs out of sweeps.
     """
     v = as_matrix(v)
     scaled, exponent = _scaled_to_unit(v)
@@ -261,30 +267,32 @@ def factorize(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
     # T = L†·L as computed; hermitian_eigen symmetrizes it.  The Frobenius
     # norm of L is that of 2^-e·V, below √(2nm), so no entry of T reaches 2nm.
     reduced = hermitian_eigen(l_adjoint @ factor, cfg)
-    eigenvectors, phases = _phase_fixed(right @ reduced.eigenvectors)
-    # The checks come before Λ, whose column norms are zero for a zero d_T.
+    # The checks come before Λ, whose column norms are σ_T.
+    sigma = np.sqrt(np.maximum(reduced.eigenvalues, 0.0))
+    cutoff = max(v.shape) * np.finfo(np.float64).eps * sigma[0]
     with np.errstate(over="ignore"):
         d = np.ldexp(reduced.eigenvalues, 2 * exponent)
-    if not np.all(np.isfinite(d)):
-        raise OverflowError(f"V†V overflows float64 (max|V| = {max_abs(v):.3e})")
-    eigen = HermitianEigen(eigenvalues=d, eigenvectors=eigenvectors, sweeps=reduced.sweeps)
-    cutoff = cfg.rank_tol * float(d[0])
-    bad = np.nonzero(d <= cutoff)[0]
+    bad = np.nonzero(sigma <= cutoff)[0]
     if bad.size:
-        index, condition = int(bad[0]), eigen.condition_estimate()
+        index = int(bad[0])
         raise SingularMetric(
-            f"eigenvalue {index} = {float(d[index]):.6e} is at or below the "
-            f"rank cutoff {cutoff:.6e} (condition estimate {condition:.3e})",
+            f"singular value {index} = {np.ldexp(sigma[index], exponent):.6e} is at or below "
+            f"the rank cutoff max(n, m)·ε·σ_0 = {np.ldexp(cutoff, exponent):.6e}",
             eigenvalue_index=index,
             eigenvalue=float(d[index]),
-            condition=condition,
+            condition=math.inf,
         )
+    if not np.all(np.isfinite(d)):
+        raise OverflowError(f"V†V overflows float64 (max|V| = {max_abs(v):.3e})")
+    eigenvectors, phases = _phase_fixed(right @ reduced.eigenvectors)
+    eigen = HermitianEigen(eigenvalues=d, eigenvectors=eigenvectors, sweeps=reduced.sweeps)
     w = factor @ reduced.eigenvectors
     w *= phases / np.linalg.norm(w, axis=0)
     for p in reversed(left):
         w = p @ w
     lam = OrthonormalBasis(matrix=w, method=Method.CANONICAL, source_eigen=eigen)
-    return Factorization(v=v, lam=lam, sigma=np.ldexp(np.sqrt(reduced.eigenvalues), exponent))
+    condition = float((sigma[0] / sigma[-1]) ** 2)
+    return Factorization(v=v, lam=lam, sigma=np.ldexp(sigma, exponent), condition=condition)
 
 
 def polar_decompose(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PolarFactors:

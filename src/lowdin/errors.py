@@ -32,10 +32,11 @@ class NoConvergence(LinalgError):
 
 
 class SingularMetric(LinalgError):
-    """Metric matrix has an eigenvalue at or below the rank cutoff.
+    """V fails the rank rule: a singular value at most max(n, m)·ε·σ_max.
 
-    Carries the index of the offending eigenvalue (in descending order),
-    its value, and the condition estimate largest/smallest.
+    Carries the index of the first offending singular value (descending
+    order), its eigenvalue of the metric V†V, and the condition estimate,
+    ``inf`` for a rejected V.
     """
 
     def __init__(self, message, eigenvalue_index, eigenvalue, condition):

@@ -27,9 +27,8 @@ one rule, checked before every sweep (``_settled``): every pair passes
 the relative test |a_pq| <= √n·ε·√(d'_p·d'_q) of LAPACK's xGESVJ
 (Drmač & Veselić, SIMAX 29, 2008; Demmel & Veselić, SIMAX 13, 1992),
 where d'_i = |a_ii|, or max|a_ii| for a diagonal entry at or below the
-rank floor ``rank_tol``·max|a_ii|, so the small eigenvalues converge
-relative to themselves and the rounding noise of a rejected one cannot
-keep the solver sweeping.
+floor (n·ε)²·max|a_ii|, so the small eigenvalues converge relative to
+themselves and an exactly zero one cannot keep the solver sweeping.
 
 Matrices are plain ``numpy`` arrays; ``as_matrix`` gives them
 ``complex128`` entries, and eigenvectors are returned as ``complex128``.
@@ -70,14 +69,14 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """The two settings a caller may choose, beside the package's fixed bounds.
+    """The one setting a caller may choose, beside the package's fixed bounds.
 
-    rank_tol             relative eigenvalue cutoff below which a metric
-                         counts as singular, in (0, 1)
     max_sweeps           hard limit on Jacobi sweeps before giving up, an
                          integer of at least 1
 
-    The bounds on the paper's identities are constants, readable on any
+    Whether V has full column rank is no setting: ``factorize`` decides
+    it from V itself, by the rule of ``numpy.linalg.matrix_rank``.  The
+    bounds on the paper's identities are constants, readable on any
     instance but not settable, so no caller can loosen the check:
 
     orthonormality_tol   bound on ``max|Z†Z - I|`` for orthonormal bases
@@ -92,12 +91,9 @@ class ToleranceConfig:
     orthonormality_tol: ClassVar[float] = 1e-10
     reconstruction_tol: ClassVar[float] = 1e-9
     eigen_convergence_tol: ClassVar[float] = 1e-14
-    rank_tol: float = 1e-12
     max_sweeps: int = 64
 
     def __post_init__(self):
-        if not 0.0 < self.rank_tol < 1.0:
-            raise ValueError("rank_tol must be strictly positive and below 1")
         if operator.index(self.max_sweeps) < 1:
             raise ValueError("max_sweeps must be at least 1")
 
@@ -128,9 +124,10 @@ class HermitianEigen(NamedTuple):
         """Ratio largest/smallest eigenvalue, ``inf`` if singular to rounding.
 
         The matrix counts as singular when d_min <= len(d)·ε·d_max, the
-        rounding floor of the solver, so an exactly singular input reads
-        ``inf`` whether its smallest computed eigenvalue came out as 0,
-        negative or a tiny positive number.
+        rounding floor of a solve of M itself, so an exactly singular input
+        reads ``inf`` whether its smallest computed eigenvalue came out as
+        0, negative or a tiny positive number.  ``factorize`` reports its
+        own, ``Factorization.condition``, from V's singular values.
         """
         largest, smallest = float(self.eigenvalues[0]), float(self.eigenvalues[-1])
         if smallest <= len(self.eigenvalues) * _EPS * largest:
@@ -269,17 +266,17 @@ def _off_diagonal_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def _settled(a: np.ndarray, n: int, rank_tol: float) -> bool:
+def _settled(a: np.ndarray, n: int) -> bool:
     """Whether every pair has |a_pq| <= √n·ε·√(d'_p·d'_q).
 
     ``a`` is a work matrix stored as planes, of n indices plus odd n's
-    dummy.  d'_i = |a_ii| above the rank floor ``rank_tol``·max|a_ii|,
-    and max|a_ii| at or below it: such an entry holds an eigenvalue the
-    rank cutoff rejects, whose rounding noise is tested normwise so it
-    cannot keep the solver sweeping.  √n·ε is the threshold of LAPACK's
-    xGESVJ (Drmač & Veselić, SIMAX 29, 2008); with ε alone, sweeps do
-    not settle on ε-sized noise.  The test is scale-invariant, so 2^k·M
-    gets the verdicts of M.
+    dummy.  d'_i = |a_ii| above the floor (n·ε)²·max|a_ii|, and
+    max|a_ii| at or below it, so the rounding noise of a zero eigenvalue
+    is tested normwise and cannot keep the solver sweeping.  The floor
+    lies below every d_T that ``factorize``'s rank rule admits,
+    (max(n, m)·ε)²·d_T,1 for an n x m V.  √n·ε is the threshold of LAPACK's xGESVJ (Drmač & Veselić,
+    SIMAX 29, 2008); with ε alone, sweeps do not settle on ε-sized noise.
+    The test is scale-invariant, so 2^k·M gets the verdicts of M.
     """
     magnitudes = np.abs(np.diagonal(a[:, 0]))
     largest = magnitudes.max()
@@ -288,7 +285,8 @@ def _settled(a: np.ndarray, n: int, rank_tol: float) -> bool:
     # so one norm rejects a matrix far from diagonal without the pairwise test.
     if _off_diagonal_norm(a) > threshold * magnitudes.size * largest:
         return False
-    roots = np.sqrt(np.where(magnitudes > rank_tol * largest, magnitudes, largest))
+    floor = (n * _EPS) ** 2 * largest
+    roots = np.sqrt(np.where(magnitudes > floor, magnitudes, largest))
     moduli = np.hypot.reduce(a, axis=1, initial=0.0)  # hypot(0, x) = |x| for one plane
     np.fill_diagonal(moduli, 0.0)
     return bool(np.all(moduli <= threshold * np.outer(roots, roots)))
@@ -543,9 +541,8 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     on generic dense input the labelling neither helps nor hurts.
     Before each sweep every pair is tested against
     |a_pq| <= √n·ε·√(d'_p·d'_q), with d'_i = |a_ii|, or max|a_ii| where
-    |a_ii| <= ``cfg.rank_tol``·max|a_ii|, since such an entry holds an
-    eigenvalue the rank cutoff rejects; the sweeps stop once every pair
-    passes.  So an input already diagonal to that test takes no sweep,
+    |a_ii| <= (n·ε)²·max|a_ii| (``_settled``); the sweeps stop once every
+    pair passes.  So an input already diagonal to that test takes no sweep,
     and ``sweeps`` is the smallest sweep limit that does not raise.
 
     Parameters
@@ -553,7 +550,7 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     m : array_like
         Square matrix within HERMITICITY_TOL·max|M| of M†.
     cfg : ToleranceConfig
-        Supplies the sweep limit and the rank floor of the test.
+        Supplies the sweep limit, the only setting the solver reads.
 
     Returns
     -------
@@ -582,7 +579,7 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     aw = _work_array(a, last)
     sweep = _sweeper(aw, written, n // 2)  # n // 2 pairs per step are not odd n's dummy
     sweeps = 0
-    while not _settled(aw[0], n, cfg.rank_tol):
+    while not _settled(aw[0], n):
         if sweeps == cfg.max_sweeps:
             off = float(np.ldexp(_off_diagonal_norm(aw[0]), exponent))
             raise NoConvergence(

@@ -76,7 +76,7 @@ def symmetric_orthogonalize(
     Parameters
     ----------
     v : array_like
-        n x m matrix of full column rank within ``rank_tol``.
+        n x m matrix of full column rank by ``factorize``'s rank rule.
 
     Returns
     -------
@@ -87,7 +87,7 @@ def symmetric_orthogonalize(
     Raises
     ------
     SingularMetric
-        If the metric fails the rank cutoff, with condition diagnostics.
+        If V fails the rank rule, with its diagnostics.
     """
     from .decompositions import factorize
 

@@ -1,6 +1,7 @@
 """Shared generators for the test suite."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,17 @@ def random_unitary(rng, n, complex_=False):
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
+
+
+def exact_scales(v, ks=range(-1100, 601)):
+    """The k of ``ks`` for which every nonzero real and imaginary part of 2^k·V is normal.
+
+    Then 2^k·V is exact, so it is V scaled and not another matrix, as it
+    is once a part rounds to a subnormal number or overflows.
+    """
+    parts = np.abs(np.asarray(v, dtype=np.complex128).view(np.float64))
+    low, high = (math.frexp(float(x))[1] for x in (parts[parts > 0].min(), parts.max()))
+    return [k for k in ks if low + k >= -1021 and high + k <= 1024]
 
 
 def load_script(name):

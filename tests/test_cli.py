@@ -328,22 +328,40 @@ class TestOneFactorization:
 
     @pytest.mark.parametrize("seed", [*range(10), pytest.param(None, id="near-singular")])
     def test_every_command_reports_one_condition_estimate(self, tmp_path, seed):
-        # condition_estimate is d_max/d_min of the metric solve for every command.
+        # condition_estimate is the factorization's (σ_T,1/σ_T,m)² for every
+        # command.
         if seed is None:
-            # d_min is about 2.5e-19, within the solver's rounding of 0, and
-            # the default rank cutoff would reject it.
+            # σ_min/σ_max is about 3.5e-10, so cond(M) is about 8e18: the rank
+            # rule admits V, and the estimate is finite, though d_min is
+            # within a solve of M's rounding of 0.
             v = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9], [0.0, 0.0]])
-            extra = ("--rank-tol", "1e-300")
         else:  # 6 x 4, real for even seeds, complex for odd ones
-            v, extra = random_matrix(np.random.default_rng(seed), 6, 4, seed % 2 == 1), ()
+            v = random_matrix(np.random.default_rng(seed), 6, 4, seed % 2 == 1)
         source = tmp_path / "in.csv"
         write_matrix_file(source, v)
         estimates = {}
         for command in COMMANDS:
-            run_cli(command, source, tmp_path / command, *extra)
+            run_cli(command, source, tmp_path / command)
             estimates[command] = load_report(tmp_path / command)["condition_estimate"]
-        expected = "inf" if seed is None else lo.factorize(v).eigen.condition_estimate()
+        expected = lo.factorize(v).condition
         assert estimates == dict.fromkeys(COMMANDS, expected)
+        assert expected == pytest.approx(np.linalg.cond(v) ** 2, rel=1e-6)
+
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_condition_estimate_is_finite_for_every_admitted_v(self, tmp_path, complex_):
+        # Read on the scaled σ_T, cond(M) stays finite past 1/(m·ε), where
+        # d_max/d_min of M's own solve would read inf, and it ignores d's
+        # range: 1e-200·I, whose d underflows to 0, reads 1 and exits 0.
+        v = load_script("accuracy").controlled_matrix(
+            np.random.default_rng(0), (40, 12), 1e20, complex_
+        )
+        for name, matrix, expected in (("graded", v, 1e20), ("tiny", 1e-200 * np.eye(2), 1.0)):
+            source = tmp_path / f"{name}.csv"
+            write_matrix_file(source, matrix)
+            assert run_cli("verify", source, tmp_path / name) == 0
+            report = load_report(tmp_path / name)
+            assert report["condition_estimate"] == pytest.approx(expected, rel=1e-6)
 
 
 class TestErrorsAndExitCodes:
@@ -403,21 +421,22 @@ class TestErrorsAndExitCodes:
         assert not (tmp_path / "report.json").exists()
 
     def test_bad_tolerance_exits_2(self, tmp_path, capsys):
-        # A cutoff rank_tol·d₀ at or above d₀ would reject every metric.
-        for value in ("0", "1", "inf"):
+        # A sweep limit below 1 would stop every solve before it starts.
+        for value in ("0", "-1"):
             code = run_cli(
                 "symmetric",
                 FIXTURES / "identity_2x2.csv",
                 tmp_path / value,
-                "--rank-tol",
+                "--max-sweeps",
                 value,
             )
             assert code == 2
-            assert "strictly positive and below 1" in capsys.readouterr().err
+            assert "max_sweeps must be at least 1" in capsys.readouterr().err
             assert not (tmp_path / value / "report.json").exists()
 
     @pytest.mark.parametrize(
-        "flag", ["--tol-orthonormality", "--tol-reconstruction", "--tol-eigen-convergence"]
+        "flag",
+        ["--tol-orthonormality", "--tol-reconstruction", "--tol-eigen-convergence", "--rank-tol"],
     )
     def test_no_flag_moves_a_fixed_bound(self, tmp_path, flag):
         with pytest.raises(SystemExit) as excinfo:
@@ -462,19 +481,6 @@ class TestErrorsAndExitCodes:
             files = ["report.json"] + [f"{command}_{view}.csv" for view in COMMANDS[command].views]
             assert sorted(p.name for p in out.iterdir()) == sorted(files)
 
-    def test_rank_tol_flag_changes_the_cutoff(self, tmp_path):
-        # with a huge rank cutoff even a well-conditioned metric is
-        # flagged singular
-        code = run_cli(
-            "symmetric",
-            FIXTURES / "shear_2x2.csv",
-            tmp_path,
-            "--rank-tol",
-            "0.9",
-        )
-        assert code == 3
-        assert load_report(tmp_path)["error"]["type"] == "SingularMetric"
-
 
 # name -> (file text or None for a missing file, command, exit code, error type)
 HOSTILE = {
@@ -483,6 +489,8 @@ HOSTILE = {
     "ragged_row": ("1,2\n3\n", "polar", 2, "RaggedRows"),
     "overflow_token": ("1e999,0\n0,1\n", "verify", 2, "ParseError"),
     "huge_identity": ("1e200,0\n0,1e200\n", "relations", 3, "OverflowError"),
+    # Rank deficient by max(n, m)·ε, though its d also overflows.
+    "graded_1e300": ("1e300,1\n1,1e-300\n", "polar", 3, "SingularMetric"),
     "rank_deficient": ("1,2\n2,4\n", "canonical", 3, "SingularMetric"),
     "wide_pca": ("1,2,3\n4,5,6\n", "pca", 3, "SingularMetric"),
     "wide_verify": ("1,2,3\n4,5,6\n", "verify", 3, "SingularMetric"),
@@ -613,8 +621,8 @@ class TestParserReuse:
         assert excinfo.value.code == 0
         text = " ".join(capsys.readouterr().out.split())  # the wrapping follows the terminal
         for line in (
-            "--rank-tol RANK_TOL relative eigenvalue cutoff below which the metric counts as "
-            "singular, in (0, 1) (default: 1e-12)",
+            "when a singular value of V is at most max(n, m)·ε·σ_max, the rule of "
+            "numpy.linalg.matrix_rank.",
             "--max-sweeps MAX_SWEEPS Jacobi sweep limit, an integer >= 1 (default: 64)",
             "--format {csv,tsv} input and output files (default: csv)",
         ):

@@ -13,7 +13,7 @@ from lowdin.errors import DimensionMismatch, NotUnitary, SingularMetric
 from lowdin.linalg import _scaled_to_unit
 from lowdin.ortho import Method, OrthonormalBasis
 
-from conftest import random_full_rank, random_unitary
+from conftest import exact_scales, random_full_rank, random_unitary
 from oracles import decimal_singular_values, gram_metric
 from test_ortho import conditioned_matrices
 
@@ -120,21 +120,25 @@ class TestReducedSvd:
         assert np.all(np.abs(sigma - 1e-160) <= 2 * np.spacing(1e-160))
 
     def test_singular_values_are_bitwise_scale_covariant_wherever_it_factors(self):
-        # σ(2^k·V) is 2^k·σ(V) bit for bit for every k that factors, also
-        # where d is subnormal; the polar factor H = U·diag(σ)·U† follows.
+        # For every k at which 2^k·V is exact and so are its rounding errors
+        # ε·2^k·V, σ(2^k·V) is 2^k·σ(V) bit for bit, also where d
+        # underflows, until d overflows; the polar factor H = U·diag(σ)·U†
+        # follows.  Where ε·2^k·V is subnormal (k < -964 here), H's products
+        # round in the subnormal range.
         v = random_full_rank(np.random.default_rng(0), 6, 4, complex_=True)
         f = lo.factorize(v)
+        exact = exact_scales(np.finfo(float).eps * v)
         factored = []
-        for k in range(-1100, 601):
+        for k in exact:
             try:
                 scaled = lo.factorize(np.ldexp(1.0, k) * v)
-            except (OverflowError, SingularMetric):
+            except OverflowError:
                 continue
             assert np.array_equal(scaled.svd.singular_values, np.ldexp(f.svd.singular_values, k)), k
             assert np.array_equal(scaled.polar.positive, np.ldexp(1.0, k) * f.polar.positive), k
+            assert scaled.condition == f.condition, k
             factored.append(k)
-        assert factored == list(range(factored[0], factored[-1] + 1))
-        assert factored[0] < -530 and factored[-1] >= 500
+        assert factored == exact[: len(factored)] and factored[-1] >= 500
 
     @pytest.mark.parametrize(
         "shape", [(6, 4), (8, 8), (16, 8), (12, 12)], ids=lambda s: "%dx%d" % s
@@ -144,17 +148,26 @@ class TestReducedSvd:
         # 1e-14: each σ_j is determined to about ε·cond(B) relative, however
         # small (Demmel & Veselić, SIMAX 13, 1992), and the QR rounds and
         # Jacobi on T keep it so; σ from the Gram matrix V†V misses this gate
-        # by up to 120×.  The default rank cutoff rejects these V, whose
-        # cond(V) runs from 1e14 to 2e15, so rank_tol is 1e-300.
+        # by up to 120×.  cond(V) runs from 1e14 to 2e15, about the rank
+        # rule's max(n, m)/ε: the rule rejects one 8 x 8 and two 12 x 12
+        # draws, whose exact σ_min/σ_max is 0.17-0.55 of max(n, m)·ε, and
+        # the accuracy gate holds on every draw it admits.
         rng = np.random.default_rng(shape[0] * shape[1])
+        admitted = 0
         for _ in range(3):
             b = rng.standard_normal(shape)
             v = b * np.geomspace(1.0, 1e-14, shape[1])
-            f = lo.factorize(v, lo.ToleranceConfig(rank_tol=1e-300))
             exact = np.array([float(x) for x in decimal_singular_values(v)])
+            if exact[-1] <= max(shape) * np.finfo(float).eps * exact[0]:
+                with pytest.raises(SingularMetric):
+                    lo.factorize(v)
+                continue
+            f = lo.factorize(v)
             error = np.max(np.abs(f.sigma - exact) / exact)
             assert error <= 8 * np.finfo(float).eps * np.linalg.cond(b)
             assert f.residuals("projection_sum_gap")["projection_sum_gap"] <= RELATION_TOL
+            admitted += 1
+        assert admitted == {(8, 8): 2, (12, 12): 1}.get(shape, 3)
 
 
 class TestFactorizationResiduals:
@@ -238,9 +251,9 @@ class TestFactorizationResiduals:
         assert np.array_equal(copy.lam.matrix, f.lam.matrix)
 
     def test_bounds_are_the_fixed_constants(self):
-        # The config a V is factored with moves the rank cutoff and the
-        # sweep limit, never a bound.
-        bounds = lo.factorize(SHEAR, lo.ToleranceConfig(rank_tol=1e-300, max_sweeps=8)).bounds()
+        # The config a V is factored with moves the sweep limit, never a
+        # bound.
+        bounds = lo.factorize(SHEAR, lo.ToleranceConfig(max_sweeps=8)).bounds()
         assert bounds == lo.factorize(SHEAR).bounds()
         assert set(bounds) == self.NAMES
         assert bounds["phi_orthonormality"] == bounds["lambda_orthonormality"] == 1e-10
@@ -250,19 +263,22 @@ class TestFactorizationResiduals:
 
     def test_every_residual_is_bitwise_scale_invariant_wherever_it_factors(self):
         # Φ, Λ, U and the scaled-domain F are those of V bit for bit, and
-        # σ and H scale exactly, so each residual of 2^k·V reads that of V.
+        # σ and H scale exactly, so each residual of 2^k·V reads that of V,
+        # until d overflows, wherever 2^k·V is exact and so are the rounding
+        # errors ε·2^k·V that the reconstruction residuals measure.
         for complex_ in (False, True):
             v = random_full_rank(np.random.default_rng(0), 6, 4, complex_=complex_)
             expected = lo.factorize(v).residuals()
+            exact = exact_scales(np.finfo(float).eps * v)
             factored = []
-            for k in range(-1100, 601):
+            for k in exact:
                 try:
                     f = lo.factorize(np.ldexp(1.0, k) * v)
-                except (OverflowError, SingularMetric):
+                except OverflowError:
                     continue
                 assert f.residuals() == expected, (complex_, k)
                 factored.append(k)
-            assert factored[0] < -530 and factored[-1] >= 500
+            assert factored == exact[: len(factored)] and factored[-1] >= 500
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_a_tampered_h_fails_its_reconstruction_at_any_scale(self, complex_):
@@ -281,7 +297,7 @@ class TestFactorizationResiduals:
 
 
 class TestFactorizeCheckOrder:
-    """The overflow check, then the rank check, then Λ, whose column norms a zero d_T zeroes.
+    """The rank rule, then the overflow check, then Λ, whose column norms a zero σ_T zeroes.
 
     Run under the suite's ``error::RuntimeWarning`` filter, so assembling
     Λ from a singular metric would fail here with a division warning.
@@ -289,14 +305,15 @@ class TestFactorizeCheckOrder:
 
     @pytest.mark.parametrize("shape", [(3, 2), (1, 1)])
     def test_a_zero_v_fails_the_rank_check_at_its_first_eigenvalue(self, shape):
+        # σ_0 = 0 is at or below max(n, m)·ε·σ_0 = 0.
         with pytest.raises(SingularMetric) as caught:
             lo.factorize(np.zeros(shape))
         assert caught.value.eigenvalue_index == 0
         assert caught.value.eigenvalue == 0.0
         assert caught.value.condition == math.inf
         assert str(caught.value) == (
-            "eigenvalue 0 = 0.000000e+00 is at or below the rank cutoff "
-            "0.000000e+00 (condition estimate inf)"
+            "singular value 0 = 0.000000e+00 is at or below the rank cutoff "
+            "max(n, m)·ε·σ_0 = 0.000000e+00"
         )
 
     def test_a_zero_column_fails_the_rank_check_at_its_index(self):
@@ -305,14 +322,44 @@ class TestFactorizeCheckOrder:
         assert caught.value.eigenvalue_index == 1
         assert caught.value.condition == math.inf
         assert str(caught.value) == (
-            "eigenvalue 1 = 0.000000e+00 is at or below the rank cutoff "
-            "1.000000e-12 (condition estimate inf)"
+            "singular value 1 = 0.000000e+00 is at or below the rank cutoff "
+            "max(n, m)·ε·σ_0 = 6.661338e-16"
         )
 
-    def test_overflow_is_checked_before_the_rank(self):
-        # d = [inf, 0]: singular too, but the overflow is what it reports.
-        with pytest.raises(OverflowError, match=r"^V†V overflows float64 \(max\|V\| = 1\.000e\+200\)$"):
+    def test_the_rank_is_checked_before_the_overflow(self):
+        # d = [inf, 0]: it overflows too, but the rank rule, read on the
+        # scaled σ_T, is what it reports; the cutoff is quoted in V's units.
+        with pytest.raises(SingularMetric) as caught:
             lo.factorize([[1e200, 0.0], [0.0, 0.0]])
+        assert caught.value.eigenvalue_index == 1
+        assert str(caught.value) == (
+            "singular value 1 = 0.000000e+00 is at or below the rank cutoff "
+            "max(n, m)·ε·σ_0 = 4.440892e+184"
+        )
+
+    @pytest.mark.parametrize(
+        "v, error",
+        [
+            # σ = (1e300, 1e-300 or less): rank deficient, however its d overflows.
+            ([[1e300, 1.0], [1.0, 1e-300]], SingularMetric),
+            # Perfectly conditioned, with σ = 1e160 but d = 1e320.
+            (1e160 * np.eye(2), OverflowError),
+        ],
+        ids=["graded-1e300", "identity-1e160"],
+    )
+    def test_an_overflowing_d_is_an_error_only_for_an_admitted_v(self, v, error):
+        with pytest.raises(error):
+            lo.factorize(v)
+
+    @pytest.mark.parametrize("v", [1e-200 * np.eye(2), [[1e-170], [1e-170]], 5e-324 * np.eye(2)])
+    def test_an_underflowing_d_is_kept_as_computed(self, v):
+        # The rule reads 2^-e·V, so a perfectly conditioned V factors
+        # however small: d underflows to 0, and σ carries V's scale.
+        f = lo.factorize(v)
+        assert f.condition == 1.0
+        assert np.all(f.eigen.eigenvalues == 0.0)
+        assert np.all(f.sigma == lo.max_abs(v) * np.sqrt(np.shape(v)[0] / np.shape(v)[1]))
+        assert max(f.residuals().values()) <= 1e-15
 
 
 class TestConversions:

@@ -61,7 +61,7 @@ class TestGramMetric:
         for _ in range(20):
             v = random_matrix(rng, 5, 5)
             d = lo.hermitian_eigen(gram_metric(v)).eigenvalues
-            assert d[-1] >= -lo.DEFAULT_TOLERANCES.rank_tol * d[0]
+            assert d[-1] >= -len(d) * np.finfo(float).eps * d[0]
 
     def test_overflow_is_an_error(self):
         with pytest.raises(OverflowError):
@@ -291,7 +291,7 @@ class TestNoSweepPastTheRelativeTest:
 
 class TestRelativeStop:
     """Sweeps run while a pair fails |a_pq| <= √n·ε·√(d'_p·d'_q), with d'_i =
-    max|a_ii| for a diagonal entry at or below the rank floor."""
+    max|a_ii| for a diagonal entry at or below the floor (n·ε)²·max|a_ii|."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -299,15 +299,14 @@ class TestRelativeStop:
         n=st.integers(1, 24),
         kind=st.sampled_from(["psd", "indefinite", "rank_deficient"]),
         complex_=st.booleans(),
-        rank_tol=st.sampled_from([1e-12, 1e-30]),
     )
-    def test_sweeps_equals_the_smallest_limit_that_does_not_raise(self, seed, n, kind, complex_, rank_tol):
+    def test_sweeps_equals_the_smallest_limit_that_does_not_raise(self, seed, n, kind, complex_):
         # No sweep is run past the rule or cut off silently by the limit
         # (which is at least 1, so an input that takes no sweep needs 1).
         rng = np.random.default_rng(seed)
         a = random_matrix(rng, n, n if kind != "rank_deficient" else int(rng.integers(1, n + 1)), complex_)
         h = (a + a.conj().T) / 2.0 if kind == "indefinite" else a @ a.conj().T
-        cfg = lo.ToleranceConfig(rank_tol=rank_tol)
+        cfg = lo.DEFAULT_TOLERANCES
         assert max(lo.hermitian_eigen(h, cfg).sweeps, 1) == _sweeps_needed(h, cfg)
 
     @pytest.mark.parametrize("complex_", [False, True])
@@ -319,21 +318,24 @@ class TestRelativeStop:
         # rounding.
         seed = 27 if complex_ else 0
         v = load_script("accuracy").controlled_matrix(np.random.default_rng(seed), (64, 64), 1e18, complex_)
-        f = lo.factorize(v, lo.ToleranceConfig(rank_tol=1e-300))
+        f = lo.factorize(v)
         assert f.eigen.sweeps == 4
         assert max(f.residuals("phi_orthonormality", "lambda_orthonormality").values()) <= 1e-13
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("n", [5, 12, 33, 64])
     def test_a_rank_deficient_input_takes_no_more_sweeps(self, rng, n, complex_):
-        # Its zero eigenvalues lie below the default rank floor, so the pairs
-        # that hold their rounding noise are tested against max|a_ii|: the
-        # solve takes no more sweeps than at a floor that admits that noise,
-        # and its eigenvalues are as accurate.
+        # B·B† given straight to the solver: the rounding noise of its zero
+        # eigenvalues, about ε·max|a_ii|, lies above the floor (n·ε)², so
+        # the pairs that hold it converge relative to themselves.  That
+        # takes no more than twice the sweeps of a full-rank B·B† of its
+        # size (at most 15 against 9 at n = 64), and its eigenvalues are as
+        # accurate as LAPACK's.
         b = random_matrix(rng, n, max(1, n // 3), complex_)
         h = b @ b.conj().T
         eigen = lo.hermitian_eigen(h)
-        assert eigen.sweeps <= lo.hermitian_eigen(h, lo.ToleranceConfig(rank_tol=1e-30)).sweeps
+        full = random_matrix(rng, n, n, complex_)
+        assert eigen.sweeps <= 2 * lo.hermitian_eigen(full @ full.conj().T).sweeps
         reference = np.linalg.eigh(h)[0][::-1]
         assert lo.max_abs(eigen.eigenvalues - reference) <= 1e-13 * reference[0]
 
@@ -674,12 +676,18 @@ class TestHermitianPower:
             assert lo.max_abs(phi.conj().T @ phi - np.eye(4)) <= 1e-8
 
     def test_singular_metric_diagnostics(self):
+        # σ = (1, 1e-16): σ_1 is below max(n, m)·ε·σ_0 = 4.4e-16, so the
+        # rank rule rejects V at index 1, with d_1 = 1e-32 and cond(M) inf.
         with pytest.raises(SingularMetric) as excinfo:
-            lo.factorize(np.diag([1.0, math.sqrt(1e-15)]))
+            lo.factorize(np.diag([1.0, 1e-16]))
         err = excinfo.value
         assert err.eigenvalue_index == 1
-        assert err.eigenvalue == pytest.approx(1e-15)
-        assert err.condition == pytest.approx(1e15, rel=1e-6)
+        assert err.eigenvalue == pytest.approx(1e-32)
+        assert err.condition == math.inf
+        assert str(err) == (
+            "singular value 1 = 1.000000e-16 is at or below the rank cutoff "
+            "max(n, m)·ε·σ_0 = 4.440892e-16"
+        )
 
 
 class TestPhaseConvention:
@@ -771,23 +779,25 @@ class TestConditionEstimate:
 class TestToleranceConfig:
     def test_defaults(self):
         cfg = lo.ToleranceConfig()
-        assert cfg.rank_tol == 1e-12
         assert cfg.max_sweeps == 64
-        assert [f.name for f in dataclasses.fields(cfg)] == ["rank_tol", "max_sweeps"]
+        assert [f.name for f in dataclasses.fields(cfg)] == ["max_sweeps"]
 
     @pytest.mark.parametrize(
         "kwargs, error",
         [
-            ({"rank_tol": math.nan}, ValueError),
-            ({"rank_tol": 0.0}, ValueError),
-            # A cutoff of rank_tol·d₀ at or above d₀ rejects every metric.
-            ({"rank_tol": 1.0}, ValueError),
-            ({"rank_tol": math.inf}, ValueError),
             ({"max_sweeps": 0}, ValueError),
+            ({"max_sweeps": -1}, ValueError),
+            # Any integer type is accepted, and held to the same bound.
+            ({"max_sweeps": np.int64(0)}, ValueError),
+            ({"max_sweeps": False}, ValueError),
+            ({"max_sweeps": -(2**70)}, ValueError),
             # The solver stops at sweeps == max_sweeps, which a
             # non-integer never equals.
             ({"max_sweeps": 1.5}, TypeError),
             ({"max_sweeps": math.nan}, TypeError),
+            ({"max_sweeps": "64"}, TypeError),
+            # Rank is decided from V itself, by no setting.
+            ({"rank_tol": 1e-12}, TypeError),
         ],
     )
     def test_rejects_bad_values(self, kwargs, error):
@@ -809,7 +819,7 @@ class TestToleranceConfig:
     )
     def test_fixed_bounds_are_readable_constants_not_fields(self, name, value):
         assert getattr(lo.DEFAULT_TOLERANCES, name) == value
-        assert getattr(lo.ToleranceConfig(rank_tol=1e-300, max_sweeps=2), name) == value
+        assert getattr(lo.ToleranceConfig(max_sweeps=2), name) == value
         with pytest.raises(TypeError):
             lo.ToleranceConfig(**{name: value})
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -11,7 +11,7 @@ import lowdin as lo
 from lowdin.errors import DimensionMismatch, NotUnitary, SingularMetric
 from lowdin.ortho import Method
 
-from conftest import load_script, random_full_rank, random_unitary
+from conftest import exact_scales, load_script, random_full_rank, random_unitary
 from oracles import gram_metric, hermitian_2x2_power, lapack_inverse_sqrt_route
 
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
@@ -153,21 +153,21 @@ class TestPowerOfTwoScaling:
         assert np.array_equal(lo.symmetric_orthogonalize(np.ldexp(1.0, k) * v).matrix, phi)
 
     def test_symmetric_basis_is_bitwise_scale_invariant_wherever_it_factors(self):
-        # Λ and U come from 2^-e·V alone, so only d sees the power of two:
-        # every 2^k·V either raises (d overflows, or underflows into the rank
-        # cutoff) or gives Φ(V) bit for bit, also where d is subnormal.
+        # Λ, U and the rank verdict come from 2^-e·V alone, so only d sees
+        # the power of two: every 2^k·V that is exact either raises because
+        # d overflows or gives Φ(V) bit for bit, also where d underflows.
         v = random_full_rank(np.random.default_rng(0), 6, 4, complex_=True)
         phi = lo.factorize(v).phi.matrix
+        exact = exact_scales(v)
         factored = []
-        for k in range(-1100, 601):
+        for k in exact:
             try:
                 scaled = lo.factorize(np.ldexp(1.0, k) * v).phi.matrix
-            except (OverflowError, SingularMetric):
+            except OverflowError:
                 continue
             assert np.array_equal(scaled, phi), k
             factored.append(k)
-        assert factored == list(range(factored[0], factored[-1] + 1))
-        assert factored[0] < -530 and factored[-1] >= 500
+        assert factored == exact[: len(factored)] and factored[-1] >= 500
 
 
 def _ill_conditioned_64x64(complex_):
@@ -245,13 +245,18 @@ class TestMetricSolve:
     def test_orthonormal_to_rounding_at_any_admitted_condition(self, n, complex_, metric_condition):
         # Λ is assembled from the QR factors of 2^-e·V and the eigenvectors
         # of T, never from V itself, so orthonormality does not grow as
-        # ε·cond(V).  The default rank cutoff would reject these inputs.
-        cfg = lo.ToleranceConfig(rank_tol=1e-300)
+        # ε·cond(V).  At 1e28 (σ_min/σ_max = 1e-14) the rank rule rejects
+        # the 64 x 64 V, whose max(n, m)·ε is 1.4e-14, and admits the others.
         rng = np.random.default_rng(n)
         singulars = np.geomspace(1.0, metric_condition**-0.5, n)
         for _ in range(3):
             left, right = (random_unitary(rng, n, complex_) for _ in range(2))
-            f = lo.factorize((left * singulars) @ right.conj().T, cfg)
+            v = (left * singulars) @ right.conj().T
+            if singulars[-1] <= n * np.finfo(float).eps:
+                with pytest.raises(SingularMetric):
+                    lo.factorize(v)
+                continue
+            f = lo.factorize(v)
             residuals = f.residuals("phi_orthonormality", "lambda_orthonormality")
             assert max(residuals.values()) <= 1e-13
 

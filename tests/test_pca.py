@@ -17,9 +17,6 @@ from test_ortho import conditioned_matrices
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_LO = (3.0 - math.sqrt(5.0)) / 2.0
 SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
-# Below 1/cond(M) for every cond(M) double precision carries, and below
-# the ratio of subnormal eigenvalues, so no input here trips the cutoff.
-RANK_TOL_1E_300 = lo.ToleranceConfig(rank_tol=1e-300)
 
 
 def pca(v):
@@ -82,7 +79,7 @@ class TestPrincipalComponents:
     def test_scores_descending_and_nonnegative(self, rng):
         _, scores = pca(rng.uniform(-1.0, 1.0, (5, 3)))
         assert np.all(np.diff(scores) <= 0.0)
-        assert scores[-1] >= -lo.DEFAULT_TOLERANCES.rank_tol * scores[0]
+        assert scores[-1] >= 0.0  # every eigenvalue of an admitted V†V is positive
 
     def test_retains_min_dimension_components(self, rng):
         components, scores = pca(rng.uniform(-1.0, 1.0, (6, 3)))
@@ -176,8 +173,8 @@ class TestReducedSscpSolve:
         assert lo.max_abs(u.conj().T @ u - np.eye(k)) <= 1e-12 * n
 
 
-def sscp_eigenpair(v, cfg=lo.DEFAULT_TOLERANCES):
-    return lo.factorize(v, cfg).residuals("sscp_eigenpair")["sscp_eigenpair"]
+def sscp_eigenpair(v):
+    return lo.factorize(v).residuals("sscp_eigenpair")["sscp_eigenpair"]
 
 
 class TestSscpEigenpair:
@@ -208,7 +205,7 @@ class TestSscpEigenpair:
         # F = 2^-e·V and Λ do not see the power of two, even where d is
         # subnormal (k = -530).
         v = random_full_rank(rng, 5, 3, complex_=True)
-        assert sscp_eigenpair(np.ldexp(1.0, k) * v, RANK_TOL_1E_300) == sscp_eigenpair(v)
+        assert sscp_eigenpair(np.ldexp(1.0, k) * v) == sscp_eigenpair(v)
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("cond", [1.0, 1e12, 1e20, 1e28])
@@ -217,7 +214,7 @@ class TestSscpEigenpair:
         rng = np.random.default_rng(int(math.log10(cond)))
         left, right = random_unitary(rng, 40, complex_), random_unitary(rng, 12, complex_)
         v = (left[:, :12] * np.geomspace(1.0, cond**-0.5, 12)) @ right.conj().T
-        assert sscp_eigenpair(v, RANK_TOL_1E_300) <= 12 * np.finfo(float).eps
+        assert sscp_eigenpair(v) <= 12 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -234,7 +231,7 @@ def test_scores_are_the_checked_sigma_squared(complex_):
         v = random_full_rank(rng, n, int(rng.integers(1, n + 1)), complex_=complex_)
         k = int(rng.integers(-1000, 1001))
         try:
-            f = lo.factorize(np.ldexp(1.0, k) * v, RANK_TOL_1E_300)
+            f = lo.factorize(np.ldexp(1.0, k) * v)
         except (OverflowError, SingularMetric):
             continue
         d = f.eigen.eigenvalues

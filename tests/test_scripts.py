@@ -38,10 +38,16 @@ def test_accuracy_writes_every_residual_against_its_bound(tmp_path):
     grid = [(c["shape"], c["dtype"], c["cond"]) for c in table["cells"]]
     assert grid == [(s, d, c) for s in shapes for d in ("real", "complex") for c in levels]
     bounds = lo.factorize(np.eye(2)).bounds()
+    # The rank rule rejects V whose σ_min/σ_max = 1e-14 is at most max(n, m)·ε.
+    rejected = {(s, d, 1e28) for s in ("64x64", "64x16", "128x32") for d in ("real", "complex")}
     for c in table["cells"]:
-        assert set(c) == {"shape", "dtype", "cond", "residuals", "sweeps", "sweeps_total"}
+        assert set(c) == {"shape", "dtype", "cond", "residuals", "sweeps", "sweeps_total", "rejected"}
         assert isinstance(c["sweeps"], int) and c["sweeps"] >= 0
         assert c["sweeps_total"] == c["sweeps"]  # one draw per cell
+        if (c["shape"], c["dtype"], c["cond"]) in rejected:
+            assert c["rejected"] == 1 and c["residuals"] == {} and c["sweeps"] == 0
+            continue
+        assert c["rejected"] == 0
         assert set(c["residuals"]) == set(bounds)
         for name, entry in c["residuals"].items():
             assert set(entry) == {"worst", "median", "bound"}
@@ -56,7 +62,11 @@ def test_committed_accuracy_table_holds_every_residual_within_its_bound():
     table = json.loads((ROOT / "ACCURACY.json").read_text(encoding="utf-8"))
     bounds = lo.factorize(np.eye(2)).bounds()
     assert len(table["cells"]) == 210
+    assert sum(c["rejected"] > 0 for c in table["cells"]) == 6
     for c in table["cells"]:
+        if c["rejected"]:
+            assert c["cond"] == 1e28 and c["rejected"] == 20 and c["residuals"] == {}
+            continue
         assert {name: entry["bound"] for name, entry in c["residuals"].items()} == bounds
         for name, entry in c["residuals"].items():
             assert entry["worst"] <= entry["bound"], (c["shape"], c["dtype"], c["cond"], name)
