@@ -149,8 +149,8 @@ class Factorization:
         polar_reconstruction, svd_reconstruction, relation_lambda_phi_u,
         projection_sum_gap, sscp_eigenpair.
         Orthonormality is max|Z†Z - I| of Φ or Λ; reconstructions are
-        relative, max|product - V| / max|V|, so 2^k·V reads what V does;
-        the relation is max|Λ - Φ·U|;
+        relative, max|product - V| / max|V|, so 2^k·V reads what V does
+        while ε·2^k·V has no subnormal part; the relation is max|Λ - Φ·U|;
         ``projection_sum_gap`` is max_j |ρ_j - σ_T,j²| / (σ_T,1·σ_T,j), with
         ρ_j = ‖F†λ_j‖² for F = 2^-e·V and σ_T = 2^-e·σ, and
         ``sscp_eigenpair`` the eigenpair backward error of Λ's columns as

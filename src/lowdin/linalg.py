@@ -16,8 +16,10 @@ before the metric solve leave the largest relative to their diagonal
 fewer sweeps than the textbook labelling.  Odd n is padded with a zero
 dummy index; its pair is the last of every step and is never rotated.
 A solve allocates its gather buffers, rotation blocks and rotation
-parameters once (``_sweeper``), and each step writes into them with
-``out=``, so per-step cost is the numpy calls themselves.  The input
+parameters once and binds the numpy functions a step calls
+(``_sweeper``), so a step allocates nothing and looks nothing up; at
+desk sizes its cost is still the dispatch of its 25 or so numpy calls
+more than their arithmetic.  The input
 is first scaled by an exact power of two, so entries up to the overflow
 threshold are diagonalized, and the eigenvectors of 2^k·M are those of
 M bit for bit while the entries of 2^k·M stay normal numbers.  Pivots
@@ -448,9 +450,12 @@ def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
     only where one of A's own pivots is zero or subnormal.
 
     Every step has the same shapes, so the gather buffers, the blocks and
-    the rotation parameters are allocated here, once per solve, and each
-    step writes into them with ``out=``.  They belong to this solve alone,
-    which keeps solves safe to run in several threads at once.
+    the rotation parameters are allocated here, once per solve; so is the
+    vector of ones a step uses for the 1 of hypot(1, t) and 1/c, and the
+    numpy functions and bound methods it calls are looked up here: at
+    n <= 16 a global lookup, an ``out=`` keyword or a scalar made an array
+    costs a call about as much as its arithmetic.  All of it belongs to
+    this solve alone, which keeps solves safe to run in several threads.
     """
     size, planes = aw.shape[1], aw.shape[2]
     half, width = size // 2, 2 * planes  # pairs per step, rows per pair
@@ -478,53 +483,61 @@ def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
     phase = np.empty((2, live))  # sin φ, cos φ
     r, r2, gap, t, scratch = np.empty((5, live))
     shifts = np.empty((2, live))
+    ones = np.ones(live)
+    coefficients_t = coefficients.T
+    # A step passes ``out`` (and ``take``'s axis and mode) positionally:
+    # keywords are parsed on every call.  ``np.where`` stays a module
+    # lookup; only the dead-pivot branch calls it.
+    hypot, divide, subtract, add = np.hypot, np.divide, np.subtract, np.add
+    absolute, copysign, multiply, matmul = np.absolute, np.copysign, np.multiply, np.matmul
+    take, take_columns, argmin = aw.take, a_columns.take, r.argmin
 
     def sweep(steps: tuple) -> None:
         for gather, offsets in steps:
             # Every index is in range, so "clip" lets ``take`` write into
             # its output directly instead of through a buffer.
-            aw.take(offsets, out=taken, mode="clip")
-            np.hypot(apq[1], apq[0], out=r)
+            take(offsets, None, taken, "clip")
+            hypot(apq[1], apq[0], r)
             dead = None
             # Not r.min(): its Python-level wrapper costs 1.0 µs a step
             # against 0.3 µs for argmin, which has none.
-            if r[r.argmin()] < _TINY:
+            if r[argmin()] < _TINY:
                 # A pivot that is zero or subnormal gets the identity
                 # rotation (and is zeroed below): a subnormal r is too
                 # coarse for a_pq/r to be a unit number, or even finite.
                 dead = r < _TINY
                 r[dead] = 0.0
-                np.divide(np.where(dead, _NO_PHASE, apq), np.where(dead, 1.0, r), out=phase)
+                divide(np.where(dead, _NO_PHASE, apq), np.where(dead, 1.0, r), phase)
             else:
-                np.divide(apq, r, out=phase)
+                divide(apq, r, phase)
             # t = tan of the rotation angle: the root of t² + 2τt - 1 = 0,
             # with τ = (a[q,q] - a[p,p]) / 2r, that is at most 1 in modulus.
-            np.subtract(aqq, app, out=gap)
-            np.add(r, r, out=r2)
-            np.abs(gap, out=scratch)
-            np.add(scratch, np.hypot(gap, r2, out=t), out=scratch)
+            subtract(aqq, app, gap)
+            add(r, r, r2)
+            absolute(gap, scratch)
+            add(scratch, hypot(gap, r2, t), scratch)
             if dead is not None:
-                np.add(scratch, dead, out=scratch)  # a dead pair's t is 0, not 0/0
-            np.copysign(r2, gap, out=t)
-            np.divide(t, scratch, out=t)
-            np.hypot(1.0, t, out=c)
-            np.divide(1.0, c, out=c)
-            np.multiply(t, c, out=s)
-            np.multiply(c_s, phase, out=products)
-            np.matmul(coefficients.T, pattern, out=k_live)
+                add(scratch, dead, scratch)  # a dead pair's t is 0, not 0/0
+            copysign(r2, gap, t)
+            divide(t, scratch, t)
+            hypot(ones, t, c)
+            divide(ones, c, c)
+            multiply(t, c, s)
+            multiply(c_s, phase, products)
+            matmul(coefficients_t, pattern, k_live)
 
             # ``take`` copies, so each product can write straight into aw.
-            aw.take(gather, axis=1, out=rows, mode="clip")
-            np.matmul(k_rows, rows_blocks, out=aw_blocks)
+            take(gather, 1, rows, "clip")
+            matmul(k_rows, rows_blocks, aw_blocks)
             # The rows of (R†A)† are the conjugated columns of R†A.
-            a_columns.take(gather, axis=0, out=columns, mode="clip")
-            np.matmul(k_columns, columns_blocks, out=a_blocks)
+            take_columns(gather, 0, columns, "clip")
+            matmul(k_columns, columns_blocks, a_blocks)
             # The transformed 2x2 blocks are known in closed form; writing
             # them directly keeps the diagonal real and each pivot zero:
             # a[p,p] - t·r and a[q,q] + t·r.
-            np.multiply(t, r, out=scratch)
-            np.multiply(_SHIFT_SIGNS, scratch, out=shifts)
-            np.add(old_diagonals, shifts, out=new_diagonals)
+            multiply(t, r, scratch)
+            multiply(_SHIFT_SIGNS, scratch, shifts)
+            add(old_diagonals, shifts, new_diagonals)
             flat[written] = values
 
     return sweep

@@ -540,6 +540,49 @@ class TestThreadSafety:
             sys.setswitchinterval(interval)
 
 
+class TestNoStateOutlivesASolve:
+    """Each solve binds its own buffers and methods, so interleaved solves match lone ones."""
+
+    def test_solves_interleaved_mid_sweep_match_lone_ones(self, rng, monkeypatch):
+        inputs = []
+        for n in (1, 2, 3, 8, 9, 33, 64):
+            for complex_ in (False, True):
+                x = random_matrix(rng, n, n, complex_)
+                inputs.append(x @ x.conj().T)
+
+        def outcome(h):
+            eigen = lo.hermitian_eigen(h)
+            return eigen.eigenvalues.tobytes(), eigen.eigenvectors.tobytes(), eigen.sweeps
+
+        alone = [outcome(h) for h in inputs]
+        # In the middle of every sweep, between two steps, another whole
+        # solve runs in the same thread, cycling through every size and
+        # plane count.
+        sweeper, interleaved = lowdin.linalg._sweeper, []
+
+        def interleaving_sweeper(aw, written, live):
+            sweep = sweeper(aw, written, live)
+
+            def halves(steps):
+                middle = len(steps) // 2 or 1
+                sweep(steps[:middle])
+                j = len(interleaved) % len(inputs)
+                interleaved.append(j)
+                with monkeypatch.context() as patch:
+                    patch.setattr(lowdin.linalg, "_sweeper", sweeper)
+                    assert outcome(inputs[j]) == alone[j], j
+                sweep(steps[middle:])
+
+            return halves
+
+        monkeypatch.setattr(lowdin.linalg, "_sweeper", interleaving_sweeper)
+        # Largest and smallest alternate, and real with complex.
+        order = [i for pair in zip(range(len(inputs)), reversed(range(len(inputs)))) for i in pair]
+        for i in order:
+            assert outcome(inputs[i]) == alone[i], i
+        assert len(interleaved) > 4 * len(order)
+
+
 class TestPowerOfTwoScaling:
     def test_huge_entries_are_rotated(self):
         # Before pre-scaling the norm overflowed and the unrotated
