@@ -412,7 +412,6 @@ def _block_pattern(planes: int) -> np.ndarray:
 
 _BLOCK_PATTERNS = {planes: _block_pattern(planes) for planes in (1, 2)}
 _NO_PHASE = np.array([[0.0], [1.0]])  # (sin φ, cos φ) of a dead pivot
-_SHIFT_SIGNS = np.array([[-1.0], [1.0]])  # of t·r, on a[p,p] and a[q,q]
 
 
 def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
@@ -460,7 +459,7 @@ def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
     size, planes = aw.shape[1], aw.shape[2]
     half, width = size // 2, 2 * planes  # pairs per step, rows per pair
     values = np.zeros(written.size)  # what a step writes there: zeros, then the diagonals
-    new_diagonals = values[written.size - 2 * live :].reshape(2, live)
+    new_app, new_aqq = values[written.size - 2 * live :].reshape(2, live)
     pattern = _BLOCK_PATTERNS[planes]
     k = np.empty((half, pattern.shape[1]))
     k[live:] = pattern[0] + pattern[3]  # c = c·cos φ = 1, s = 0: odd n's dummy gets I and D
@@ -476,13 +475,13 @@ def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
     entries = np.zeros((4, half))
     taken = entries.reshape(-1)[(2 - planes) * half :]
     apq, app, aqq = entries[:2, :live], entries[2, :live], entries[3, :live]
-    old_diagonals = entries[2:, :live]
+    apq_im, apq_re = apq
     coefficients = np.empty((6, live))
     c, s = coefficients[0], coefficients[1]
     c_s, products = coefficients[:2, None], coefficients[2:].reshape(2, 2, live)
-    phase = np.empty((2, live))  # sin φ, cos φ
+    phase = np.empty((2, live))
+    sin_phase, cos_phase = phase
     r, r2, gap, t, scratch = np.empty((5, live))
-    shifts = np.empty((2, live))
     ones = np.ones(live)
     coefficients_t = coefficients.T
     # A step passes ``out`` (and ``take``'s axis and mode) positionally:
@@ -497,7 +496,7 @@ def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
             # Every index is in range, so "clip" lets ``take`` write into
             # its output directly instead of through a buffer.
             take(offsets, None, taken, "clip")
-            hypot(apq[1], apq[0], r)
+            hypot(apq_re, apq_im, r)
             dead = None
             # Not r.min(): its Python-level wrapper costs 1.0 µs a step
             # against 0.3 µs for argmin, which has none.
@@ -509,7 +508,8 @@ def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
                 r[dead] = 0.0
                 divide(np.where(dead, _NO_PHASE, apq), np.where(dead, 1.0, r), phase)
             else:
-                divide(apq, r, phase)
+                divide(apq_im, r, sin_phase)  # two calls cost less than one that broadcasts
+                divide(apq_re, r, cos_phase)
             # t = tan of the rotation angle: the root of t² + 2τt - 1 = 0,
             # with τ = (a[q,q] - a[p,p]) / 2r, that is at most 1 in modulus.
             subtract(aqq, app, gap)
@@ -536,8 +536,8 @@ def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
             # them directly keeps the diagonal real and each pivot zero:
             # a[p,p] - t·r and a[q,q] + t·r.
             multiply(t, r, scratch)
-            multiply(_SHIFT_SIGNS, scratch, shifts)
-            add(old_diagonals, shifts, new_diagonals)
+            subtract(app, scratch, new_app)
+            add(aqq, scratch, new_aqq)
             flat[written] = values
 
     return sweep
