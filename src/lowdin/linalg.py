@@ -9,12 +9,16 @@ describes that route.
 The eigensolver sweeps in round-robin order (Brent & Luk, SIAM J. Sci.
 Stat. Comput. 6(1), 1985): each sweep is n - 1 steps (n for odd n),
 and each step rotates n // 2 disjoint index pairs together with a few
-whole-array numpy operations.  The indices are labelled so that each
-sweep opens with the neighbour pairs (i, i + 1), which the QR/LQ rounds
-before the metric solve leave the largest relative to their diagonal
-(``_schedule``); on the benchmark's solves that takes about an eighth
-fewer sweeps than the textbook labelling.  Odd n is padded with a zero
-dummy index; its pair is the last of every step and is never rotated.
+whole-array numpy operations.  The work array stores the indices by
+their seat on a ring, each step's pairs side by side, so one
+permutation, the same at every step, moves it from one step's layout
+to the next, and a sweep ends in the layout it began in
+(``_layouts``).  The indices are labelled so that each sweep opens with
+the neighbour pairs (i, i + 1), which the QR/LQ rounds before the metric
+solve leave the largest relative to their diagonal; on the benchmark's
+solves that takes about a tenth fewer sweeps than labelling each index
+by its seat.  Odd n is padded with a zero dummy index on the ring's
+fixed seat; its pair is the last of every step and is never rotated.
 A solve allocates its gather buffers, rotation blocks and rotation
 parameters once and binds the numpy functions a step calls
 (``_sweeper``), so a step allocates nothing and looks nothing up; at
@@ -121,20 +125,6 @@ class HermitianEigen(NamedTuple):
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     sweeps: int = 0
-
-    def condition_estimate(self) -> float:
-        """Ratio largest/smallest eigenvalue, ``inf`` if singular to rounding.
-
-        The matrix counts as singular when d_min <= len(d)·ε·d_max, the
-        rounding floor of a solve of M itself, so an exactly singular input
-        reads ``inf`` whether its smallest computed eigenvalue came out as
-        0, negative or a tiny positive number.  ``factorize`` reports its
-        own, ``Factorization.condition``, from V's singular values.
-        """
-        largest, smallest = float(self.eigenvalues[0]), float(self.eigenvalues[-1])
-        if smallest <= len(self.eigenvalues) * _EPS * largest:
-            return math.inf
-        return largest / smallest
 
 
 def as_matrix(values) -> np.ndarray:
@@ -294,83 +284,71 @@ def _settled(a: np.ndarray, n: int) -> bool:
     return bool(np.all(moduli <= threshold * np.outer(roots, roots)))
 
 
-def _schedule(n: int) -> np.ndarray:
-    """Round-robin (circle method) order of one Jacobi sweep on n indices.
-
-    Odd n gets a dummy index n, so with ``size`` = n rounded up to even a
-    sweep has size - 1 steps.  Returns an int array of shape
-    (size - 1, size/2, 2): step k is size/2 disjoint pairs (p, q), p < q,
-    and over a sweep every unordered pair of ``range(size)`` occurs
-    exactly once.  One player keeps its seat while the others move one
-    place round a ring per step.  Steps 0 and 1 together join the players
-    in one cycle, and the players are labelled 0, 1, ..., size - 1 along
-    it from the seated one, which is index 0.  So step 0 is (0, 1),
-    (2, 3), ... and step 1 is (1, 2), (3, 4), ..., (0, size - 1): every
-    sweep opens on the neighbour pairs, which the QR/LQ rounds of
-    ``decompositions.factorize`` leave the largest relative to their
-    diagonal.  A relabelling runs the same ordering on a permuted matrix,
-    so it converges as the round-robin does (Luk & Park, IEEE Trans.
-    Comput. 38, 1989).  For odd n the dummy's pair (p, n) is moved to the
-    end of each step, the other pairs keeping their order, so the sweep
-    can leave it out by rotating only the first n // 2 pairs.
-    """
-    size = n + n % 2
-    ring = size - 1
-    players = np.zeros((ring, size), dtype=np.intp)
-    players[:, 1:] = 1 + (np.arange(ring) - np.arange(ring)[:, None]) % ring
-    partners = np.zeros((2, size), dtype=np.intp)  # of each player in steps 0 and 1
-    for step, seats in enumerate(players[:2]):
-        partners[step, seats] = seats[::-1]
-    cycle = [0]
-    for i in range(size - 1):
-        cycle.append(partners[i % 2, cycle[-1]])
-    label = np.empty(size, dtype=np.intp)
-    label[cycle] = np.arange(size)
-    players = label[players]
-    left, right = players[:, : size // 2], players[:, ::-1][:, : size // 2]
-    pairs = np.stack((np.minimum(left, right), np.maximum(left, right)), axis=2)
-    if n % 2:
-        dummy_last = np.argsort(pairs[:, :, 1] == n, axis=1, kind="stable")
-        pairs = np.take_along_axis(pairs, dummy_last[:, :, None], axis=1)
-    return pairs
-
-
 @functools.lru_cache(maxsize=128)
 def _layouts(n: int, planes: int) -> tuple:
-    """Index tables that run the schedule of ``_schedule(n)`` in place.
+    """Index tables that run a round-robin sweep on n indices in place.
 
     Built once per size and plane count (the last 128 are kept) and
     returned read-only, since every solve of that shape shares them.
+    Odd n gets a dummy index n, so ``size`` = n rounded up to even.
 
-    A work matrix has shape (size, planes, size) (``_work_array``).
-    During a step it is stored with its pair i at positions (2i, 2i + 1),
-    so each pair's rows form one contiguous block of 2·planes rows.
-    Returns ``(last, position, steps, written)``:
+    The indices sit on ``size`` seats.  Seat 0 is fixed; seats 1, ...,
+    size - 1 form a ring, and every index moves one seat on along it per
+    step, so after size - 1 steps (a sweep) each is back where it began,
+    and every unordered pair has met exactly once (the circle method;
+    Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1), 1985).  A step rotates
+    the tables (0, 1) and (1 + i, size - i), and the work matrix, of
+    shape (size, planes, size) (``_work_array``), stores table i at
+    positions (2i, 2i + 1), so each pair's rows form one contiguous block
+    of 2·planes rows, its p row first.  For odd n the fixed seat holds
+    the dummy and its table is stored last, so a sweep leaves it out by
+    rotating only the first n // 2 pairs.  Each seat keeps its position,
+    so one permutation, the same at every step, takes the work array from
+    one step's layout to the next, and a sweep ends in the layout it
+    began in.
+
+    An index is labelled by its seat at step 0: seat s holds s for odd s
+    and (size - s) mod size for even s, so steps 0 and 1 rotate the
+    neighbour pairs (0, 1), (2, 3), ... and then (1, 2), (3, 4), ...,
+    (0, size - 1), which the QR/LQ rounds of ``decompositions.factorize``
+    leave the largest relative to their diagonal.  Odd n uses the same
+    labels backwards, (-label - 1) mod size, which puts the dummy on
+    seat 0 and keeps those two opening steps.  A relabelling runs the
+    same ordering on a permuted matrix, so it converges as the
+    round-robin does (Luk & Park, IEEE Trans. Comput. 38, 1989).
+
+    Returns ``(last, position, gather, entries, written)``:
 
     * ``last[j]`` is the index stored at position j after a sweep's last
       step, which is also the layout each sweep starts from, and
       ``position`` is its inverse;
-    * ``steps[k]`` holds the positions, in the layout of step k - 1, of
-      the indices of step k in its own layout order, and the flat
-      offsets of their entries: a[p,q] plane by plane, the last plane
-      first, then a[p,p] and a[q,q];
-    * ``written`` holds, in one contiguous array, the flat offsets of
-      the entries a step writes, in its layout, for the n // 2 pairs that
-      are not odd n's dummy (``_schedule`` puts the dummy's last): first
+    * ``gather[j]`` is the position, before a step, of the index the step
+      stores at position j;
+    * ``entries`` holds the flat offsets, in the layout before a step, of
+      the entries of each of its pairs: a[p,q] plane by plane, the last
+      plane first, then a[p,p] and a[q,q];
+    * ``written`` holds the flat offsets of the entries a step writes, in
+      its layout, for the n // 2 pairs that are not odd n's dummy: first
       those it sets to zero, the pivots (2i, 2i + 1) and (2i + 1, 2i) in
       every plane and the imaginary plane of both diagonal entries, then
       the p diagonal entries and the q diagonal entries.
     """
     size = n + n % 2
-    orders = _schedule(n).reshape(size - 1, size)
-    step = np.arange(size - 1)[:, None]
-    positions = np.empty_like(orders)
-    positions[step, orders] = np.arange(size)
-    gathers = positions[step - 1, orders]  # step -1 is the previous sweep's last
-    gp, gq = gathers[:, 0::2], gathers[:, 1::2]
+    seats = np.arange(size)
+    i = seats[1 : size // 2]
+    seat_at = np.stack((np.r_[0, 1 + i], np.r_[1, size - i]), axis=1).reshape(-1)  # of each position
+    label = np.where(seats % 2, seats, -seats % size)  # of the index on each seat at step 0
+    if n % 2:
+        seat_at = np.roll(seat_at, -2)  # the dummy's table last
+        label = (-label - 1) % size
+    came_from = np.r_[0, 1 + (seats[1:] - 2) % (size - 1)]  # seat of each seat's index a step ago
+    gather = np.argsort(seat_at)[came_from[seat_at]]
+    last = label[seat_at][np.argsort(gather)]  # step 0's layout, last[gather], is label[seat_at]
+    position = np.argsort(last)
+    gp, gq = gather[0::2], gather[1::2]
     row = planes * size  # flat offset from one row of the work matrix to the next
     pivot_planes = [gp * row + k * size + gq for k in reversed(range(planes))]
-    entries = np.concatenate((*pivot_planes, gp * (row + 1), gq * (row + 1)), axis=1)
+    entries = np.concatenate((*pivot_planes, gp * (row + 1), gq * (row + 1)))
     p = np.arange(0, 2 * (n // 2), 2)  # each live pair's p position; its q is p + 1
     diagonals = [p * (row + 1), (p + 1) * (row + 1)]
     written = np.concatenate(
@@ -379,10 +357,10 @@ def _layouts(n: int, planes: int) -> tuple:
         + [diagonal + k * size for diagonal in diagonals for k in range(1, planes)]
         + diagonals
     )
-    last, position = orders[-1].copy(), positions[-1].copy()
-    for table in (last, position, gathers, entries, written):
-        table.setflags(write=False)  # before the views below, which inherit it
-    return last, position, tuple(zip(gathers, entries)), written
+    tables = (last, position, gather, entries, written)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _block_pattern(planes: int) -> np.ndarray:
@@ -414,15 +392,16 @@ _BLOCK_PATTERNS = {planes: _block_pattern(planes) for planes in (1, 2)}
 _NO_PHASE = np.array([[0.0], [1.0]])  # (sin φ, cos φ) of a dead pivot
 
 
-def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
+def _sweeper(aw: np.ndarray, gather: np.ndarray, entries: np.ndarray, written: np.ndarray, live: int):
     """The sweep function of one solve, with its buffers allocated once.
 
     ``aw`` is the work array of ``_work_array``: the working matrix A and
     W = U†, the conjugate transpose of the accumulated basis, stacked,
-    each stored as real planes; it is updated in place.  ``written``
-    comes from ``_layouts``.  Returns ``sweep(steps)``, which runs
-    round-robin ``steps`` (all of a sweep's, or a slice of them) in
-    order, rotating all pairs of a step at once.
+    each stored as real planes; it is updated in place.  ``gather``,
+    ``entries`` and ``written`` come from ``_layouts``; every step reads
+    the same three.  Returns ``sweep(steps)``, which runs that many
+    round-robin steps (a sweep's size - 1, or fewer) from whatever
+    step's layout ``aw`` is in, rotating all pairs of a step at once.
 
     Each pair (p, q) gets the complex plane rotation R with R[p,p]=c,
     R[p,q]=s, R[q,p]=-s·e^{-iφ}, R[q,q]=c·e^{-iφ}, where a[p,q]=r·e^{iφ}.
@@ -441,19 +420,19 @@ def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
     pivots leaves the imaginary-part slot of its buffer at zero.
 
     Only the first ``live`` (n // 2) pairs of each step are rotated.  For
-    odd n the last pair is the dummy's (``_schedule``): its pivot is
+    odd n the last pair is the dummy's (``_layouts``): its pivot is
     exactly 0, so it would get the identity rotation, and its blocks are
     fixed at I and D, so the matmuls carry its rows through unchanged and
     no rotation parameter, diagonal entry or pivot is computed or written
     for it (``written`` leaves it out).  The dead-pivot branch then runs
     only where one of A's own pivots is zero or subnormal.
 
-    Every step has the same shapes, so the gather buffers, the blocks,
-    the rotation parameters and the ones of hypot(1, t) and 1/c are
-    allocated here, once per solve, and the numpy functions and methods a
-    step calls are looked up here: at n <= 16 a call's dispatch costs more
-    than its arithmetic, so a global lookup, an ``out=`` keyword or a
-    scalar made an array shows in a step's time.  All of it belongs to
+    Every step has the same shapes and tables, so the gather buffers, the
+    blocks, the rotation parameters and the ones of hypot(1, t) and 1/c
+    are allocated here, once per solve, and the tables, numpy functions
+    and methods a step calls are bound here: at n <= 16 a call's
+    dispatch costs more than its arithmetic, so a global lookup, an
+    ``out=`` keyword or a scalar made an array shows in a step's time.  All of it belongs to
     this solve alone, which keeps solves safe to run in several threads.
     """
     size, planes = aw.shape[1], aw.shape[2]
@@ -472,9 +451,9 @@ def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
     rows, columns = np.empty_like(aw), np.empty_like(a)
     rows_blocks, columns_blocks = rows.reshape(aw_blocks.shape), columns.reshape(a_blocks.shape)
     # Rows Im a_pq, Re a_pq, a_pp, a_qq; one plane leaves the first at zero.
-    entries = np.zeros((4, half))
-    taken = entries.reshape(-1)[(2 - planes) * half :]
-    apq, app, aqq = entries[:2, :live], entries[2, :live], entries[3, :live]
+    pair_entries = np.zeros((4, half))
+    taken = pair_entries.reshape(-1)[(2 - planes) * half :]
+    apq, app, aqq = pair_entries[:2, :live], pair_entries[2, :live], pair_entries[3, :live]
     apq_im, apq_re = apq
     coefficients = np.empty((6, live))
     c, s = coefficients[0], coefficients[1]
@@ -492,11 +471,11 @@ def _sweeper(aw: np.ndarray, written: np.ndarray, live: int):
     absolute, copysign, multiply, matmul = np.absolute, np.copysign, np.multiply, np.matmul
     take, take_columns, argmin = aw.take, a_columns.take, r.argmin
 
-    def sweep(steps: tuple) -> None:
-        for gather, offsets in steps:
+    def sweep(steps: int) -> None:
+        for _ in range(steps):
             # Every index is in range, so "clip" lets ``take`` write into
             # its output directly instead of through a buffer.
-            take(offsets, None, taken, "clip")
+            take(entries, None, taken, "clip")
             hypot(apq_re, apq_im, r)
             dead = None
             # Not r.min(): its Python-level wrapper costs 1.0 µs a step
@@ -548,11 +527,12 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     """Diagonalize a Hermitian matrix by round-robin Jacobi rotations.
 
     Each sweep visits every off-diagonal pair once, in the round-robin
-    order of Brent & Luk: n - 1 steps (n for odd n) of n // 2 disjoint
-    rotations applied together, the first two of which rotate the
-    neighbour pairs (i, i + 1), where the QR/LQ-preconditioned metric of
-    ``decompositions.factorize`` holds most of its off-diagonal weight;
-    on generic dense input the labelling neither helps nor hurts.
+    order of Brent & Luk run on a ring (``_layouts``): n - 1 steps (n for
+    odd n) of n // 2 disjoint rotations applied together, the first two
+    of which rotate the neighbour pairs (i, i + 1), where the
+    QR/LQ-preconditioned metric of ``decompositions.factorize`` holds
+    most of its off-diagonal weight; on generic dense input the
+    labelling neither helps nor hurts.
     Before each sweep every pair is tested against
     |a_pq| <= √n·ε·√(d'_p·d'_q), with d'_i = |a_ii|, or max|a_ii| where
     |a_ii| <= (n·ε)²·max|a_ii| (``_settled``); the sweeps stop once every
@@ -587,11 +567,11 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
     # can overflow.
     a, exponent = _scaled_to_unit(a)
     a = _real_valued((a + a.conj().T) / 2.0)
-    last, position, steps, written = _layouts(n, 1 if a.dtype == np.float64 else 2)
+    last, position, gather, entries, written = _layouts(n, 1 if a.dtype == np.float64 else 2)
     # A (padded with a zero dummy row and column for odd n) and W = I,
     # in the layout a sweep starts from, one plane for real A, two else.
     aw = _work_array(a, last)
-    sweep = _sweeper(aw, written, n // 2)  # n // 2 pairs per step are not odd n's dummy
+    sweep = _sweeper(aw, gather, entries, written, n // 2)  # n // 2 pairs per step are not odd n's dummy
     sweeps = 0
     while not _settled(aw[0], n):
         if sweeps == cfg.max_sweeps:
@@ -601,7 +581,7 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianEi
                 sweeps=sweeps,
                 off_norm=off,
             )
-        sweep(steps)
+        sweep(last.size - 1)
         sweeps += 1
     position = position[:n]  # of each index in the final layout; drops the dummy
     diag = np.diagonal(aw[0, :, 0])[position]

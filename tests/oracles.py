@@ -189,13 +189,13 @@ def jacobi_rotations(a, w, pairs):
     return adjoint @ a @ rotation, adjoint @ np.asarray(w, dtype=np.complex128)
 
 
-def jacobi_sweeper_by_steps(aw, written, live):
+def jacobi_sweeper_by_steps(aw, gather, entries, written, live):
     """``linalg._sweeper`` one step at a time, allocating every temporary afresh.
 
-    Returns ``sweep(steps)``, which does the same arithmetic
-    in the same order, written as plain expressions: substituted for
-    ``_sweeper``, it must leave every ``hermitian_eigen`` result unchanged
-    bit for bit.  Every pair of a step is rotated, odd n's dummy pair too,
+    Returns ``sweep(steps)``, which runs that many steps with the same
+    arithmetic in the same order, written as plain expressions:
+    substituted for ``_sweeper``, it must leave every ``hermitian_eigen``
+    result unchanged bit for bit.  Every pair of a step is rotated, odd n's dummy pair too,
     whose zero pivot takes the dead-pivot arithmetic and the identity
     rotation; only the writes of the closed-form entries are cut to the
     ``live`` pairs, which ``written`` covers.  Each pair's real block K is
@@ -203,8 +203,8 @@ def jacobi_sweeper_by_steps(aw, written, live):
     """
 
     def sweep(steps):
-        for step in steps:
-            _jacobi_step(aw, step, written, live)
+        for _ in range(steps):
+            _jacobi_step(aw, (gather, entries), written, live)
 
     return sweep
 

@@ -296,6 +296,27 @@ class TestFactorizationResiduals:
                 assert value == pytest.approx(1e-4, rel=1e-6), (k, name)
 
 
+def exactly_singular_inputs():
+    """Integer V, n <= 6, whose columns are exactly dependent.
+
+    Per shape and draw: the last column an integer multiple of the first,
+    the last column the sum of the others, and a rank-1 outer product;
+    odd draws are complex.
+    """
+    rng = np.random.default_rng(356)
+    for n in range(2, 7):
+        for m in range(2, n + 1):
+            for draw in range(8):
+                phase = 1j if draw % 2 else 1.0
+                a = rng.integers(-4, 5, (n, m)) + phase * rng.integers(-4, 5, (n, m))
+                multiple = a.copy()
+                multiple[:, -1] = rng.choice([-3, -2, 2, 3]) * a[:, 0]
+                summed = a.copy()
+                summed[:, -1] = a[:, :-1].sum(axis=1)
+                rank_one = phase * np.outer(rng.integers(1, 5, n), rng.integers(-4, 5, m))
+                yield from (multiple, summed, rank_one)
+
+
 class TestFactorizeCheckOrder:
     """The rank rule, then the overflow check, then Λ, whose column norms a zero σ_T zeroes.
 
@@ -350,6 +371,14 @@ class TestFactorizeCheckOrder:
     def test_an_overflowing_d_is_an_error_only_for_an_admitted_v(self, v, error):
         with pytest.raises(error):
             lo.factorize(v)
+
+    def test_every_exactly_singular_metric_reads_inf(self):
+        cases = list(exactly_singular_inputs())
+        assert len(cases) == 360
+        for v in cases:
+            with pytest.raises(SingularMetric) as excinfo:
+                lo.factorize(v)
+            assert excinfo.value.condition == math.inf, v
 
     @pytest.mark.parametrize("v", [1e-200 * np.eye(2), [[1e-170], [1e-170]], 5e-324 * np.eye(2)])
     def test_an_underflowing_d_is_kept_as_computed(self, v):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import lowdin as lo
 import lowdin.linalg
 from lowdin.errors import DimensionMismatch, NoConvergence, NotHermitian, SingularMetric
-from lowdin.linalg import _from_planes, _layouts, _schedule, _sweeper, _to_planes, _work_array
+from lowdin.linalg import _from_planes, _layouts, _sweeper, _to_planes, _work_array
 from lowdin.ortho import UNITARY_TOL
 
 from conftest import load_script, random_full_rank, random_matrix, random_unitary
@@ -164,44 +164,105 @@ class TestHermitianEigen:
         assert eigen.eigenvalues == pytest.approx([GOLDEN_HI, GOLDEN_LO], abs=1e-12)
 
 
+def ring_steps(n, planes):
+    """The pairs of each step of a ``_layouts`` sweep, in stored order and orientation."""
+    last, _, gather = _layouts(n, planes)[:3]
+    layout = last
+    for _ in range(last.size - 1):
+        layout = layout[gather]
+        yield layout.reshape(-1, 2).tolist()
+
+
+def circle_method(n):
+    """The pair set of each step of the textbook round-robin sweep, labelled as before the ring.
+
+    Player 0 keeps its seat while the others move one place round a ring
+    per step, and seat j plays seat size - 1 - j (odd n gets a dummy
+    player n).  Steps 0 and 1 join the players in one cycle, and they are
+    labelled 0, 1, ..., size - 1 along it from player 0, so step 0 is
+    (0, 1), (2, 3), ... and step 1 is (1, 2), (3, 4), ..., (0, size - 1).
+    """
+    size = n + n % 2
+    steps = []
+    for k in range(size - 1):
+        seated = [0] + [1 + (j - 1 - k) % (size - 1) for j in range(1, size)]
+        steps.append([(seated[j], seated[size - 1 - j]) for j in range(size // 2)])
+    partners = [{p: q for pair in step for p, q in (pair, pair[::-1])} for step in (steps * 2)[:2]]
+    cycle = [0]
+    while len(cycle) < size:
+        cycle.append(partners[(len(cycle) - 1) % 2][cycle[-1]])
+    label = {player: i for i, player in enumerate(cycle)}
+    return [{tuple(sorted((label[p], label[q]))) for p, q in step} for step in steps]
+
+
 class TestRoundRobinSchedule:
-    @pytest.mark.parametrize("n", range(1, 65))
+    """``_layouts``' ring: one gather table runs every step of a round-robin sweep."""
+
+    @pytest.mark.parametrize("n", range(1, 130))
     def test_each_pair_once_per_sweep_in_disjoint_steps(self, n):
-        steps = _schedule(n).tolist()
         size = n + n % 2
-        assert len(steps) == size - 1
-        seen = []
-        for step in steps:
-            indices = [i for pair in step for i in pair]
-            assert sorted(indices) == list(range(size))
-            seen.extend(tuple(pair) for pair in step if pair[1] < n)  # n is odd n's dummy
-        expected = [(p, q) for p in range(n) for q in range(p + 1, n)]
-        assert sorted(seen) == expected
+        for planes in (1, 2):
+            steps = list(ring_steps(n, planes))
+            assert len(steps) == size - 1
+            seen = []
+            for step in steps:
+                assert sorted(i for pair in step for i in pair) == list(range(size))
+                seen.extend(tuple(sorted(pair)) for pair in step if n not in pair)  # n is odd n's dummy
+            assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
-    @pytest.mark.parametrize("n", range(1, 65, 2))
+    @pytest.mark.parametrize("n", range(1, 130, 2))
     def test_odd_n_puts_the_dummy_pair_last_in_every_step(self, n):
-        # ``_sweep`` rotates the first n // 2 pairs of a step only.
-        steps = _schedule(n)
-        assert np.all(steps[:, -1, 1] == n)
-        assert np.all(steps[:, :-1, 1] < n)
+        # The sweep rotates the first n // 2 pairs of a step only.
+        for planes in (1, 2):
+            for step in ring_steps(n, planes):
+                assert n in step[-1]
+                assert all(n not in pair for pair in step[:-1])
 
-    @pytest.mark.parametrize("n", range(1, 65))
+    @pytest.mark.parametrize("n", range(1, 130))
     def test_steps_0_and_1_hold_every_neighbour_pair(self, n):
         # The QR/LQ rounds leave the largest pivots of L†·L next to its
         # diagonal, so each sweep opens on them.
-        opening = {tuple(pair) for pair in _schedule(n)[:2].reshape(-1, 2).tolist()}
-        assert {(i, i + 1) for i in range(n - 1)} <= opening
+        for planes in (1, 2):
+            opening = [tuple(sorted(pair)) for step in list(ring_steps(n, planes))[:2] for pair in step]
+            assert {(i, i + 1) for i in range(n - 1)} <= set(opening)
+
+    @pytest.mark.parametrize("n", range(1, 130))
+    def test_a_sweep_ends_in_the_layout_it_began_in(self, n):
+        for planes in (1, 2):
+            last, position, gather = _layouts(n, planes)[:3]
+            layout = last
+            for _ in range(last.size - 1):
+                layout = layout[gather]
+            assert np.array_equal(layout, last)
+            assert np.array_equal(last[position], np.arange(last.size))
+
+    @pytest.mark.parametrize("n", range(1, 130))
+    def test_tables_grow_linearly_with_the_size(self, n):
+        # last, position and gather hold one entry per index, entries at
+        # most two per index, written at most 2·planes: nothing per step.
+        size = n + n % 2
+        for planes in (1, 2):
+            nbytes = sum(table.nbytes for table in _layouts(n, planes))
+            assert nbytes <= (5 + 2 * planes) * size * np.dtype(np.intp).itemsize
+
+    @pytest.mark.parametrize("n", range(1, 130))
+    def test_steps_are_the_circle_method_of_the_textbook_labelling(self, n):
+        # Every step for even n; steps 0 and 1 for odd n, whose labels run
+        # backwards round the ring (the forward labels took more sweeps).
+        expected = circle_method(n)
+        for planes in (1, 2):
+            for k, step in enumerate(ring_steps(n, planes)):
+                if n % 2 == 0 or k < 2:
+                    assert {tuple(sorted(pair)) for pair in step} == expected[k], k
 
 
 class TestLayoutCache:
     @pytest.mark.parametrize("planes", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 7, 16])
     def test_repeat_call_returns_the_same_read_only_tables(self, n, planes):
-        last, position, steps, written = _layouts(n, planes)
-        again = _layouts(n, planes)
-        assert again[0] is last and again[1] is position and again[3] is written
-        assert all(a is b for pair in zip(again[2], steps) for a, b in zip(*pair))
-        tables = [last, position, written] + [t for step in steps for t in step]
+        tables = _layouts(n, planes)
+        assert len(tables) == 5
+        assert all(again is table for again, table in zip(_layouts(n, planes), tables))
         for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -411,19 +472,18 @@ class TestJacobiStep:
     @pytest.mark.parametrize("n", [2, 3, 8, 13, 19])
     def test_step_matches_per_pair_rotations(self, rng, n, complex_):
         size = n + n % 2
-        schedule = _schedule(n)
-        orders = schedule.reshape(size - 1, size)
-        steps, written = _layouts(n, 2 if complex_ else 1)[2:]
+        last, _, gather, entries, written = _layouts(n, 2 if complex_ else 1)
         eps = np.finfo(float).eps
-        for k in range(size - 1):
+        after = last
+        for pairs in ring_steps(n, 2 if complex_ else 1):
+            before, after = after, after[gather]  # step 0 starts from the sweep's last
             x = random_matrix(rng, n, n, complex_)
             a = np.zeros((size, size), dtype=x.dtype)
             a[:n, :n] = (x + x.conj().T) / 2.0
             w = random_unitary(rng, size, complex_)
-            before, after = orders[k - 1], orders[k]  # step -1 is the sweep's last
             aw = _to_planes(np.stack((a[before][:, before], w[before])))
-            _sweeper(aw, written, n // 2)(steps[k : k + 1])
-            a_ref, w_ref = jacobi_rotations(a, w, schedule[k])
+            _sweeper(aw, gather, entries, written, n // 2)(1)
+            a_ref, w_ref = jacobi_rotations(a, w, pairs)
             a_new, w_new = _from_planes(aw)
             assert lo.max_abs(a_new - a_ref[after][:, after]) <= 8 * eps * lo.max_abs(a)
             assert lo.max_abs(w_new - w_ref[after]) <= 8 * eps * lo.max_abs(w)
@@ -499,11 +559,11 @@ class TestDeadPivotBranch:
         """One sweep over h from the layout ``hermitian_eigen`` starts in, without ``np.where``."""
         n = h.shape[0]
         a = lowdin.linalg._real_valued(h)
-        last, _, steps, written = _layouts(n, 1 if a.dtype == np.float64 else 2)
-        sweep = _sweeper(_work_array(a, last), written, n // 2)
+        last, _, gather, entries, written = _layouts(n, 1 if a.dtype == np.float64 else 2)
+        sweep = _sweeper(_work_array(a, last), gather, entries, written, n // 2)
         with monkeypatch.context() as patch:
             patch.setattr(lowdin.linalg, "np", _NumpyWithoutWhere())
-            sweep(steps)
+            sweep(last.size - 1)
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("n", [3, 5, 9, 17, 33, 63, 65])
@@ -560,18 +620,18 @@ class TestNoStateOutlivesASolve:
         # plane count.
         sweeper, interleaved = lowdin.linalg._sweeper, []
 
-        def interleaving_sweeper(aw, written, live):
-            sweep = sweeper(aw, written, live)
+        def interleaving_sweeper(aw, gather, entries, written, live):
+            sweep = sweeper(aw, gather, entries, written, live)
 
             def halves(steps):
-                middle = len(steps) // 2 or 1
-                sweep(steps[:middle])
+                middle = steps // 2 or 1
+                sweep(middle)
                 j = len(interleaved) % len(inputs)
                 interleaved.append(j)
                 with monkeypatch.context() as patch:
                     patch.setattr(lowdin.linalg, "_sweeper", sweeper)
                     assert outcome(inputs[j]) == alone[j], j
-                sweep(steps[middle:])
+                sweep(steps - middle)
 
             return halves
 
@@ -761,62 +821,6 @@ class TestPhaseConvention:
                 u = u * np.ldexp(1.0, int(rng.integers(-1000, 1000)))
             fixed = lo.apply_phase_convention(u)
             assert fixed.tobytes() == phase_convention_by_columns(u).tobytes()
-
-
-def exactly_singular_inputs():
-    """Integer V, n <= 6, whose columns are exactly dependent.
-
-    Per shape and draw: the last column an integer multiple of the first,
-    the last column the sum of the others, and a rank-1 outer product;
-    odd draws are complex.
-    """
-    rng = np.random.default_rng(356)
-    for n in range(2, 7):
-        for m in range(2, n + 1):
-            for draw in range(8):
-                phase = 1j if draw % 2 else 1.0
-                a = rng.integers(-4, 5, (n, m)) + phase * rng.integers(-4, 5, (n, m))
-                multiple = a.copy()
-                multiple[:, -1] = rng.choice([-3, -2, 2, 3]) * a[:, 0]
-                summed = a.copy()
-                summed[:, -1] = a[:, :-1].sum(axis=1)
-                rank_one = phase * np.outer(rng.integers(1, 5, n), rng.integers(-4, 5, m))
-                yield from (multiple, summed, rank_one)
-
-
-class TestConditionEstimate:
-    EPS = np.finfo(float).eps
-
-    @pytest.mark.parametrize(
-        "eigenvalues, expected",
-        [
-            ([4.0, 2.0], 2.0),
-            ([1.0, 1e-15], 1e15),
-            ([1.0, 4.4e-16], math.inf),  # at the rounding floor 2·ε·d_max
-            ([1.0, 3.9e-32], math.inf),
-            ([1.0, 0.0], math.inf),
-            ([1.0, -1e-17], math.inf),
-            ([0.0, 0.0], math.inf),
-        ],
-    )
-    def test_inf_within_rounding_of_zero(self, eigenvalues, expected):
-        eigen = lo.HermitianEigen(eigenvalues=np.array(eigenvalues), eigenvectors=np.eye(2))
-        assert eigen.condition_estimate() == pytest.approx(expected)
-
-    def test_rounding_floor_scales_with_the_dimension(self):
-        d = np.array([1.0, 1.0, 1.0, 3.0 * self.EPS])
-        eigen = lo.HermitianEigen(eigenvalues=d, eigenvectors=np.eye(4))
-        assert eigen.condition_estimate() == math.inf
-        eigen = lo.HermitianEigen(eigenvalues=d[[0, 3]], eigenvectors=np.eye(2))
-        assert eigen.condition_estimate() == pytest.approx(1.0 / (3.0 * self.EPS))
-
-    def test_every_exactly_singular_metric_reads_inf(self):
-        cases = list(exactly_singular_inputs())
-        assert len(cases) == 360
-        for v in cases:
-            with pytest.raises(SingularMetric) as excinfo:
-                lo.factorize(v)
-            assert excinfo.value.condition == math.inf, v
 
 
 class TestToleranceConfig:
