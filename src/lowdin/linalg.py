@@ -297,15 +297,15 @@ def _layouts(n: int, planes: int) -> tuple:
     step, so after size - 1 steps (a sweep) each is back where it began,
     and every unordered pair has met exactly once (the circle method;
     Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1), 1985).  A step rotates
-    the tables (0, 1) and (1 + i, size - i), and the work matrix, of
-    shape (size, planes, size) (``_work_array``), stores table i at
-    positions (2i, 2i + 1), so each pair's rows form one contiguous block
-    of 2·planes rows, its p row first.  For odd n the fixed seat holds
-    the dummy and its table is stored last, so a sweep leaves it out by
-    rotating only the first n // 2 pairs.  Each seat keeps its position,
-    so one permutation, the same at every step, takes the work array from
-    one step's layout to the next, and a sweep ends in the layout it
-    began in.
+    the indices on seats (0, 1) and (1 + i, size - i), and the work
+    matrix, of shape (size, planes, size) (``_work_array``), stores seat
+    pair i at positions (2i, 2i + 1), so each pair's rows form one
+    contiguous block of 2·planes rows, its p row first.  For odd n the
+    fixed seat holds the dummy and its pair is stored last, so a sweep
+    leaves it out by rotating only the first n // 2 pairs.  Each seat
+    keeps its position, so one permutation, the same at every step,
+    takes the work array from one step's layout to the next, and a sweep
+    ends in the layout it began in.
 
     An index is labelled by its seat at step 0: seat s holds s for odd s
     and (size - s) mod size for even s, so steps 0 and 1 rotate the
@@ -432,8 +432,9 @@ def _sweeper(aw: np.ndarray, gather: np.ndarray, entries: np.ndarray, written: n
     are allocated here, once per solve, and the tables, numpy functions
     and methods a step calls are bound here: at n <= 16 a call's
     dispatch costs more than its arithmetic, so a global lookup, an
-    ``out=`` keyword or a scalar made an array shows in a step's time.  All of it belongs to
-    this solve alone, which keeps solves safe to run in several threads.
+    ``out=`` keyword or a scalar made an array shows in a step's time.
+    All of it belongs to this solve alone, which keeps solves safe to run
+    in several threads.
     """
     size, planes = aw.shape[1], aw.shape[2]
     half, width = size // 2, 2 * planes  # pairs per step, rows per pair
