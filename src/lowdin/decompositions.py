@@ -19,7 +19,10 @@ the orthogonalizers of ``ortho`` return its Φ and Λ).
   and d as their eigenvalues, since S·Λ = Λ·diag(d).
 
 The conversions Λ = Φ·U, Φ = Λ·U†, and Φ = W·U† move between the bases
-using that shared eigendecomposition.
+using that shared eigendecomposition.  They and the reconstructions
+V = Φ·H and V = W·diag(σ)·U† each multiply an n x m basis by an m x m
+factor; one private check, ``_square``, gives every one of the five a
+DimensionMismatch for any other factor shape.
 """
 
 from __future__ import annotations
@@ -253,7 +256,9 @@ def factorize(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
     (so a zero V too).  The rule reads the scaled domain, so 2^k·V gets
     V's verdict.  Then OverflowError, quoting max|V|, when d = 2^2e·d_T
     overflows; an underflowed d is kept as computed, as σ carries V's
-    scale.  NoConvergence when the eigensolver runs out of sweeps.
+    scale.  NoConvergence when the eigensolver runs out of sweeps; its
+    ``off_norm`` is ‖off(T)‖_F of the scaled T = L₃†·L₃, in the units of
+    2^-2e·M, not M's, so 2^k·V reports the value V does.
     """
     v = as_matrix(v)
     scaled, exponent = _scaled_to_unit(v)
@@ -314,32 +319,42 @@ def reduced_svd(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SvdFactors:
     return factorize(v, cfg).svd
 
 
+def _square(a, m: int) -> np.ndarray:
+    """``a`` as an m x m matrix, the factor an n x m basis is multiplied by.
+
+    The one shape check of the five relations below: any other shape
+    raises DimensionMismatch before a product is formed.
+    """
+    a = as_matrix(a)
+    if a.shape != (m, m):
+        raise DimensionMismatch(f"the factor of an n x {m} basis must be {m}x{m}, got {a.shape}")
+    return a
+
+
 def canonical_from_symmetric(phi: OrthonormalBasis, u) -> OrthonormalBasis:
     """Convert a symmetric basis to the canonical one: Λ = Φ·U.
 
-    ``u`` must be the eigenvector matrix of the metric of the original V.
+    ``u`` must be the eigenvector matrix of the metric of the original V:
+    m x m for an n x m Φ (DimensionMismatch otherwise) and unitary
+    (``require_unitary``).
     """
     if phi.method is not Method.SYMMETRIC:
         raise ValueError(f"expected a symmetric-method basis, got {phi.method}")
-    u = require_unitary(u)
-    if u.shape[0] != phi.matrix.shape[1]:
-        raise DimensionMismatch(
-            f"U must be {phi.matrix.shape[1]}x{phi.matrix.shape[1]}, got {u.shape}"
-        )
+    u = require_unitary(_square(u, phi.matrix.shape[1]))
     return OrthonormalBasis(
         matrix=phi.matrix @ u, method=Method.CANONICAL, source_eigen=phi.source_eigen
     )
 
 
 def symmetric_from_canonical(lam: OrthonormalBasis, u) -> OrthonormalBasis:
-    """Convert a canonical basis back to the symmetric one: Φ = Λ·U†."""
+    """Convert a canonical basis back to the symmetric one: Φ = Λ·U†.
+
+    ``u`` must be m x m for an n x m Λ (DimensionMismatch otherwise) and
+    unitary (``require_unitary``).
+    """
     if lam.method is not Method.CANONICAL:
         raise ValueError(f"expected a canonical-method basis, got {lam.method}")
-    u = require_unitary(u)
-    if u.shape[0] != lam.matrix.shape[1]:
-        raise DimensionMismatch(
-            f"U must be {lam.matrix.shape[1]}x{lam.matrix.shape[1]}, got {u.shape}"
-        )
+    u = require_unitary(_square(u, lam.matrix.shape[1]))
     return OrthonormalBasis(
         matrix=lam.matrix @ u.conj().T,
         method=Method.SYMMETRIC,
@@ -350,36 +365,34 @@ def symmetric_from_canonical(lam: OrthonormalBasis, u) -> OrthonormalBasis:
 def symmetric_from_svd(factors: SvdFactors) -> OrthonormalBasis:
     """Recover the symmetric basis from a reduced SVD: Φ = W·U†.
 
-    Any ambiguity inside a degenerate singular-value cluster cancels
-    between W and U, so the product matches V·M^{-1/2} even then.
+    For an n x m W the right factor U must be m x m (DimensionMismatch
+    otherwise).  Any ambiguity inside a degenerate singular-value cluster
+    cancels between W and U, so the product matches V·M^{-1/2} even then.
     """
     left = as_matrix(factors.left)
-    right = as_matrix(factors.right)
-    if right.shape[0] != left.shape[1]:
-        raise DimensionMismatch(
-            f"right factor must be {left.shape[1]}x{left.shape[1]}, got {right.shape}"
-        )
+    right = _square(factors.right, left.shape[1])
     return OrthonormalBasis(matrix=left @ right.conj().T, method=Method.SYMMETRIC)
 
 
 def reconstruct_polar(factors: PolarFactors) -> np.ndarray:
-    """Multiply the polar factors back together: Φ·H."""
+    """Multiply the polar factors back together: Φ·H.
+
+    For an n x m Φ the positive factor H must be m x m (DimensionMismatch
+    otherwise).
+    """
     phi = as_matrix(factors.orthonormal.matrix)
-    h = as_matrix(factors.positive)
-    if phi.shape[1] != h.shape[0]:
-        raise DimensionMismatch(
-            f"cannot multiply {phi.shape} orthonormal factor by {h.shape} positive factor"
-        )
-    return phi @ h
+    return phi @ _square(factors.positive, phi.shape[1])
 
 
 def reconstruct_svd(factors: SvdFactors) -> np.ndarray:
-    """Multiply the SVD factors back together: W·diag(σ)·U†."""
+    """Multiply the SVD factors back together: W·diag(σ)·U†.
+
+    For an n x m W, σ must hold m values and U must be m x m
+    (DimensionMismatch otherwise).
+    """
     left = as_matrix(factors.left)
-    right = as_matrix(factors.right)
+    right = _square(factors.right, left.shape[1])
     sigma = np.asarray(factors.singular_values, dtype=float)
-    if sigma.ndim != 1 or sigma.shape[0] != left.shape[1] or right.shape[0] != sigma.shape[0]:
-        raise DimensionMismatch(
-            f"inconsistent SVD factor shapes {left.shape}, {sigma.shape}, {right.shape}"
-        )
+    if sigma.shape != (left.shape[1],):
+        raise DimensionMismatch(f"σ must hold {left.shape[1]} values, got shape {sigma.shape}")
     return (left * sigma) @ right.conj().T

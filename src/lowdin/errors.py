@@ -23,7 +23,14 @@ class NotUnitary(LinalgError):
 
 
 class NoConvergence(LinalgError):
-    """Eigensolver used up its sweeps before every pair passed its relative test."""
+    """Eigensolver used up its sweeps before every pair passed its relative test.
+
+    ``sweeps`` is the number run and ``off_norm`` the off-diagonal
+    Frobenius norm they left, in the units of the matrix the solver was
+    given: a direct ``hermitian_eigen`` call reports ‖off(M)‖_F in M's
+    units, and ``factorize`` reports ‖off(T)‖_F of the scaled T = L†·L,
+    built from 2^-e·V, so 2^k·V reports the value V does.
+    """
 
     def __init__(self, message, sweeps=None, off_norm=None):
         super().__init__(message)

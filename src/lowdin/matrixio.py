@@ -1,10 +1,13 @@
 """Reading and writing matrices as delimited text files.
 
-One matrix row per line, comma (csv) or tab (tsv) delimited.  Blank
-lines and lines starting with ``#`` are skipped.  Each token is a real
-decimal or a complex literal ``a+bi`` / ``a-bi`` with no spaces and an
-``i`` suffix, e.g. ``1.5``, ``-2e-3``, ``0+1i``, ``3.25-0.5i``.  A token
-whose value overflows float64, such as ``1e999``, is a parse error.
+One matrix row per line, comma (csv) or tab (tsv) delimited.  A line
+ends at ``\\n``, ``\\r\\n`` or ``\\r`` only: any other character that
+``str.splitlines`` breaks at, such as a form feed, stays in its line, and
+inside a token it is a parse error.  Blank lines and lines starting with
+``#`` are skipped.  Each token is a real decimal or a complex literal
+``a+bi`` / ``a-bi`` with no spaces and an ``i`` suffix, e.g. ``1.5``,
+``-2e-3``, ``0+1i``, ``3.25-0.5i``.  A token whose value overflows
+float64, such as ``1e999``, is a parse error.
 
 Every value is written as the shortest decimal that reads back as the
 same float64 (``repr``), so ``parse(write(A)) == A`` exactly: a factor
@@ -109,8 +112,14 @@ def parse_matrix_text(text: str, fmt: str = "csv") -> np.ndarray:
 
 
 def _data_lines(text: str):
-    """(line number, line) of each line that is neither blank nor a comment."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    """(line number, line) of each line that is neither blank nor a comment.
+
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else.
+    ``str.splitlines`` would also break at \\v, \\f, \\x1c-\\x1e, \\x85,
+    U+2028 and U+2029, which would turn ``1,2\\f3,4`` into two rows.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield lineno, line

@@ -488,6 +488,8 @@ HOSTILE = {
     "bad_token": ("1,2\n3,x\n", "svd", 2, "ParseError"),
     "ragged_row": ("1,2\n3\n", "polar", 2, "RaggedRows"),
     "overflow_token": ("1e999,0\n0,1\n", "verify", 2, "ParseError"),
+    # A form feed ends no line, so "2\f3" is one bad token, not a row break.
+    "form_feed": ("1,2\f3,4\n5,6\n", "verify", 2, "ParseError"),
     "huge_identity": ("1e200,0\n0,1e200\n", "relations", 3, "OverflowError"),
     # Rank deficient by max(n, m)·ε, though its d also overflows.
     "graded_1e300": ("1e300,1\n1,1e-300\n", "polar", 3, "SingularMetric"),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 import lowdin as lo
 from lowdin.decompositions import RELATION_TOL
-from lowdin.errors import DimensionMismatch, NotUnitary, SingularMetric
+from lowdin.errors import DimensionMismatch, NoConvergence, NotUnitary, SingularMetric
 from lowdin.linalg import _scaled_to_unit
 from lowdin.ortho import Method, OrthonormalBasis
 
@@ -391,6 +391,24 @@ class TestFactorizeCheckOrder:
         assert max(f.residuals().values()) <= 1e-15
 
 
+class TestNoConvergenceUnits:
+    """Through ``factorize``, ``off_norm`` is ‖off(T)‖_F of the scaled T = L†·L."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_off_norm_is_the_same_for_every_power_of_two(self, rng, complex_):
+        # T is built from 2^-e·V, so 2^k·V reports V's value bit for bit,
+        # where a direct hermitian_eigen call on M reports it in M's units.
+        v = random_full_rank(rng, 6, 4, complex_=complex_)
+        cfg = lo.ToleranceConfig(max_sweeps=1)
+        reported = []
+        for k in (-10, 0, 10):
+            with pytest.raises(NoConvergence) as excinfo:
+                lo.factorize(v * 2.0**k, cfg)
+            assert excinfo.value.sweeps == 1
+            reported.append(excinfo.value.off_norm)
+        assert reported[0] > 0.0 and reported == [reported[0]] * 3
+
+
 class TestConversions:
     def test_canonical_from_symmetric_identity(self):
         phi = lo.symmetric_orthogonalize(np.eye(2))
@@ -527,9 +545,12 @@ class TestSymmetricFromSvd:
         direct = lo.symmetric_orthogonalize(v).matrix
         assert lo.max_abs(via_svd - direct) <= 1e-10
 
-    def test_shape_mismatch(self):
+    # A 2 x 3 right factor has W's two columns as its rows, yet is no
+    # 2 x 2 factor: it must raise DimensionMismatch, not numpy's ValueError.
+    @pytest.mark.parametrize("right", [np.eye(3), np.eye(2, 3)], ids=["3x3", "2x3"])
+    def test_shape_mismatch(self, right):
         factors = lo.SvdFactors(
-            left=np.eye(3, 2), singular_values=np.array([1.0, 1.0]), right=np.eye(3)
+            left=np.eye(3, 2), singular_values=np.array([1.0, 1.0]), right=right
         )
         with pytest.raises(DimensionMismatch):
             lo.symmetric_from_svd(factors)
@@ -556,12 +577,30 @@ class TestReconstruct:
         factors = lo.reduced_svd(v)
         assert lo.max_abs(lo.reconstruct_svd(factors) - v) <= 1e-9 * lo.max_abs(v)
 
-    def test_svd_shape_mismatch(self):
-        factors = lo.SvdFactors(
-            left=np.eye(2), singular_values=np.array([1.0, 2.0, 3.0]), right=np.eye(3)
-        )
+    @pytest.mark.parametrize(
+        "left, sigma, right",
+        [
+            (np.eye(2), [1.0, 2.0, 3.0], np.eye(3)),
+            # σ and the rows of U agree with W's two columns, but U is 2 x 3.
+            (np.eye(3, 2), [1.0, 2.0], np.eye(2, 3)),
+        ],
+        ids=["sigma-3", "right-2x3"],
+    )
+    def test_svd_shape_mismatch(self, left, sigma, right):
+        factors = lo.SvdFactors(left=left, singular_values=np.array(sigma), right=right)
         with pytest.raises(DimensionMismatch):
             lo.reconstruct_svd(factors)
+
+    @pytest.mark.parametrize(
+        "h", [np.eye(2, 3), np.eye(3), np.eye(3, 2)], ids=["2x3", "3x3", "3x2"]
+    )
+    def test_polar_shape_mismatch(self, rng, h):
+        # A 3 x 2 Φ takes a 2 x 2 H; a 2 x 3 one would give a 3 x 3
+        # product that is no reconstruction of V.
+        phi = lo.symmetric_orthogonalize(random_full_rank(rng, 3, 2))
+        factors = lo.PolarFactors(orthonormal=phi, positive=h)
+        with pytest.raises(DimensionMismatch):
+            lo.reconstruct_polar(factors)
 
 
 @settings(max_examples=30, deadline=None)

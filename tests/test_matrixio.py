@@ -95,6 +95,48 @@ class TestParse:
         assert excinfo.value.line == 3
 
 
+class TestLineEnds:
+    """A line ends at \\n, \\r\\n or \\r, not wherever ``str.splitlines`` breaks."""
+
+    # Every other character str.splitlines breaks a line at.
+    OTHER_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("text", ["1,2\f3,4\n5,6\n", "1,2\f3,4\n5,x\n"])
+    def test_a_form_feed_stays_inside_its_token(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        for parse in (lambda: parse_matrix_text(text), lambda: parse_matrix_file(path)):
+            with pytest.raises(ParseError) as excinfo:
+                parse()
+            assert (excinfo.value.line, excinfo.value.column) == (1, 2)
+            assert excinfo.value.token == "2\x0c3"
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    @pytest.mark.parametrize("brk", OTHER_BREAKS)
+    def test_no_other_character_ends_a_line(self, brk, fmt):
+        d = delimiter_for(fmt)
+        with pytest.raises(ParseError) as excinfo:
+            parse_matrix_text(f"1{d}2{brk}3{d}4\n5{d}6\n", fmt)
+        assert (excinfo.value.line, excinfo.value.column, excinfo.value.token) == (1, 2, f"2{brk}3")
+
+    @pytest.mark.parametrize("brk", OTHER_BREAKS)
+    def test_at_a_token_edge_it_is_blank(self, brk):
+        # Stripped like a space, so the row keeps its width and its line.
+        text = f"1,2{brk}\n{brk}3,4\n"
+        assert np.array_equal(parse_matrix_text(text), [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_each_line_end_separates_rows(self, tmp_path, end):
+        text = end.join(["1,2", "# comment", "3,4", "5,x", ""])
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        for parse in (lambda: parse_matrix_text(text), lambda: parse_matrix_file(path)):
+            with pytest.raises(ParseError) as excinfo:
+                parse()
+            assert (excinfo.value.line, excinfo.value.column) == (4, 2)
+        assert np.array_equal(parse_matrix_text(text.replace("x", "6")), [[1, 2], [3, 4], [5, 6]])
+
+
 # Tokens next to the grammar's edges: each is accepted or rejected by
 # ``parse_token``, and the row conversions must agree with it either way.
 NEAR_MISSES = [
@@ -102,6 +144,7 @@ NEAR_MISSES = [
     "1+ 2i", "1_0", "inf", "-inf", "nan", "\u0661", "1+\u0662i", "\xa01.5\xa0", "\xa0",
     "", " ", "1e+5i", "1+2e-3i", "1.+.5i", "1..", "1+2i5", "1j", "1+2j", "(1+2i)", ".", "e5",
     "1e", "+", "-0", "1-0i", "-0-0i", "+.5e-3", "1E5", "0x10", "1,5", "#1", "1\t2", "\t1\t",
+    "1\f2", "\x0b1", "2\x85", "1\u20282+1i",
 ]
 _real_tokens = st.floats(allow_nan=False, width=64).map(repr)
 # The imaginary sign is read off repr, so -0.0 is written "-0.0i".
