@@ -9,10 +9,11 @@ a rank-deficient, a zero, a 1 x 1, a row and a column matrix, and three
 V whose d is subnormal or underflows: 1e-160·I, a tall 3 x 2 V of
 entries near 1e-158 and [[1e-170], [1e-170]]), all csv, plus tsv copies
 of the fixtures and of the first 20 random inputs.  Every command runs
-on every csv input with default flags, and on the hostile files, the
-fixtures whose names do not start with "r" and the first 20 random
-inputs also with ``--max-sweeps 2``; on every tsv input it runs once,
-with ``--format tsv``: 1421 runs in all.
+once on every input, with the ``--format`` its suffix names: 1155 runs
+in all.  Outputs are compared,
+not solver work: the sweeps a change saves or costs show in
+``ACCURACY.json``'s ``sweeps_total`` and in the ``sweeps_total`` row of
+CI's output-drift step.
 Each checkout runs the corpus in its own interpreter, with its own
 ``src`` first on ``PYTHONPATH`` and without writing bytecode into it,
 and stores the factor files, ``report.json`` (with ``elapsed_ms``
@@ -70,26 +71,21 @@ import contextlib, io, json, sys
 from pathlib import Path
 from lowdin import cli
 corpus, out = Path(sys.argv[1]), Path(sys.argv[2])
-flags = {"default": [], "sweeps2": ["--max-sweeps", "2"]}
 for path in sorted(corpus.iterdir()):
-    if path.suffix == ".tsv":
-        variants = {"tsv": ["--format", "tsv"]}
-    else:
-        variants = flags if path.name[0] != "r" or path.name < "r020" else {"default": []}
-    for variant, extra in variants.items():
-        for command in cli.COMMANDS:
-            d = out / path.name / variant / command
-            d.mkdir(parents=True)
-            try:
-                with contextlib.redirect_stderr(io.StringIO()):
-                    code = cli.main([command, "--input", str(path), "--output-dir", str(d), *extra])
-            except Exception as exc:
-                code = f"raised {type(exc).__name__}: {exc}"
-            (d / "exit").write_text(f"{code}\n")
-            report = d / "report.json"
-            if report.exists():
-                r = json.loads(report.read_text()); r["elapsed_ms"] = 0
-                report.write_text(json.dumps(r, indent=2, sort_keys=True) + "\n")
+    for command in cli.COMMANDS:
+        d = out / path.name / command
+        d.mkdir(parents=True)
+        argv = [command, "--input", str(path), "--output-dir", str(d), "--format", path.suffix[1:]]
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+        (d / "exit").write_text(f"{code}\n")
+        report = d / "report.json"
+        if report.exists():
+            r = json.loads(report.read_text()); r["elapsed_ms"] = 0
+            report.write_text(json.dumps(r, indent=2, sort_keys=True) + "\n")
 '''
 
 

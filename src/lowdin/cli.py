@@ -27,7 +27,6 @@ from typing import NamedTuple, NoReturn
 
 from .decompositions import factorize
 from .errors import LinalgError
-from .linalg import ToleranceConfig
 from .matrixio import MatrixFileError, parse_matrix_file, write_matrix_file
 
 class Command(NamedTuple):
@@ -128,7 +127,7 @@ def _describe_error(exc: Exception) -> dict:
     return info
 
 
-def run(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one parsed command line and write its factor files and report.
 
     ``args`` is what ``_build_parser`` parsed, so the command and format
@@ -154,7 +153,7 @@ def run(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
     try:
         v = parse_matrix_file(args.input, args.format)
         report["rows"], report["cols"] = v.shape
-        f = factorize(v, cfg)
+        f = factorize(v)
         values = f.residuals(*command.residuals)
         files = {f"{args.command}_{view}": _VIEWS[view](f) for view in command.views}
         report.update(
@@ -228,25 +227,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("csv", "tsv"), default="csv", help="input and output files (default: csv)"
     )
-    parser.add_argument(
-        "--max-sweeps",
-        type=int,
-        default=ToleranceConfig.max_sweeps,
-        help=f"Jacobi sweep limit, an integer >= 1 (default: {ToleranceConfig.max_sweeps}); "
-        "exit 3 with NoConvergence if a pair still fails the solver's relative "
-        "test after that many sweeps",
-    )
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        cfg = ToleranceConfig(max_sweeps=args.max_sweeps)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run(args, cfg)
+    return run(_build_parser().parse_args(argv))
 
 
 def console() -> NoReturn:

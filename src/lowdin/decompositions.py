@@ -27,7 +27,6 @@ DimensionMismatch for any other factor shape.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -36,7 +35,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularMetric
 from .linalg import (
-    DEFAULT_TOLERANCES,
     HermitianEigen,
     ToleranceConfig,
     _phase_fixed,
@@ -220,7 +218,7 @@ _RESIDUALS = {
 _QLP_ROUNDS = 3
 
 
-def factorize(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
+def factorize(v) -> Factorization:
     """Diagonalize and check the metric M = V†V of a full-column-rank V once.
 
     M is never formed.  V is scaled by 2^-e (e the ``frexp`` exponent of
@@ -256,9 +254,10 @@ def factorize(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
     (so a zero V too).  The rule reads the scaled domain, so 2^k·V gets
     V's verdict.  Then OverflowError, quoting max|V|, when d = 2^2e·d_T
     overflows; an underflowed d is kept as computed, as σ carries V's
-    scale.  NoConvergence when the eigensolver runs out of sweeps; its
-    ``off_norm`` is ‖off(T)‖_F of the scaled T = L₃†·L₃, in the units of
-    2^-2e·M, not M's, so 2^k·V reports the value V does.
+    scale.  NoConvergence when the eigensolver runs out of sweeps, at the
+    default ``ToleranceConfig.max_sweeps`` of 64; its ``off_norm`` is
+    ‖off(T)‖_F of the scaled T = L₃†·L₃, in the units of 2^-2e·M, not
+    M's, so 2^k·V reports the value V does.
     """
     v = as_matrix(v)
     scaled, exponent = _scaled_to_unit(v)
@@ -271,7 +270,7 @@ def factorize(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
         factor = l_adjoint.conj().T
     # T = L†·L as computed; hermitian_eigen symmetrizes it.  The Frobenius
     # norm of L is that of 2^-e·V, below √(2nm), so no entry of T reaches 2nm.
-    reduced = hermitian_eigen(l_adjoint @ factor, cfg)
+    reduced = hermitian_eigen(l_adjoint @ factor)
     # The checks come before Λ, whose column norms are σ_T.
     sigma = np.sqrt(np.maximum(reduced.eigenvalues, 0.0))
     cutoff = max(v.shape) * np.finfo(np.float64).eps * sigma[0]
@@ -285,7 +284,6 @@ def factorize(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
             f"the rank cutoff max(n, m)·ε·σ_0 = {np.ldexp(cutoff, exponent):.6e}",
             eigenvalue_index=index,
             eigenvalue=float(d[index]),
-            condition=math.inf,
         )
     if not np.all(np.isfinite(d)):
         raise OverflowError(f"V†V overflows float64 (max|V| = {max_abs(v):.3e})")
@@ -300,23 +298,23 @@ def factorize(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
     return Factorization(v=v, lam=lam, sigma=np.ldexp(sigma, exponent), condition=condition)
 
 
-def polar_decompose(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PolarFactors:
+def polar_decompose(v) -> PolarFactors:
     """Factor a full-column-rank V into Φ·M^{1/2}.
 
     The orthonormal factor is exactly the symmetric orthogonalization of
     V; the positive factor is the Hermitian square root of the metric.
     """
-    return factorize(v, cfg).polar
+    return factorize(v).polar
 
 
-def reduced_svd(v, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SvdFactors:
+def reduced_svd(v) -> SvdFactors:
     """Reduced SVD of a full-column-rank V via the canonical basis.
 
     The left factor is the canonical basis Λ, the singular values are
     the square roots of the metric eigenvalues, and the right factor is
     the metric's eigenvector matrix, all from one eigendecomposition.
     """
-    return factorize(v, cfg).svd
+    return factorize(v).svd
 
 
 def _square(a, m: int) -> np.ndarray:

@@ -5,6 +5,8 @@ everything here signals a structural or numerical problem and maps to
 exit status 3 in the CLI.
 """
 
+import math
+
 
 class LinalgError(Exception):
     """Base class for all numerical and structural errors."""
@@ -42,12 +44,13 @@ class SingularMetric(LinalgError):
     """V fails the rank rule: a singular value at most max(n, m)·ε·σ_max.
 
     Carries the index of the first offending singular value (descending
-    order), its eigenvalue of the metric V†V, and the condition estimate,
-    ``inf`` for a rejected V.
+    order) and its eigenvalue of the metric V†V.  The condition estimate
+    of a rejected V is ``inf``, the same for every instance.
     """
 
-    def __init__(self, message, eigenvalue_index, eigenvalue, condition):
+    condition = math.inf
+
+    def __init__(self, message, eigenvalue_index, eigenvalue):
         super().__init__(message)
         self.eigenvalue_index = eigenvalue_index
         self.eigenvalue = eigenvalue
-        self.condition = condition

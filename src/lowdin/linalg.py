@@ -75,15 +75,17 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """The one setting a caller may choose, beside the package's fixed bounds.
+    """The one setting of the eigensolver, beside the package's fixed bounds.
 
     max_sweeps           hard limit on Jacobi sweeps before giving up, an
                          integer of at least 1
 
-    Whether V has full column rank is no setting: ``factorize`` decides
-    it from V itself, by the rule of ``numpy.linalg.matrix_rank``.  The
-    bounds on the paper's identities are constants, readable on any
-    instance but not settable, so no caller can loosen the check:
+    Only ``hermitian_eigen`` reads it; ``factorize``, every view of it
+    and the CLI solve with ``DEFAULT_TOLERANCES``.  Whether V has full
+    column rank is no setting: ``factorize`` decides it from V itself, by
+    the rule of ``numpy.linalg.matrix_rank``.  The bounds on the paper's
+    identities are constants, readable on any instance but not settable,
+    so no caller can loosen the check:
 
     orthonormality_tol   bound on ``max|Z†Z - I|`` for orthonormal bases
     reconstruction_tol   relative bound on factorization round trips

@@ -5,9 +5,10 @@ ends at ``\\n``, ``\\r\\n`` or ``\\r`` only: any other character that
 ``str.splitlines`` breaks at, such as a form feed, stays in its line, and
 inside a token it is a parse error.  Blank lines and lines starting with
 ``#`` are skipped.  Each token is a real decimal or a complex literal
-``a+bi`` / ``a-bi`` with no spaces and an ``i`` suffix, e.g. ``1.5``,
-``-2e-3``, ``0+1i``, ``3.25-0.5i``.  A token whose value overflows
-float64, such as ``1e999``, is a parse error.
+``a+bi`` / ``a-bi`` in ASCII digits, with no spaces and an ``i`` suffix,
+e.g. ``1.5``, ``-2e-3``, ``0+1i``, ``3.25-0.5i``; a digit of another
+script, such as ``١`` or a fullwidth ``１``, is a parse error.  A token
+whose value overflows float64, such as ``1e999``, is a parse error.
 
 Every value is written as the shortest decimal that reads back as the
 same float64 (``repr``), so ``parse(write(A)) == A`` exactly: a factor
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-_DEC = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_DEC = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # The grammar of one token.  Only the per-token path reads it, so ``re``
 # compiles it on first use (and caches it), not at import.
 _TOKEN = rf"^(?P<re>[+-]?{_DEC})(?:(?P<im>[+-]{_DEC})i)?$"
@@ -37,12 +38,12 @@ _TOKEN = rf"^(?P<re>[+-]?{_DEC})(?:(?P<im>[+-]{_DEC})i)?$"
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
 
 # Per delimiter: the characters of a row that ``float`` converts token by
-# token, and the form, under ``re.ASCII``, of a whole row plus one more
-# delimiter that ``complex`` converts token by token once each ``i`` is a
-# ``j``.  Within these, a builtin accepts exactly the tokens ``_TOKEN``
-# matches (with ASCII digits, and blanks other than the delimiter around
-# them) and gives them the same values.  ``re`` compiles a form on first
-# use and caches it, so a process that reads no complex row skips that.
+# token, and the form of a whole row plus one more delimiter that
+# ``complex`` converts token by token once each ``i`` is a ``j``.  Within
+# these, a builtin accepts exactly the tokens ``_TOKEN`` matches (with
+# blanks other than the delimiter around them) and gives them the same
+# values.  ``re`` compiles a form on first use and caches it, so a
+# process that reads no complex row skips that.
 _REAL_CHARS = {d: frozenset("0123456789.eE+- \t" + d) for d in _DELIMITERS.values()}
 _COMPLEX_TOKEN = rf"[+-]?{_DEC}(?:[+-]{_DEC}i)?"
 _COMPLEX_ROWS = {
@@ -147,7 +148,7 @@ def _parse_rows(text: str, delimiter: str):
         elif len(tokens) != width:
             return None
         if "i" in line:
-            if re.fullmatch(complex_row, line + delimiter, re.ASCII) is None:
+            if re.fullmatch(complex_row, line + delimiter) is None:
                 return None
             values += map(complex, line.replace("i", "j").split(delimiter))
         elif real_chars.issuperset(line):

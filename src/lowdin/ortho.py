@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, NotUnitary
-from .linalg import DEFAULT_TOLERANCES, HermitianEigen, ToleranceConfig, as_matrix, max_abs
+from .linalg import HermitianEigen, as_matrix, max_abs
 # perfbench/selftest.py reads lowdin.ortho.hermitian_eigen, so the name stays bound here.
 from .linalg import hermitian_eigen  # noqa: F401
 
@@ -68,10 +68,8 @@ def require_unitary(b) -> np.ndarray:
     return b
 
 
-def symmetric_orthogonalize(
-    v, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> OrthonormalBasis:
-    """Symmetric orthogonalization Φ = V·M^{-1/2}: ``factorize(v, cfg).phi``.
+def symmetric_orthogonalize(v) -> OrthonormalBasis:
+    """Symmetric orthogonalization Φ = V·M^{-1/2}: ``factorize(v).phi``.
 
     Parameters
     ----------
@@ -91,17 +89,15 @@ def symmetric_orthogonalize(
     """
     from .decompositions import factorize
 
-    return factorize(v, cfg).phi
+    return factorize(v).phi
 
 
-def canonical_orthogonalize(
-    v, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> OrthonormalBasis:
-    """Canonical orthogonalization Λ = V·U·d^{-1/2}: ``factorize(v, cfg).lam``.
+def canonical_orthogonalize(v) -> OrthonormalBasis:
+    """Canonical orthogonalization Λ = V·U·d^{-1/2}: ``factorize(v).lam``.
 
     Column j of Λ pairs with the j-th largest metric eigenvalue; the
     (U, d) used are attached as ``source_eigen``.
     """
     from .decompositions import factorize
 
-    return factorize(v, cfg).lam
+    return factorize(v).lam

@@ -1,11 +1,14 @@
 """Shared generators for the test suite."""
 
+import functools
 import importlib.util
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+import lowdin as lo
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -58,3 +61,19 @@ def load_script(name):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def cap_sweeps(monkeypatch):
+    """``cap_sweeps(k)`` makes ``factorize``, and every view of it, stop at k sweeps.
+
+    The sweep limit is a setting of ``hermitian_eigen`` alone, so a test
+    that needs a capped solve above it binds a capped solver where
+    ``factorize`` looks it up.
+    """
+
+    def cap(max_sweeps):
+        capped = functools.partial(lo.hermitian_eigen, cfg=lo.ToleranceConfig(max_sweeps=max_sweeps))
+        monkeypatch.setattr("lowdin.decompositions.hermitian_eigen", capped)
+
+    return cap

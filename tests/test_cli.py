@@ -172,8 +172,8 @@ class TestPcaCommand:
         source = tmp_path / "v.csv"
         write_matrix_file(source, v)
 
-        def stretched(v, cfg):
-            f = lo.factorize(v, cfg)
+        def stretched(v):
+            f = lo.factorize(v)
             matrix = f.lam.matrix.copy()
             matrix[:, -1] *= 1.0 + 1e-8
             return dataclasses.replace(f, lam=f.lam._replace(matrix=matrix))
@@ -420,23 +420,16 @@ class TestErrorsAndExitCodes:
         assert excinfo.value.code == 2
         assert not (tmp_path / "report.json").exists()
 
-    def test_bad_tolerance_exits_2(self, tmp_path, capsys):
-        # A sweep limit below 1 would stop every solve before it starts.
-        for value in ("0", "-1"):
-            code = run_cli(
-                "symmetric",
-                FIXTURES / "identity_2x2.csv",
-                tmp_path / value,
-                "--max-sweeps",
-                value,
-            )
-            assert code == 2
-            assert "max_sweeps must be at least 1" in capsys.readouterr().err
-            assert not (tmp_path / value / "report.json").exists()
-
     @pytest.mark.parametrize(
         "flag",
-        ["--tol-orthonormality", "--tol-reconstruction", "--tol-eigen-convergence", "--rank-tol"],
+        [
+            "--tol-orthonormality",
+            "--tol-reconstruction",
+            "--tol-eigen-convergence",
+            "--rank-tol",
+            # The sweep limit is a setting of hermitian_eigen alone.
+            "--max-sweeps",
+        ],
     )
     def test_no_flag_moves_a_fixed_bound(self, tmp_path, flag):
         with pytest.raises(SystemExit) as excinfo:
@@ -458,6 +451,23 @@ class TestErrorsAndExitCodes:
             if command != "polar":
                 assert report["residuals"]["projection_sum_gap"] <= 2e-15
 
+    def test_no_convergence_is_reported_with_its_sweeps_and_norm(
+        self, tmp_path, capsys, cap_sweeps
+    ):
+        # rand_4x3 needs 2 sweeps, so a solver capped at 1 ends in
+        # NoConvergence: exit 3, the sweeps run and the norm they left in
+        # the report, its error line on stderr, and no factor file.
+        cap_sweeps(1)
+        out = tmp_path / "out"
+        assert run_cli("svd", FIXTURES / "rand_4x3.csv", out) == 3
+        report = load_report(out)
+        error = report["error"]
+        assert error["type"] == "NoConvergence"
+        assert error["sweeps"] == 1 and error["off_norm"] > 0.0
+        assert report["pass"] is False and report["residuals"] == {}
+        assert capsys.readouterr().err == f"error: NoConvergence: {error['message']}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
     def test_a_residual_past_its_bound_fails_the_run_without_numeric_error(
         self, tmp_path, monkeypatch
     ):
@@ -465,8 +475,8 @@ class TestErrorsAndExitCodes:
         # still S's eigenvectors, but no longer paired with d, so
         # projection_sum_gap reads about 1 and the run exits 1, with its
         # report and every factor file written and no error.
-        def swapped(v, cfg):
-            f = lo.factorize(v, cfg)
+        def swapped(v):
+            f = lo.factorize(v)
             lam = OrthonormalBasis(f.lam.matrix[:, [1, 0]], f.lam.method, f.lam.source_eigen)
             return dataclasses.replace(f, lam=lam)
 
@@ -617,7 +627,7 @@ class TestParserReuse:
         for name, command in COMMANDS.items():
             assert f"  {name:<11} {command.help}" in out
 
-    def test_help_gives_the_range_and_default_of_each_numerical_flag(self, capsys):
+    def test_help_gives_the_rank_rule_and_the_format_default(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
         assert excinfo.value.code == 0
@@ -625,7 +635,6 @@ class TestParserReuse:
         for line in (
             "when a singular value of V is at most max(n, m)·ε·σ_max, the rule of "
             "numpy.linalg.matrix_rank.",
-            "--max-sweeps MAX_SWEEPS Jacobi sweep limit, an integer >= 1 (default: 64)",
             "--format {csv,tsv} input and output files (default: csv)",
         ):
             assert line in text
@@ -637,17 +646,20 @@ class TestParserReuse:
         assert not (tmp_path / "report.json").exists()
 
     def test_options_of_one_run_do_not_leak_into_the_next(self, tmp_path):
-        def report(name, *extra):
-            run_cli("verify", FIXTURES / "rand_4x3.csv", tmp_path / name, *extra)
+        source = tmp_path / "v.tsv"
+        source.write_text((FIXTURES / "rand_4x3.csv").read_text().replace(",", "\t"))
+
+        def run(name, path, *extra):
+            assert run_cli("relations", path, tmp_path / name, *extra) == 0
             data = load_report(tmp_path / name)
             del data["elapsed_ms"]
-            return data
+            return data, sorted(p.suffix for p in (tmp_path / name).glob("relations_*"))
 
-        before = report("before")
-        assert report("capped", "--max-sweeps", "1")["error"]["type"] == "NoConvergence"
-        after = report("after")
+        before = run("before", FIXTURES / "rand_4x3.csv")
+        assert run("tsv", source, "--format", "tsv")[1] == [".tsv"] * 6
+        after = run("after", FIXTURES / "rand_4x3.csv")
         assert after == before
-        assert after["pass"] is True
+        assert after[0]["pass"] is True and after[1] == [".csv"] * 6
 
 
 class TestDeterminism:

@@ -250,11 +250,12 @@ class TestFactorizationResiduals:
         assert {f, g, copy, f} == {f, g, copy} and len({f, g, copy, f}) == 3
         assert np.array_equal(copy.lam.matrix, f.lam.matrix)
 
-    def test_bounds_are_the_fixed_constants(self):
-        # The config a V is factored with moves the sweep limit, never a
-        # bound.
-        bounds = lo.factorize(SHEAR, lo.ToleranceConfig(max_sweeps=8)).bounds()
-        assert bounds == lo.factorize(SHEAR).bounds()
+    def test_bounds_are_the_fixed_constants(self, cap_sweeps):
+        # The solver's sweep limit moves no bound.
+        default = lo.factorize(SHEAR).bounds()
+        cap_sweeps(8)
+        bounds = lo.factorize(SHEAR).bounds()
+        assert bounds == default
         assert set(bounds) == self.NAMES
         assert bounds["phi_orthonormality"] == bounds["lambda_orthonormality"] == 1e-10
         assert bounds["polar_reconstruction"] == bounds["svd_reconstruction"] == 1e-9
@@ -395,15 +396,15 @@ class TestNoConvergenceUnits:
     """Through ``factorize``, ``off_norm`` is ‖off(T)‖_F of the scaled T = L†·L."""
 
     @pytest.mark.parametrize("complex_", [False, True])
-    def test_off_norm_is_the_same_for_every_power_of_two(self, rng, complex_):
+    def test_off_norm_is_the_same_for_every_power_of_two(self, rng, complex_, cap_sweeps):
         # T is built from 2^-e·V, so 2^k·V reports V's value bit for bit,
         # where a direct hermitian_eigen call on M reports it in M's units.
         v = random_full_rank(rng, 6, 4, complex_=complex_)
-        cfg = lo.ToleranceConfig(max_sweeps=1)
+        cap_sweeps(1)
         reported = []
         for k in (-10, 0, 10):
             with pytest.raises(NoConvergence) as excinfo:
-                lo.factorize(v * 2.0**k, cfg)
+                lo.factorize(v * 2.0**k)
             assert excinfo.value.sweeps == 1
             reported.append(excinfo.value.off_norm)
         assert reported[0] > 0.0 and reported == [reported[0]] * 3

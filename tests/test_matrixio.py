@@ -95,6 +95,28 @@ class TestParse:
         assert excinfo.value.line == 3
 
 
+class TestAsciiDigits:
+    """Digits are 0-9 only; ``float`` would also read a digit of another script."""
+
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("\u0661,\u0662\n\u0663,\u0664\n", "\u0661"),  # Arabic-Indic
+            ("\uff11\n", "\uff11"),  # fullwidth
+            ("1+\uff12i\n", "1+\uff12i"),
+        ],
+    )
+    def test_another_script_is_a_parse_error(self, tmp_path, text, token):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        for parse in (lambda: parse_matrix_text(text), lambda: parse_matrix_file(path)):
+            with pytest.raises(ParseError) as excinfo:
+                parse()
+            assert (excinfo.value.line, excinfo.value.column, excinfo.value.token) == (1, 1, token)
+        with pytest.raises(ValueError):
+            parse_token(token)
+
+
 class TestLineEnds:
     """A line ends at \\n, \\r\\n or \\r, not wherever ``str.splitlines`` breaks."""
 
@@ -144,7 +166,7 @@ NEAR_MISSES = [
     "1+ 2i", "1_0", "inf", "-inf", "nan", "\u0661", "1+\u0662i", "\xa01.5\xa0", "\xa0",
     "", " ", "1e+5i", "1+2e-3i", "1.+.5i", "1..", "1+2i5", "1j", "1+2j", "(1+2i)", ".", "e5",
     "1e", "+", "-0", "1-0i", "-0-0i", "+.5e-3", "1E5", "0x10", "1,5", "#1", "1\t2", "\t1\t",
-    "1\f2", "\x0b1", "2\x85", "1\u20282+1i",
+    "1\f2", "\x0b1", "2\x85", "1\u20282+1i", "\uff11", "1+\uff12i",
 ]
 _real_tokens = st.floats(allow_nan=False, width=64).map(repr)
 # The imaginary sign is read off repr, so -0.0 is written "-0.0i".

@@ -89,20 +89,20 @@ def test_compare_outputs_goes_on_past_files_in_one_tree_only(tmp_path, capsys):
     # old tree lacks; the summary still reports the drift and the exit change.
     trees = {side: tmp_path / side for side in ("old", "new")}
     for side, tree in trees.items():
-        failed = tree / "r007.csv" / "sweeps2" / "pca"
+        failed = tree / "r007.csv" / "pca"
         failed.mkdir(parents=True)
         (failed / "exit").write_text("3\n" if side == "old" else "0\n")
         if side == "new":
             (failed / "pca_scores.csv").write_text("2.0\n")
-        passed = tree / "r008.csv" / "default" / "pca"
+        passed = tree / "r008.csv" / "pca"
         passed.mkdir(parents=True)
         (passed / "exit").write_text("0\n")
         (passed / "pca_scores.csv").write_text("4.0\n" if side == "old" else "4.000000001\n")
     assert load_script("compare_outputs").compare_trees(trees["old"], trees["new"]) == 1
     out = capsys.readouterr().out
     assert "file sets differ: 1 files in one tree only, in 1 run directories" in out
-    assert "r007.csv/sweeps2/pca: new only: pca_scores.csv" in out
-    assert "over 1 differing factor files: 2.50e-10 (r008.csv/default/pca/pca_scores.csv)" in out
+    assert "r007.csv/pca: new only: pca_scores.csv" in out
+    assert "over 1 differing factor files: 2.50e-10 (r008.csv/pca/pca_scores.csv)" in out
     assert "changed exit codes: 1" in out
 
 
